@@ -9,7 +9,7 @@ from .gevrey import (FitPolicy, GevreyParams, RadiusEstimate, estimate_radius,
                      gevrey_norm, hs_norm, rescale, smooth)
 from .grid import (GridSpec, SpectralField, apply_multiplier,
                    check_boundary_smallness, dealiased_product, derivative,
-                   forward_transform, inverse_transform)
+                   forward_transform)
 from .solver import (SolverConfig, Trajectory, airy_propagate,
                      classical_invariants, evolve, load_snapshot, reflect,
                      save_snapshot, soliton, trajectory_to_csv)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import dyadic_bump, is_dyadic, validate_dyadic
+from .dyadic import modulation_norms
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
 TWO_PI = 2.0 * np.pi
@@ -68,19 +69,8 @@ class WavePacketField:
 
     def x_norm(self) -> float:
         """sum_L L^(1/2) ||Q_L .|| over all bands carrying amplitude."""
-        lam = self.modulation
-        if self.amp.size == 0:
-            return 0.0
-        total = 0.0
-        l = 1
-        l_top = 2.0 * max(1.0, float(np.max(np.abs(lam))))
-        while l <= l_top:
-            wgt = dyadic_bump(l, lam)
-            block = np.sqrt(np.sum(wgt * wgt * np.abs(self.amp) ** 2)
-                            * self.cell_weight)
-            total += np.sqrt(l) * block
-            l *= 2
-        return float(total)
+        norms = modulation_norms(self.modulation, np.abs(self.amp) ** 2, self.cell_weight)
+        return float(sum(np.sqrt(l) * v for l, v in norms.items()))
 
     def band_l2_norm(self, n, l) -> float:
         """||P_n Q_l .|| with the smooth bumps."""

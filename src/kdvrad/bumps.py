@@ -7,6 +7,9 @@ dyadic bumps ``beta_N`` telescope into a partition of unity,
     sum_{N >= 1 dyadic} beta_N(s) = 1   for |s| <= N_top,
 
 with the zero frequency assigned to the N = 1 block.
+
+``dyadic_bands`` telescopes beta_n(s) = chi(s/n) - chi(s/(n/2)), one chi per scale; n/2
+and 2s are exact, so s/(n/2) == 2s/n and the weights equal ``dyadic_bump`` bit for bit.
 """
 from __future__ import annotations
 
@@ -14,13 +17,14 @@ import numpy as np
 
 
 def smooth_step(t):
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
+    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) glue between."""
     t = np.asarray(t, dtype=float)
-    tc = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(tc > 0.0, np.exp(-1.0 / np.where(tc > 0.0, tc, 1.0)), 0.0)
-        b = np.where(tc < 1.0, np.exp(-1.0 / np.where(tc < 1.0, 1.0 - tc, 1.0)), 0.0)
-    return a / (a + b)
+    out = np.where(t >= 1.0, 1.0, np.where(np.isnan(t), np.nan, 0.0))
+    ramp = (t > 0.0) & (t < 1.0)
+    with np.errstate(over="ignore"):  # -1/t overflows to -inf for subnormal t
+        a, b = np.exp(-1.0 / t[ramp]), np.exp(-1.0 / (1.0 - t[ramp]))
+    out[ramp] = a / (a + b)
+    return out[()]
 
 
 def chi(s):
@@ -52,6 +56,18 @@ def dyadic_bump(n, s):
     if n == 1:
         return chi(s)
     return chi(s / n) - chi(2.0 * s / n)
+
+
+def dyadic_bands(indices, s):
+    """Yield (n, beta_n(s)) for dyadic n; along n, 2n, ... chi(s/n) is reused as band 2n's floor."""
+    s = np.asarray(s, dtype=float)
+    prev_n = prev = None
+    for n in indices:
+        validate_dyadic(n, "band index")
+        cur = chi(s / n)
+        floor = prev if prev_n == n / 2 else (chi(s / (n / 2)) if n > 1 else 0.0)
+        yield n, cur - floor
+        prev_n, prev = n, cur
 
 
 def dyadic_indices(limit):

@@ -5,6 +5,10 @@ P_N restricts to the dyadic frequency band |xi| ~ N via the smooth bumps of
 modulation band |tau - xi^3| ~ L.  The X norm is the l1-over-modulation,
 L2-in-spacetime combination sum_L L^(1/2) ||Q_L v||, and the xbar^s norm
 replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
+
+Band sums telescope beta_L = chi(lam/L) - chi(lam/(L/2)), one chi per scale, bitwise equal
+to ``dyadic_bump`` as L/2 is a power of two.  ``xbar_norm`` reduces M[L, xi] =
+sum_tau beta_L^2 |v|^2 once; block N is sum_L L^(1/2) (M beta_N^2 weight)^(1/2).
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bumps import covering_indices, dyadic_bump, validate_dyadic
+from .bumps import covering_indices, dyadic_bands, dyadic_bump, validate_dyadic
 from .errors import TimeWindowTooShortError
 from .gevrey import hs_norm
 from .grid import SpectralField, apply_multiplier
@@ -29,11 +33,6 @@ def project_pn(field: SpectralField, n) -> SpectralField:
     return apply_multiplier(field, lambda xi: dyadic_bump(n, xi))
 
 
-def frequency_blocks(field: SpectralField):
-    """Dyadic indices covering every grid frequency."""
-    return covering_indices(field.grid.nyquist_xi)
-
-
 def _check_dtau(spec: SpacetimeSpectrum):
     if spec.dtau > MAX_DTAU:
         raise TimeWindowTooShortError(
@@ -42,10 +41,13 @@ def _check_dtau(spec: SpacetimeSpectrum):
         )
 
 
+def _covering_modulations(lam):
+    return covering_indices(float(np.max(np.abs(lam), initial=1.0)))
+
+
 def modulation_blocks(spec: SpacetimeSpectrum):
     """Dyadic L indices covering every |tau - xi^3| present on the grid."""
-    lam_max = float(np.max(np.abs(spec.modulation())))
-    return covering_indices(max(lam_max, 1.0))
+    return _covering_modulations(spec.modulation())
 
 
 def resolvable_blocks(spec: SpacetimeSpectrum):
@@ -70,16 +72,18 @@ def project_ql(field: SpacetimeField, l, pad: int = 4) -> SpacetimeField:
     return inverse_spacetime_transform(filtered)
 
 
+def modulation_norms(lam, power, weight, l_list=None) -> dict:
+    """||Q_l .|| per band l (default: all covering max|lam|) from cell powers and weight."""
+    l_list = _covering_modulations(lam) if l_list is None else l_list
+    return {l: float(np.sqrt(np.sum(wgt * wgt * power) * weight))
+            for l, wgt in dyadic_bands(l_list, lam)}
+
+
 def block_l2_norms(spec: SpacetimeSpectrum, l_list=None) -> dict:
     """||Q_l u|| for each modulation band, computed spectrally."""
     _check_dtau(spec)
-    lam = spec.modulation()
-    power = np.abs(spec.values) ** 2
-    out = {}
-    for l in (l_list if l_list is not None else modulation_blocks(spec)):
-        wgt = dyadic_bump(l, lam)
-        out[l] = float(np.sqrt(np.sum(wgt * wgt * power) * spec.weight))
-    return out
+    return modulation_norms(spec.modulation(), np.abs(spec.values) ** 2,
+                            spec.weight, l_list)
 
 
 def x_norm(field: SpacetimeField, pad: int = 4, spectrum: SpacetimeSpectrum = None) -> float:
@@ -111,30 +115,27 @@ def xbar_norm(field: SpacetimeField, s: float, pad: int = 4) -> NormReport:
     spec = spacetime_transform(field, pad=pad)
     _check_dtau(spec)
     lam = spec.modulation()
-    l_list = modulation_blocks(spec)
+    l_list = _covering_modulations(lam)
+    power = np.abs(spec.values) ** 2
+    m = np.array([np.sum(wgt * wgt * power, axis=0) for _, wgt in dyadic_bands(l_list, lam)])
+    sqrt_l = np.sqrt(l_list)
     x_per_n = {}
     low = 0.0
-    for n in covering_indices(field.grid.nyquist_xi):
-        band = dyadic_bump(n, spec.xi)[None, :]
-        blocked = spec.values * band
+    for n, band in dyadic_bands(covering_indices(field.grid.nyquist_xi), spec.xi):
         if n == 1:
             # L_x^2 L_t^inf of the low block, evaluated in physical space
-            filtered = SpacetimeSpectrum(values=blocked, tau=spec.tau, xi=spec.xi,
+            filtered = SpacetimeSpectrum(values=spec.values * band, tau=spec.tau, xi=spec.xi,
                                          dtau=spec.dtau, dxi=spec.dxi, field=spec.field)
             u1 = inverse_spacetime_transform(filtered).values
             sup_t = np.max(np.abs(u1), axis=0)
             low = float(np.sqrt(np.sum(sup_t ** 2) * field.grid.dx))
             x_per_n[1] = low
             continue
-        power = np.abs(blocked) ** 2
-        total = 0.0
-        for l in l_list:
-            wgt = dyadic_bump(l, lam)
-            total += np.sqrt(l) * np.sqrt(np.sum(wgt * wgt * power) * spec.weight)
-        x_per_n[n] = float(total)
+        x_per_n[n] = float(sqrt_l @ np.sqrt(m @ (band * band) * spec.weight))
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2
                                   for n, v in x_per_n.items() if n > 1))
-    truncated = [l for l in l_list if l not in resolvable_blocks(spec)]
+    resolvable = resolvable_blocks(spec)
+    truncated = [l for l in l_list if l not in resolvable]
     return NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
                       xbar_s=float(xbar), truncated_l=truncated)
 

@@ -93,10 +93,6 @@ class SpectralField:
         g = self.grid
         return np.real(np.fft.ifft(self.coeffs * g._phase()) / g.dx)
 
-    def values_complex(self) -> np.ndarray:
-        g = self.grid
-        return np.fft.ifft(self.coeffs * g._phase()) / g.dx
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.grid.spectral_weight))
 
@@ -133,10 +129,6 @@ def forward_transform(values, grid: GridSpec) -> SpectralField:
         raise KdvradError(f"non-finite input value at sample index {bad}")
     coeffs = grid.dx * grid._phase() * np.fft.fft(values)
     return SpectralField(grid, coeffs)
-
-
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    return field.values()
 
 
 def apply_multiplier(field: SpectralField, m) -> SpectralField:

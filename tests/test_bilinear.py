@@ -6,6 +6,7 @@ from kdvrad.bilinear import (DyadicTriple, RatioRecord, WavePacketField,
                              fit_exponent, make_localized,
                              measure_block_ratio, predicted_block_constant,
                              product, xnorm_product_ratio)
+from kdvrad.bumps import dyadic_bump
 from kdvrad.errors import UnresolvableBandError, VanishingConfigurationError
 
 
@@ -117,6 +118,36 @@ class TestXnormProductRatio:
         f = WavePacketField(np.array([3]), np.array([27.0]),
                             np.array([0.0 + 0j]), 0.1, 0.5)
         assert f.x_norm() == 0.0
+
+    def test_x_norm_equals_per_band_loop_bitwise(self):
+        def loop_x_norm(f):
+            # one dyadic_bump per band L = 1, 2, 4, ... <= 2 max(1, max|lam|)
+            lam = f.modulation
+            total = 0.0
+            l = 1
+            l_top = 2.0 * max(1.0, float(np.max(np.abs(lam))))
+            while l <= l_top:
+                wgt = dyadic_bump(l, lam)
+                total += np.sqrt(l) * np.sqrt(np.sum(wgt * wgt * np.abs(f.amp) ** 2)
+                                              * f.cell_weight)
+                l *= 2
+            return float(total)
+
+        rng = np.random.default_rng(11)
+        clouds = [make_localized(n, l, seed=n + l, geometry=g)
+                  for n, l, g in ((4, 1, "box"), (16, 64, "box"), (32, 8, "tube"))]
+        clouds.append(product(clouds[0], make_localized(4, 2, seed=5)))
+        for size, scale in ((40, 1.0), (300, 50.0), (7, 1e4)):
+            clouds.append(WavePacketField(
+                rng.integers(-200, 200, size), rng.uniform(-scale, scale, size),
+                rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                rng.uniform(0.01, 0.2), 0.5))
+        # max|lam| exactly dyadic: the loop's extra top band carries zero weight
+        clouds.append(WavePacketField(np.array([0, 0]), np.array([4.0, -1.0]),
+                                      np.array([1.0, 2.0j]), 0.1, 0.5))
+        for f in clouds:
+            assert f.x_norm() == loop_x_norm(f)
+        assert WavePacketField([], [], [], 0.1, 0.5).x_norm() == 0.0
 
     def test_comparable_bands_exponent(self):
         ns = [8, 16, 32, 64]

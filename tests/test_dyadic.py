@@ -1,15 +1,21 @@
 """Dyadic bumps, frequency/modulation projections and the X-type norms."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from kdvrad.bumps import chi, covering_indices, dyadic_bump
-from kdvrad.dyadic import (free_evolution_norm_ratio, project_pn, project_ql,
-                           x_norm, xbar_norm)
+from kdvrad.bumps import (chi, covering_indices, dyadic_bands, dyadic_bump,
+                          smooth_step)
+from kdvrad.dyadic import (block_l2_norms, free_evolution_norm_ratio,
+                           modulation_blocks, project_pn, project_ql, x_norm,
+                           xbar_norm)
 from kdvrad.errors import TimeWindowTooShortError
 from kdvrad.gevrey import hs_norm
 from kdvrad.grid import (GridSpec, SpectralField, dealiased_product,
                          forward_transform)
-from kdvrad.spacetime import SpacetimeField, airy_spacetime, spacetime_transform
+from kdvrad.spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
+                              inverse_spacetime_transform, spacetime_transform)
 
 from conftest import random_band_field
 
@@ -39,6 +45,60 @@ class TestBumps:
         xi = np.linspace(-512, 512, 4097)
         total = sum(dyadic_bump(n, xi) for n in covering_indices(2 ** 10))
         assert np.max(np.abs(total - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("indices", [covering_indices(3000), [4, 8, 16, 32],
+                                         [2, 8, 16, 1, 64]])
+    def test_dyadic_bands_equal_dyadic_bump_bitwise(self, rng, indices):
+        # telescoped chi(s/n) - chi(s/(n/2)) versus chi(s/n) - chi(2s/n)
+        s = np.concatenate([rng.uniform(-3000.0, 3000.0, (64, 96)).ravel(),
+                            2.0 ** np.arange(-3, 13), [0.0, 5e-324]])
+        bands = list(dyadic_bands(indices, s))
+        assert [n for n, _ in bands] == list(indices)
+        for n, wgt in bands:
+            assert np.array_equal(wgt, dyadic_bump(n, s))
+
+
+def glue(t):
+    """Closed-form exp(-1/t) step evaluated in scalar float arithmetic."""
+    if math.isnan(t):
+        return math.nan
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    a = math.exp(-1.0 / t)
+    b = math.exp(-1.0 / (1.0 - t))
+    return a / (a + b)
+
+
+class TestSmoothStep:
+    EDGES = [-np.inf, -1.0, 0.0, 5e-324, 1e-3, 0.5, 1.0 - 1e-16, 1.0, 2.0,
+             np.inf, np.nan]
+
+    def test_scalar_edge_values(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in self.EDGES:
+                out = smooth_step(t)
+                assert isinstance(out, np.float64) and np.ndim(out) == 0
+                want = glue(t)
+                assert out == want or (math.isnan(want) and math.isnan(out))
+
+    def test_array_edge_values(self):
+        want = np.array([glue(t) for t in self.EDGES])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in ((len(self.EDGES),), (len(self.EDGES), 1)):
+                out = smooth_step(np.reshape(self.EDGES, shape))
+                assert isinstance(out, np.ndarray) and out.shape == shape
+                assert out.dtype == np.float64
+                np.testing.assert_array_equal(out.ravel(), want)
+            assert smooth_step(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_ramp_matches_closed_form(self):
+        t = np.linspace(0.01, 0.99, 99)
+        want = np.array([glue(v) for v in t])
+        np.testing.assert_allclose(smooth_step(t), want, rtol=1e-14, atol=0.0)
 
 
 class TestProjectPN:
@@ -139,7 +199,6 @@ class TestProjectQL:
         vals = np.cos(0.9 * xx - 2.0 * tt) * np.exp(-(xx / 15.0) ** 2)
         f = SpacetimeField(st_grid, -2.0, 2.0, vals)
         spec = spacetime_transform(f)
-        from kdvrad.dyadic import modulation_blocks
         total = np.zeros_like(f.tapered_values())
         for l in modulation_blocks(spec):
             total += project_ql(f, l).values
@@ -211,6 +270,68 @@ class TestXbarNorm:
         rep = xbar_norm(f, s)
         expected = 8.0 ** s * rep.x_norm_per_n[8]
         assert rep.xbar_s == pytest.approx(expected, rel=0.05)
+
+
+def brute_block_norms(spec, l_list):
+    """||Q_l u|| per band with one dyadic_bump evaluation per band."""
+    lam = spec.modulation()
+    power = np.abs(spec.values) ** 2
+    return {l: np.sqrt(np.sum(dyadic_bump(l, lam) ** 2 * power) * spec.weight)
+            for l in l_list}
+
+
+def brute_xbar(field, s):
+    """xbar^s with dyadic_bump re-evaluated on the full grid per (N, L) pair."""
+    spec = spacetime_transform(field)
+    lam = spec.modulation()
+    per_n = {}
+    for n in covering_indices(field.grid.nyquist_xi):
+        blocked = spec.values * dyadic_bump(n, spec.xi)[None, :]
+        if n == 1:
+            low = SpacetimeSpectrum(values=blocked, tau=spec.tau, xi=spec.xi,
+                                    dtau=spec.dtau, dxi=spec.dxi, field=spec.field)
+            sup_t = np.max(np.abs(inverse_spacetime_transform(low).values), axis=0)
+            per_n[1] = np.sqrt(np.sum(sup_t ** 2) * field.grid.dx)
+            continue
+        power = np.abs(blocked) ** 2
+        per_n[n] = sum(np.sqrt(l) * np.sqrt(np.sum(dyadic_bump(l, lam) ** 2 * power)
+                                            * spec.weight)
+                       for l in modulation_blocks(spec))
+    total = per_n[1] ** 2 + sum(n ** (2 * s) * v ** 2 for n, v in per_n.items() if n > 1)
+    tau_max = np.max(np.abs(spec.tau))
+    truncated = [l for l in modulation_blocks(spec) if 2 * l > tau_max]
+    return np.sqrt(total), per_n, truncated
+
+
+class TestBruteForceEquivalence:
+    @pytest.mark.parametrize("s", [0.0, 0.5, -0.75])
+    def test_xbar_norm(self, st_grid, s):
+        rng = np.random.default_rng(int(100 * (s + 1)))
+        for _ in range(2):
+            st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24),
+                                -2.0, 2.0, 64)
+            want, want_per_n, want_truncated = brute_xbar(st, s)
+            rep = xbar_norm(st, s)
+            assert rep.truncated_l == want_truncated and want_truncated
+            assert rep.xbar_s == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert rep.x_norm_per_n.keys() == want_per_n.keys()
+            for n, v in want_per_n.items():
+                assert rep.x_norm_per_n[n] == pytest.approx(v, rel=1e-13, abs=0.0)
+
+    def test_block_l2_norms_and_x_norm(self, st_grid, rng):
+        for mode in (8, 24):
+            st = airy_spacetime(random_band_field(st_grid, rng, max_mode=mode),
+                                -2.0, 2.0, 64)
+            spec = spacetime_transform(st)
+            l_all = modulation_blocks(spec)
+            for l_list in (None, [2, 8, 16, 1]):
+                got = block_l2_norms(spec, l_list)
+                want = brute_block_norms(spec, l_all if l_list is None else l_list)
+                assert got.keys() == want.keys()
+                for l, v in want.items():
+                    assert got[l] == pytest.approx(v, rel=1e-13, abs=0.0)
+            want_x = sum(np.sqrt(l) * v for l, v in brute_block_norms(spec, l_all).items())
+            assert x_norm(st) == pytest.approx(want_x, rel=1e-13, abs=0.0)
 
 
 class TestFreeEvolutionRatio:
