@@ -46,8 +46,7 @@ def _smoothed_snapshots(traj: Trajectory, sigma: float):
     return [smooth(s, sigma) for s in traj.snapshots]
 
 
-def modified_residual(u_trajectory: Trajectory, sigma: float,
-                      dealias: float = 2.0 / 3.0) -> float:
+def modified_residual(u_trajectory: Trajectory, sigma: float) -> float:
     """Consistency check of the smoothed-flow equation.
 
     Smooths the recorded snapshots and returns the max over interior times of
@@ -63,8 +62,8 @@ def modified_residual(u_trajectory: Trajectory, sigma: float,
         dt2 = times[i + 1] - times[i - 1]
         w_t = (w[i + 1] - w[i - 1]) * (1.0 / dt2)
         w_xxx = derivative(w[i], 3)
-        w_wx = derivative(dealiased_product(w[i], w[i], dealias)) * 0.5
-        rhs = commutator_term(w[i], sigma, dealias)
+        w_wx = derivative(dealiased_product(w[i], w[i])) * 0.5
+        rhs = commutator_term(w[i], sigma)
         resid = (w_t + w_xxx + w_wx - rhs).l2_norm()
         worst = max(worst, resid)
     return worst
@@ -83,8 +82,7 @@ class DefectReport:
         return self.value
 
 
-def conservation_defect(u_trajectory: Trajectory, sigma: float,
-                        dealias: float = 2.0 / 3.0) -> DefectReport:
+def conservation_defect(u_trajectory: Trajectory, sigma: float) -> DefectReport:
     """Trapezoidal time quadrature of the work integral 2 int w f(w) dx dt.
 
     Also evaluates both sides of d/dt ||w||^2 = 2 int w f(w) dx over the
@@ -94,7 +92,7 @@ def conservation_defect(u_trajectory: Trajectory, sigma: float,
         raise KdvradError("need at least 3 snapshots for the quadrature")
     w = _smoothed_snapshots(u_trajectory, sigma)
     times = u_trajectory.times
-    flux = np.array([2.0 * pairing(wi, commutator_term(wi, sigma, dealias))
+    flux = np.array([2.0 * pairing(wi, commutator_term(wi, sigma))
                      for wi in w])
     integral = float(np.trapezoid(flux, times))
     lhs = w[-1].l2_norm() ** 2 - w[0].l2_norm() ** 2
@@ -123,11 +121,10 @@ class ConservationReport:
     identity_abs: float
 
 
-def measure_conservation(u_trajectory: Trajectory, sigma: float,
-                         dealias: float = 2.0 / 3.0) -> ConservationReport:
+def measure_conservation(u_trajectory: Trajectory, sigma: float) -> ConservationReport:
     p = GevreyParams(sigma, 0.0)
     sq = np.array([gevrey_norm(s, p) ** 2 for s in u_trajectory.snapshots])
-    defect = conservation_defect(u_trajectory, sigma, dealias)
+    defect = conservation_defect(u_trajectory, sigma)
     lhs = float(np.max(sq))
     base = float(sq[0])
     return ConservationReport(

@@ -156,9 +156,8 @@ def _box(n, l, rng, dtau, dxi):
     """Random-amplitude cloud filling the (n band x l band) box on the dxi lattice."""
     lo, hi = _box_interval(n)
     cells = int(round((hi - lo) / dxi))
-    sign = rng.choice((-1.0, 1.0))
-    centers = lo + dxi * (np.arange(cells) + 0.5)
-    idx = np.round(sign * centers / dxi).astype(np.int64)
+    sign = rng.choice((-1, 1))
+    idx = sign * (int(round(lo / dxi)) + np.arange(cells))
     xi_index, tau = _cells(idx, _lam_centers(l, dtau), dxi)
     amp = rng.standard_normal(tau.size) + 1j * rng.standard_normal(tau.size)
     return WavePacketField(xi_index, tau, amp, dxi, dtau)

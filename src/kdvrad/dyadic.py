@@ -86,10 +86,9 @@ def block_l2_norms(spec: SpacetimeSpectrum, l_list=None) -> dict:
                             spec.weight, l_list)
 
 
-def x_norm(field: SpacetimeField, pad: int = 4, spectrum: SpacetimeSpectrum = None) -> float:
+def x_norm(field: SpacetimeField, pad: int = 4) -> float:
     """sum_L L^(1/2) ||Q_L field|| over every band present on the grid."""
-    spec = spectrum if spectrum is not None else spacetime_transform(field, pad=pad)
-    norms = block_l2_norms(spec)
+    norms = block_l2_norms(spacetime_transform(field, pad=pad))
     return float(sum(np.sqrt(l) * v for l, v in norms.items()))
 
 

@@ -1,12 +1,17 @@
 """Periodic spatial grid, Fourier transforms and multiplier calculus.
 
-The domain [-half_length, half_length) discretizes the real line; the
-coefficients carry the continuous-transform normalization
+This module is the only place that defines the spectral convention; the
+solver, the space-time transforms and every diagnostic use it through
+``GridSpec`` and the functions below.  The domain [-half_length,
+half_length) discretizes the real line; the coefficients carry the
+continuous-transform normalization
 
-    coeff(xi_k) ~ integral exp(-i x xi_k) u(x) dx,
+    coeff(xi_k) ~ integral exp(-i x xi_k) u(x) dx = dx (-1)^k FFT(u)_k,
 
 so closed-form transforms (sech, sech^2, Gaussians) are directly comparable.
-Frequencies are xi_k = pi k / half_length in FFT (wrap-around) order.
+Frequencies are xi_k = pi k / half_length in FFT (wrap-around) order, the
+quadratic nonlinearity is dealiased by the 2/3 rule (``dealias_mask``) and
+the free (Airy) flow multiplies by ``airy_phase``.
 """
 from __future__ import annotations
 
@@ -26,7 +31,11 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-half_length, half_length)."""
+    """Uniform periodic grid on [-half_length, half_length).
+
+    The mode numbers, the frequencies and the (-1)^k phase are computed once,
+    as read-only arrays.
+    """
 
     num_points: int
     half_length: float = 40.0
@@ -36,6 +45,12 @@ class GridSpec:
             raise ValueError(f"num_points must be a power of two, got {self.num_points}")
         if self.half_length <= 0:
             raise ValueError("half_length must be positive")
+        k = (np.fft.fftfreq(self.num_points) * self.num_points).astype(np.int64)
+        # _sign = exp(i pi k): offset of the first grid node from x = 0
+        for name, a in (("_k", k), ("_xi", np.pi * k / self.half_length),
+                        ("_sign", np.where(k % 2 == 0, 1.0, -1.0))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dx(self) -> float:
@@ -48,12 +63,12 @@ class GridSpec:
     @property
     def k_index(self) -> np.ndarray:
         """Signed integer mode numbers in FFT order."""
-        return (np.fft.fftfreq(self.num_points) * self.num_points).astype(np.int64)
+        return self._k
 
     @property
     def xi(self) -> np.ndarray:
         """Frequencies pi*k/half_length in FFT order."""
-        return np.pi * self.k_index / self.half_length
+        return self._xi
 
     @property
     def nyquist_xi(self) -> float:
@@ -69,8 +84,23 @@ class GridSpec:
         return 1.0 / (2.0 * self.half_length)
 
     def _phase(self) -> np.ndarray:
-        # exp(i pi k): offset of the first grid node from x = 0
-        return np.where(self.k_index % 2 == 0, 1.0, -1.0)
+        return self._sign
+
+    def to_coeffs(self, values) -> np.ndarray:
+        """Continuous-normalized coefficients of samples along the last axis."""
+        return self.dx * self._sign * np.fft.fft(values)
+
+    def to_values(self, coeffs) -> np.ndarray:
+        """Real samples of coefficients along the last axis (inverse of ``to_coeffs``)."""
+        return np.real(np.fft.ifft(coeffs * self._sign) / self.dx)
+
+
+def airy_phase(xi, t) -> np.ndarray:
+    """Free (Airy) propagator exp(i t xi^3), with t xi^3 reduced mod 2 pi first.
+
+    ``t`` may be an array broadcasting against ``xi`` (one row per time).
+    """
+    return np.exp(1j * np.mod(xi ** 3 * t, 2.0 * np.pi))
 
 
 @dataclass
@@ -90,8 +120,7 @@ class SpectralField:
 
     def values(self) -> np.ndarray:
         """Physical-space samples (real part; imaginary residue is checked in tests)."""
-        g = self.grid
-        return np.real(np.fft.ifft(self.coeffs * g._phase()) / g.dx)
+        return self.grid.to_values(self.coeffs)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.grid.spectral_weight))
@@ -127,8 +156,7 @@ def forward_transform(values, grid: GridSpec) -> SpectralField:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise KdvradError(f"non-finite input value at sample index {bad}")
-    coeffs = grid.dx * grid._phase() * np.fft.fft(values)
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, grid.to_coeffs(values))
 
 
 def apply_multiplier(field: SpectralField, m) -> SpectralField:
@@ -178,16 +206,13 @@ def dealiased_product(f: SpectralField, g: SpectralField,
     return prod
 
 
-def boundary_magnitude(field: SpectralField) -> float:
-    """max |u| over the cells adjacent to the periodic seam x = +-half_length."""
-    v = field.values()
-    return float(np.max(np.abs(v[[0, 1, -1]])))
-
-
 def check_boundary_smallness(field: SpectralField, time: float | None = None,
                              tol: float = BOUNDARY_TOLERANCE) -> None:
-    peak = float(np.max(np.abs(field.values())))
-    edge = boundary_magnitude(field)
+    """Raise DomainTooSmallError when max |u| over the cells adjacent to the
+    periodic seam x = +-half_length exceeds tol * max |u|."""
+    v = np.abs(field.values())
+    peak = float(np.max(v))
+    edge = float(np.max(v[[0, 1, -1]]))
     if edge > tol * peak:
         when = "" if time is None else f" at t = {time:.6g}"
         raise DomainTooSmallError(

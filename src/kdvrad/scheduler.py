@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gevrey import (DEFAULT_FIT_POLICY, FitPolicy, GevreyParams,
-                     estimate_radius, gevrey_norm)
+from .gevrey import GevreyParams, estimate_radius, gevrey_norm
 from .grid import SpectralField
 from .solver import SolverConfig, Trajectory, evolve
 
@@ -150,7 +149,6 @@ class ScheduleComparison:
 
 def empirical_schedule(f: SpectralField, params: ScheduleParams, horizon: float,
                        config: SolverConfig = SolverConfig(),
-                       radius_policy: FitPolicy = DEFAULT_FIT_POLICY,
                        trajectory: Trajectory = None) -> ScheduleComparison:
     """Run the flow to the horizon and compare measured vs certified radius.
 
@@ -169,7 +167,7 @@ def empirical_schedule(f: SpectralField, params: ScheduleParams, horizon: float,
     violations = []
     for i, t in enumerate(times):
         cert[i] = params.sigma0 if t < t0 else sigma_for_horizon(params, float(t))
-        est = estimate_radius(traj.snapshots[i], radius_policy)
+        est = estimate_radius(traj.snapshots[i])
         hat[i] = est.sigma_hat
         gam[i] = gevrey_norm(traj.snapshots[i], GevreyParams(cert[i], params.s))
         final = final_induction_state(params, max(float(t), t0))

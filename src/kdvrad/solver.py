@@ -1,21 +1,22 @@
 """Pseudospectral time integration of u_t + u_xxx + u u_x = 0.
 
-The linear part is handled exactly through the phase exp(i t xi^3); the
+The linear part is handled exactly through the Airy phase exp(i t xi^3); the
 quadratic nonlinearity -(1/2) d_x(u^2) is evaluated in physical space with
-2/3-rule dealiasing.  The hot loop runs on half-spectra (rfft) of the real
+2/3-rule dealiasing.  The frequencies, the dealias mask and the phase come
+from ``grid``.  The hot loop runs on half-spectra (rfft) of the real
 solution; snapshots are converted to SpectralField at recording times only.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError
 from .gevrey import GevreyParams, estimate_radius, gevrey_norm
-from .grid import (GridSpec, SpectralField, check_boundary_smallness,
-                   forward_transform)
+from .grid import (GridSpec, SpectralField, airy_phase, check_boundary_smallness,
+                   dealias_mask, forward_transform)
 
 SCHEMES = ("ifrk4", "etdrk4")
 
@@ -24,18 +25,14 @@ SCHEMES = ("ifrk4", "etdrk4")
 class SolverConfig:
     dt: float = 1e-4
     scheme: str = "ifrk4"
-    dealias: float = 2.0 / 3.0
     record_every: int = 1000
     check_boundary: bool = True
-    linear_only: bool = False  # drops the nonlinearity; consistency tests only
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if not 0.0 < self.dealias <= 1.0:
-            raise ConfigError("dealias fraction must lie in (0, 1]")
         if self.record_every < 1:
             raise ConfigError("record_every must be a positive integer")
 
@@ -58,8 +55,7 @@ class Trajectory:
 
 def airy_propagate(field: SpectralField, t: float) -> SpectralField:
     """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi)."""
-    theta = np.mod(field.grid.xi ** 3 * t, 2.0 * np.pi)
-    return SpectralField(field.grid, field.coeffs * np.exp(1j * theta))
+    return SpectralField(field.grid, field.coeffs * airy_phase(field.grid.xi, t))
 
 
 def classical_invariants(field: SpectralField):
@@ -73,36 +69,28 @@ def classical_invariants(field: SpectralField):
     g = field.grid
     mass = float(np.real(field.coeffs[0]))
     momentum = float(np.sum(np.abs(field.coeffs) ** 2) * g.spectral_weight)
-    n = g.num_points
-    fine = np.zeros(2 * n, dtype=np.complex128)
-    half = n // 2
-    raw = field.coeffs * g._phase() / g.dx  # raw FFT coefficients
-    fine[:half] = raw[:half]
-    fine[-half:] = raw[-half:]
-    ux_fine = fine * (1j * np.pi * (np.fft.fftfreq(2 * n) * 2 * n) / g.half_length)
-    u = np.real(np.fft.ifft(fine))
-    ux = np.real(np.fft.ifft(ux_fine))
-    dx_fine = g.dx / 2.0
-    hamiltonian = float(np.sum(0.5 * ux * ux - u ** 3 / 6.0) * dx_fine)
+    fine = GridSpec(2 * g.num_points, g.half_length)
+    coeffs = np.zeros(fine.num_points, dtype=np.complex128)
+    half = g.num_points // 2
+    coeffs[:half] = field.coeffs[:half]
+    coeffs[-half:] = field.coeffs[-half:]
+    u = fine.to_values(coeffs)
+    ux = fine.to_values(coeffs * (1j * fine.xi))
+    hamiltonian = float(np.sum(0.5 * ux * ux - u ** 3 / 6.0) * fine.dx)
     return mass, momentum, hamiltonian
 
 
 class _Stepper:
     """rfft-based stepping kernel shared by the schemes."""
 
-    def __init__(self, grid: GridSpec, config: SolverConfig):
-        self.grid = grid
-        self.config = config
-        n = grid.num_points
-        self.xi = np.pi * np.arange(n // 2 + 1) / grid.half_length
-        cut = int(np.floor(config.dealias * (n // 2)))
-        self.mask = np.arange(n // 2 + 1) <= cut
-        self.mask[-1] = False  # always drop Nyquist
+    def __init__(self, grid: GridSpec):
+        half = grid.num_points // 2 + 1
+        # rfft modes k = 0 .. n/2 of the FFT-order arrays, Nyquist taken positive
+        self.xi = np.abs(grid.xi[:half])
+        self.mask = dealias_mask(grid)[:half]
         self._dfactor = -0.5j * self.xi * self.mask
 
     def nonlinear(self, uh: np.ndarray) -> np.ndarray:
-        if self.config.linear_only:
-            return np.zeros_like(uh)
         u = np.fft.irfft(uh * self.mask)
         return self._dfactor * np.fft.rfft(u * u)
 
@@ -163,15 +151,14 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     if config.check_boundary:
         check_boundary_smallness(f, time=0.0)
 
-    stepper = _Stepper(grid, config)
+    stepper = _Stepper(grid)
     uh = np.fft.rfft(f.values())
     dt = config.dt
     num_steps = max(1, int(round(T / dt)))
     dt = T / num_steps  # land exactly on T
 
     if config.scheme == "ifrk4":
-        theta = np.mod(stepper.xi ** 3 * (dt / 2), 2.0 * np.pi)
-        e_half = np.exp(1j * theta)
+        e_half = airy_phase(stepper.xi, dt / 2)
         e_full = e_half * e_half
 
         def do_step(uh):
@@ -225,7 +212,7 @@ def soliton(grid: GridSpec, speed: float = 1.0, center: float = 0.0) -> Spectral
     return forward_transform(vals, grid)
 
 
-def trajectory_to_csv(traj: Trajectory, path, sigma_list=(), radius_policy=None) -> list:
+def trajectory_to_csv(traj: Trajectory, path, sigma_list=()) -> list:
     """Write per-snapshot diagnostics; returns the header columns.
 
     Columns: t, mass, momentum, hamiltonian, one gevrey_sigma_<s> column per
@@ -234,7 +221,6 @@ def trajectory_to_csv(traj: Trajectory, path, sigma_list=(), radius_policy=None)
     header = ["t", "mass", "momentum", "hamiltonian"]
     header += [f"gevrey_sigma_{s:g}" for s in sigma_list]
     header.append("sigma_hat")
-    kwargs = {} if radius_policy is None else {"policy": radius_policy}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -244,7 +230,7 @@ def trajectory_to_csv(traj: Trajectory, path, sigma_list=(), radius_policy=None)
                    repr(float(traj.momentum[i])), repr(float(traj.hamiltonian[i]))]
             for s in sigma_list:
                 row.append(repr(gevrey_norm(snap, GevreyParams(s))))
-            row.append(repr(estimate_radius(snap, **kwargs).sigma_hat))
+            row.append(repr(estimate_radius(snap).sigma_hat))
             writer.writerow(row)
     return header
 

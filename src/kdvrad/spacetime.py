@@ -4,7 +4,9 @@ A SpacetimeField holds real samples u(t_j, x_k) on a uniform window; before
 any modulation analysis the samples are multiplied by a smooth temporal
 taper equal to 1 on the inner half of the window and vanishing at its ends,
 then zero-padded in time (default factor 4) so that the transform samples
-the same compactly supported signal on a finer tau grid.
+the same compactly supported signal on a finer tau grid.  The x axis is
+transformed by the grid (``GridSpec.to_coeffs`` / ``to_values``), which owns
+the spatial convention; this module adds only the tau axis.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .bumps import chi
 from .errors import KdvradError
-from .grid import GridSpec, SpectralField
+from .grid import GridSpec, SpectralField, airy_phase
 
 
 def temporal_taper(t, t_a: float, t_b: float) -> np.ndarray:
@@ -98,22 +100,16 @@ def spacetime_transform(field: SpacetimeField, pad: int = 4) -> SpacetimeSpectru
     if pad < 1:
         raise ValueError("pad must be >= 1")
     g = field.grid
-    w = field.tapered_values()
-    nt = field.num_time_samples
-    nt_pad = pad * nt
-    padded = np.zeros((nt_pad, g.num_points))
-    padded[:nt] = w
+    nt_pad = pad * field.num_time_samples
     dt = field.dt
     tau = 2.0 * np.pi * np.fft.fftfreq(nt_pad, d=dt)
-    xi = g.xi
-    raw = np.fft.fft2(padded)
-    phase_t = np.exp(-1j * tau * field.t_a)[:, None]
-    phase_x = g._phase()[None, :]
-    values = dt * g.dx * phase_t * phase_x * raw
+    # fft with n = nt_pad zero-pads the time axis
+    raw_t = np.fft.fft(g.to_coeffs(field.tapered_values()), n=nt_pad, axis=0)
+    values = dt * np.exp(-1j * tau * field.t_a)[:, None] * raw_t
     return SpacetimeSpectrum(
         values=values,
         tau=tau,
-        xi=xi,
+        xi=g.xi,
         dtau=float(tau[1] - tau[0]),
         dxi=g.dxi,
         field=field,
@@ -123,14 +119,9 @@ def spacetime_transform(field: SpacetimeField, pad: int = 4) -> SpacetimeSpectru
 def inverse_spacetime_transform(spec: SpacetimeSpectrum) -> SpacetimeField:
     """Invert the 2D transform and crop back to the original window."""
     f = spec.field
-    g = f.grid
-    nt_pad = spec.values.shape[0]
-    dt = f.dt
     phase_t = np.exp(1j * spec.tau * f.t_a)[:, None]
-    phase_x = g._phase()[None, :]
-    raw = spec.values * phase_t * phase_x / (dt * g.dx)
-    vals = np.fft.ifft2(raw)[:f.num_time_samples]
-    return SpacetimeField(g, f.t_a, f.t_b, np.real(vals), pretapered=True)
+    coeffs = np.fft.ifft(spec.values * phase_t, axis=0)[:f.num_time_samples] / f.dt
+    return SpacetimeField(f.grid, f.t_a, f.t_b, f.grid.to_values(coeffs), pretapered=True)
 
 
 def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
@@ -138,9 +129,7 @@ def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
     """Sample the free (Airy) evolution of f on a uniform time window."""
     g = f.grid
     times = np.linspace(t_a, t_b, num_time_samples)
-    theta = np.mod(times[:, None] * g.xi[None, :] ** 3, 2.0 * np.pi)
-    coeffs = f.coeffs[None, :] * np.exp(1j * theta)
-    vals = np.real(np.fft.ifft(coeffs * g._phase()[None, :], axis=1) / g.dx)
+    vals = g.to_values(f.coeffs * airy_phase(g.xi, times[:, None]))
     return SpacetimeField(g, t_a, t_b, vals)
 
 

@@ -1,4 +1,6 @@
 """Commutator term, work-integral defect and the multiplier bound chain."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from kdvrad.almost_conservation import (commutator_term, conservation_defect,
                                         measure_conservation, modified_residual,
                                         pairing, prepare_acl_trajectory,
                                         smoothing_multiplier_bounds,
-                                        sweep_conservation)
+                                        sweep_conservation, sweep_to_csv)
 from kdvrad.errors import KdvradError
 from kdvrad.gevrey import smooth
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.solver import SolverConfig, evolve, soliton
+from kdvrad.solver import SolverConfig, airy_propagate, evolve, soliton
 
 from conftest import random_band_field
 
@@ -133,17 +135,11 @@ class TestModifiedResidual:
 
     def test_linear_flow_residual(self, acl_grid):
         f = wavepacket(acl_grid, 5)
-        cfg = SolverConfig(dt=2e-6, record_every=1, linear_only=True)
-        traj = evolve(f, 4e-5, cfg)
-        # residual of w_t + w_xxx alone: drop the product terms by sigma=0 and
-        # subtracting the nonlinearity is skipped in linear mode, so compare
-        # against the pure Airy relation through the full formula at sigma=0:
-        # the product term w w_x is not in the flow, so the residual equals
-        # ||w w_x|| up to time-differencing error; instead check consistency
-        # of the time derivative with the linear generator directly
+        # 21 snapshots of the free (Airy) flow, 2e-6 apart: check consistency
+        # of the centred time derivative with the linear generator directly
         from kdvrad.grid import derivative
-        w = traj.snapshots
-        t = traj.times
+        t = np.arange(21) * (4e-5 / 20)
+        w = [airy_propagate(f, ti) for ti in t]
         worst = 0.0
         for i in range(1, len(w) - 1):
             w_t = (w[i + 1] - w[i - 1]) * (1.0 / (t[i + 1] - t[i - 1]))
@@ -207,6 +203,20 @@ class TestConservationDefect:
             rep = measure_conservation(traj, s)
             assert rep.error_measured <= 1e-8 * rep.rhs_base
             assert rep.error_measured <= rep.bound_cubed * s ** 0.75
+
+
+class TestSweepToCsv:
+    def test_round_trip(self, packet_trajectory, tmp_path):
+        reports = [measure_conservation(packet_trajectory, s) for s in (0.2, 0.05)]
+        path = tmp_path / "acl.csv"
+        header = sweep_to_csv(reports, path, fitted_exponent=0.8125)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == header and len(rows) == 2
+        for row, r in zip(rows, reports):
+            assert [float(row[k]) for k in header] == [
+                r.sigma, r.interval[1], r.lhs, r.rhs_base, r.error_measured,
+                r.r_integral, 0.8125]
 
 
 class TestMultiplierBounds:

@@ -1,11 +1,13 @@
 """Dyadic bilinear block constants: regimes, support conditions, exponents."""
+import csv
+
 import numpy as np
 import pytest
 
 from kdvrad.bilinear import (DyadicTriple, RatioRecord, WavePacketField,
                              fit_exponent, make_localized,
                              measure_block_ratio, predicted_block_constant,
-                             product, xnorm_product_ratio)
+                             product, sweep_to_csv, xnorm_product_ratio)
 from kdvrad.bumps import dyadic_bump
 from kdvrad.errors import UnresolvableBandError, VanishingConfigurationError
 
@@ -60,6 +62,13 @@ class TestMakeLocalized:
     def test_support_fraction(self):
         f = make_localized(4, 1, seed=3)
         assert f.support_mass_fraction(4, 1) >= 0.99
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_box_cells_on_consecutive_lattice_points(self, n):
+        f = make_localized(n, 1, seed=3)
+        idx = np.unique(f.xi_index)
+        assert idx.size == 48
+        assert np.all(np.diff(idx) == 1)
 
     def test_deterministic(self):
         a = make_localized(8, 2, seed=11)
@@ -212,3 +221,24 @@ class TestProductBookkeeping:
         c = make_localized(8, 1, seed=3)
         with pytest.raises(ValueError, match="lattice"):
             product(a, c)
+
+
+class TestSweepToCsv:
+    def test_round_trip(self, tmp_path):
+        records = [measure_block_ratio(t, trials=2, seed=0)
+                   for t in (DyadicTriple(2, 8, 8, 1, 1, 128),
+                             DyadicTriple(2, 2, 32, 1, 1, 2048))]
+        path = tmp_path / "blocks.csv"
+        header = sweep_to_csv(records, -1.25, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == header and len(rows) == 2
+        for row, r in zip(rows, records):
+            t = r.triple
+            assert [int(row[k]) for k in ("N1", "N2", "N3", "L1", "L2", "L3")] \
+                == [t.n1, t.n2, t.n3, t.l1, t.l2, t.l3]
+            assert float(row["max_ratio"]) == r.measured_lhs
+            assert np.array_equal(float(row["predicted_C"]), r.predicted_c, equal_nan=True)
+            assert (int(row["trials"]), int(row["attempts"])) == (r.trials, r.attempts)
+            assert float(row["fitted_exponent"]) == -1.25
+        assert [row["regime"] for row in rows] == ["generic", "vanishing"]

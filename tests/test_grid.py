@@ -41,6 +41,30 @@ class TestGridSpec:
         assert np.min(k) == -512 and np.max(k) == 511
         assert default_grid.dx > 0
 
+    def test_arrays_equal_formulas_bitwise_and_reject_writes(self):
+        g = GridSpec(512, 30.0)
+        k = (np.fft.fftfreq(512) * 512).astype(np.int64)
+        assert g.k_index.dtype == np.int64
+        assert g.k_index.tobytes() == k.tobytes()
+        assert g.xi.tobytes() == (np.pi * k / 30.0).tobytes()
+        assert g._phase().tobytes() == np.where(k % 2 == 0, 1.0, -1.0).tobytes()
+        for a in (g.k_index, g.xi, g._phase()):
+            with pytest.raises(ValueError):
+                a[1] = 0
+        # computed once: every read returns the same array
+        assert g.xi is g.xi and g.k_index is g.k_index
+
+    def test_transforms_work_along_last_axis(self, small_grid, rng):
+        g = small_grid
+        rows = rng.standard_normal((3, g.num_points))
+        coeffs = g.to_coeffs(rows)
+        for row, c in zip(rows, coeffs):
+            f = forward_transform(row, g)
+            assert f.coeffs.tobytes() == c.tobytes()
+        values = g.to_values(coeffs)
+        for c, v in zip(coeffs, values):
+            assert SpectralField(g, c).values().tobytes() == v.tobytes()
+
 
 class TestForwardTransform:
     def test_constant_field(self, default_grid):

@@ -52,6 +52,16 @@ class TestClassicalInvariants:
         _, momentum, _ = classical_invariants(f)
         assert momentum == pytest.approx(24.0, rel=1e-12)
 
+    def test_soliton_hamiltonian_closed_form(self, default_grid):
+        # int (u_x^2/2 - u^3/6) dx = -(36/5) c^(5/2) for u = 3c sech^2(sqrt(c) x / 2)
+        x = np.linspace(-40, 40, 400001)
+        u = 3.0 / np.cosh(x / 2.0) ** 2
+        ux = -3.0 * np.tanh(x / 2.0) / np.cosh(x / 2.0) ** 2
+        assert np.trapezoid(0.5 * ux * ux - u ** 3 / 6.0, x) == pytest.approx(-7.2, rel=1e-9)
+        for c in (0.5, 1.0, 2.25):
+            _, _, hamiltonian = classical_invariants(soliton(default_grid, speed=c))
+            assert hamiltonian == pytest.approx(-36.0 / 5.0 * c ** 2.5, rel=1e-12)
+
 
 class TestEvolve:
     def test_zero_stays_zero(self, small_grid):
@@ -154,6 +164,42 @@ class TestEvolve:
         f = forward_transform(soliton_values(g, 1.0, 38.0), g)
         with pytest.raises(DomainTooSmallError):
             evolve(f, 0.1, SolverConfig(dt=1e-3, record_every=10))
+
+    def test_two_soliton_snapshots_equal_reference_stepper_bitwise(self, default_grid):
+        # IFRK4 written out with the frequencies, the 2/3 mask and the Airy
+        # phase spelled as explicit formulas on the rfft half-spectrum
+        g = default_grid
+        f = soliton(g, 1.0, -10.0) + soliton(g, 2.25, 5.0)
+        traj = evolve(f, 0.06, SolverConfig(dt=1e-3, record_every=20))
+        n = g.num_points
+        xi = np.pi * np.arange(n // 2 + 1) / g.half_length
+        mask = np.arange(n // 2 + 1) <= int(np.floor(2.0 / 3.0 * (n // 2)))
+        mask[-1] = False
+        dfactor = -0.5j * xi * mask
+
+        def nonlinear(uh):
+            u = np.fft.irfft(uh * mask)
+            return dfactor * np.fft.rfft(u * u)
+
+        dt = 0.06 / 60
+        e_half = np.exp(1j * np.mod(xi ** 3 * (dt / 2), 2.0 * np.pi))
+        e_full = e_half * e_half
+        uh = np.fft.rfft(f.values())
+        expected = [f.coeffs]
+        for i in range(1, 61):
+            n1 = nonlinear(uh)
+            a = e_half * (uh + (dt / 2) * n1)
+            n2 = nonlinear(a)
+            b = e_half * uh + (dt / 2) * n2
+            n3 = nonlinear(b)
+            c = e_full * uh + dt * e_half * n3
+            n4 = nonlinear(c)
+            uh = e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+            if i % 20 == 0:
+                expected.append(forward_transform(np.fft.irfft(uh), g).coeffs)
+        assert len(traj.snapshots) == len(expected) == 4
+        for snap, ref in zip(traj.snapshots, expected):
+            assert snap.coeffs.tobytes() == ref.tobytes()
 
     def test_rejects_complex_data(self, small_grid):
         c = np.zeros(small_grid.num_points, dtype=complex)

@@ -132,6 +132,14 @@ class TestBuilders:
         expected = airy_propagate(f0, st.times[5]).values()
         assert np.max(np.abs(st.values[5] - expected)) < 1e-11
 
+    def test_airy_spacetime_rows_equal_free_flow_bitwise(self, st_grid):
+        # one Airy phase and one normalization serve both builders
+        from kdvrad.solver import airy_propagate
+        f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
+        st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=9)
+        for t, row in zip(np.linspace(-1.0, 1.0, 9), st.values):
+            assert row.tobytes() == airy_propagate(f0, t).values().tobytes()
+
     def test_sample_flow_uniformity_check(self, st_grid):
         f0 = forward_transform(np.exp(-st_grid.x ** 2), st_grid)
         snaps = [f0, f0, f0]
