@@ -1,6 +1,6 @@
 """Spectral verification suite for the radius of spatial analyticity of KdV flows."""
 
-from .bumps import chi, dyadic_bump, dyadic_indices, is_dyadic, smooth_step
+from .bumps import chi, dyadic_bump, is_dyadic, smooth_step
 from .errors import (BlowupError, ConfigError, DomainTooSmallError,
                      InsufficientSpectralRangeError, KdvradError,
                      SpectralOverflowError, TimeWindowTooShortError,

@@ -6,14 +6,14 @@ dxi x dtau; norms carry the Lebesgue cell weights, so measured ratios
 approximate their continuum counterparts.  Pointwise products become exact
 coherent convolutions of the clouds.
 
-Measuring the predicted block constants requires resolving the resonance
-function 3 xi1 xi2 xi3 of the cubic characteristic down to the modulation
-scale: a dense grid cannot afford that at large N, but near-extremal wave
-packets (thin frequency tubes whose resonance spread stays below one tau
-cell) can, which is how the exponent sweeps sample the operator norm from
-below.  Coarse full-band probes ("box" geometry) measure the lattice
-surrogate instead, whose constants are genuinely different; they are kept
-for support and boundedness checks, not for exponent regressions.
+The block probe (``measure_block_ratio``) and the X-norm product probe
+(``xnorm_product_ratio``) share one sampler core: one trial loop
+(``_max_ratio``) and one tube-pair builder (``_coherent_pair``).  Its thin
+frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one
+tau cell, so they resolve the modulation scale at large N, where a dense
+grid cannot, and sample the operator norm from below.  The probes differ
+only in where they put (xi1, xi2).  Vanishing triples use coarse full-band
+("box") probes, which measure the lattice surrogate: support, not exponents.
 """
 from __future__ import annotations
 
@@ -36,6 +36,12 @@ DEFAULT_DTAU = 0.5
 
 #: dyadic comparability factor implementing "~"
 COMPARABLE_FACTOR = 4.0
+
+
+def _band(n, floor, lo=0.5, hi=2.0):
+    """[lo n, hi n], from ``floor`` for n = 1.  The defaults span the support of
+    beta_n, (0.75, 1.5) the range where beta_n >= 1/2."""
+    return (floor, hi) if n == 1 else (lo * n, hi * n)
 
 
 @dataclass
@@ -80,15 +86,14 @@ class WavePacketField:
 
     def support_mass_fraction(self, n, l) -> float:
         """Fraction of squared mass inside {|xi| in [n/2, 2n], |lam| in [l/2, 2l]}."""
-        xi = np.abs(self.xi)
-        lam = np.abs(self.modulation)
-        in_xi = (xi <= 2.0) if n == 1 else ((xi >= n / 2.0) & (xi <= 2.0 * n))
-        in_lam = (lam <= 2.0) if l == 1 else ((lam >= l / 2.0) & (lam <= 2.0 * l))
+        (xlo, xhi), (llo, lhi) = _band(n, 0.0), _band(l, 0.0)
+        xi, lam = np.abs(self.xi), np.abs(self.modulation)
         power = np.abs(self.amp) ** 2
         total = np.sum(power)
         if total == 0:
             return 0.0
-        return float(np.sum(power[in_xi & in_lam]) / total)
+        inside = (xi >= xlo) & (xi <= xhi) & (lam >= llo) & (lam <= lhi)
+        return float(np.sum(power[inside]) / total)
 
 
 def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
@@ -117,53 +122,44 @@ def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
     return WavePacketField(xi_out, tau_out, acc, u.dxi, u.dtau)
 
 
-def _lam_centers(l, dtau, cells=None):
+def _lam_centers(l):
     """Cell-center modulations filling the band of Q_l (one sign for l > 1)."""
-    if l == 1:
-        lo, hi = -2.0, 2.0
-    else:
-        lo, hi = l / 2.0, 2.0 * l
-    cells = cells or max(4, min(16, int(np.ceil((hi - lo) / dtau))))
-    return np.linspace(lo + dtau / 2, hi - dtau / 2, cells) \
-        if hi - lo > dtau else np.array([(lo + hi) / 2])
+    lo, hi = _band(l, -2.0)
+    cells = min(16, int(np.ceil((hi - lo) / DEFAULT_DTAU)))  # every band spans >= 6 cells
+    return np.linspace(lo + DEFAULT_DTAU / 2, hi - DEFAULT_DTAU / 2, cells)
 
 
 def _cells(idx, lam, dxi):
     """(xi index, tau) of the cells idx x lam, each at modulation lam (tau = lam + xi^3)."""
-    lam = np.asarray(lam, dtype=float)
     return np.repeat(idx, lam.size), (lam[None, :] + (idx * dxi)[:, None] ** 3).ravel()
 
 
-def _tube(xi_lo, width, lam_values, dxi, dtau, amp=1.0):
-    ni = max(2, int(round(width / dxi)))
+def _tube(xi_lo, width, lam_values, dxi, amp=1.0):
+    ni = int(round(width / dxi))  # 5 or 6 cells: every caller sets dxi from width
     i0 = int(round(xi_lo / dxi))
     xi_index, tau = _cells(i0 + np.arange(ni), lam_values, dxi)
     a = np.full(tau.size, amp, dtype=complex)
-    return WavePacketField(xi_index, tau, a, dxi, dtau)
-
-
-def _box_interval(n):
-    return (0.0, 2.0) if n == 1 else (n / 2.0, 2.0 * n)
+    return WavePacketField(xi_index, tau, a, dxi, DEFAULT_DTAU)
 
 
 def _box_dxi(n):
     """Lattice spacing of a box probe: 48 cells across the band."""
-    lo, hi = _box_interval(n)
+    lo, hi = _band(n, 0.0)
     return (hi - lo) / 48
 
 
-def _box(n, l, rng, dtau, dxi):
+def _box(n, l, rng, dxi):
     """Random-amplitude cloud filling the (n band x l band) box on the dxi lattice."""
-    lo, hi = _box_interval(n)
+    lo, hi = _band(n, 0.0)
     cells = int(round((hi - lo) / dxi))
     sign = rng.choice((-1, 1))
     idx = sign * (int(round(lo / dxi)) + np.arange(cells))
-    xi_index, tau = _cells(idx, _lam_centers(l, dtau), dxi)
+    xi_index, tau = _cells(idx, _lam_centers(l), dxi)
     amp = rng.standard_normal(tau.size) + 1j * rng.standard_normal(tau.size)
-    return WavePacketField(xi_index, tau, amp, dxi, dtau)
+    return WavePacketField(xi_index, tau, amp, dxi, DEFAULT_DTAU)
 
 
-def _validate_bands(n, l, dtau):
+def _validate_bands(n, l):
     validate_dyadic(n, "frequency band")
     validate_dyadic(l, "modulation band")
     if n > MAX_BAND:
@@ -172,30 +168,24 @@ def _validate_bands(n, l, dtau):
     if l > MAX_MODULATION:
         raise UnresolvableBandError(
             f"modulation band L = {l} exceeds the configured cap {MAX_MODULATION}")
-    if dtau > 2.0:
-        raise UnresolvableBandError(
-            f"tau cell {dtau} cannot resolve the L = 1 modulation band")
 
 
-def make_localized(n, l, seed, geometry: str = "box",
-                   dtau: float = DEFAULT_DTAU) -> WavePacketField:
+def make_localized(n, l, seed, geometry: str = "box") -> WavePacketField:
     """Random-phase probe supported in the dyadic box (N band x L band).
 
     geometry "box" fills the box on a capped lattice; "tube" concentrates on
     a random thin frequency interval inside the band.  Deterministic per
     seed; at least 99 % of the squared mass sits in the box by construction.
     """
-    _validate_bands(n, l, dtau)
+    _validate_bands(n, l)
     rng = np.random.default_rng(seed)
     if geometry == "box":
-        return _box(n, l, rng, dtau, _box_dxi(n))
+        return _box(n, l, rng, _box_dxi(n))
     if geometry == "tube":
-        lo, hi = (0.1, 2.0) if n == 1 else (n / 2.0, 2.0 * n)
+        lo, hi = _band(n, 0.1)
         width = (hi - lo) * 2.0 ** rng.uniform(-6.0, -2.0)
         pos = rng.uniform(lo, hi - width) * rng.choice((-1.0, 1.0))
-        dxi = width / 6.0
-        lam = _lam_centers(l, dtau)
-        return _tube(pos, width, lam, dxi, dtau,
+        return _tube(pos, width, _lam_centers(l), width / 6.0,
                      amp=np.exp(1j * rng.uniform(0, TWO_PI)))
     raise ValueError(f"unknown geometry {geometry!r}")
 
@@ -288,24 +278,58 @@ class RatioRecord:
 
     triple: DyadicTriple
     measured_lhs: float
-    rhs_product: float
     predicted_c: float
     ratio: float
     trials: int
     attempts: int
 
 
-#: parameter draws allowed per requested trial before a triple counts as unresolvable
+#: parameter draws allowed per requested trial before a probe counts as unresolvable
 MAX_ATTEMPTS_PER_TRIAL = 64
 
 
-def _band_interval(n):
-    return (0.1, 2.0) if n == 1 else (n / 2.0, 2.0 * n)
+def _max_ratio(draw, ratio, trials, seed, probe):
+    """(max ``ratio(u, v)`` over exactly ``trials`` admissible pairs, draws spent).
+
+    ``draw(rng)`` returns a probe pair, or None when inadmissible; the next
+    draw from the one seeded stream replaces it, so a run with more trials
+    extends the run with fewer.  After MAX_ATTEMPTS_PER_TRIAL * trials draws
+    UnresolvableBandError reports the requested, admissible and attempted counts.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    performed = attempts = 0
+    while performed < trials:
+        if attempts == MAX_ATTEMPTS_PER_TRIAL * trials:
+            raise UnresolvableBandError(
+                f"no admissible probe pair for {probe}: {performed} of {trials} "
+                f"requested trials admissible after {attempts} attempts")
+        attempts += 1
+        pair = draw(rng)
+        if pair is not None:
+            best = max(best, ratio(*pair))
+            performed += 1
+    return best, attempts
 
 
-def _half_height(n, floor):
-    """|s| range on which beta_n(s) >= 1/2, starting at ``floor`` for n = 1."""
-    return (floor, 1.5) if n == 1 else (0.75 * n, 1.5 * n)
+def _coherent_pair(xi1, xi2, band1, band2, lam1, lam2):
+    """Tubes centred on xi1 and xi2 whose product stays coherent.
+
+    The width keeps both the linear and the quadratic spread of the
+    resonance along the output fiber below one tau cell, and a quarter of
+    either band.
+    """
+    x3 = abs(xi1 + xi2)
+    fiber_slope = 3.0 * x3 * abs(xi2 - xi1)
+    delta_lin = DEFAULT_DTAU / (2.0 * fiber_slope) if fiber_slope > 0 else np.inf
+    delta_quad = np.sqrt(DEFAULT_DTAU / (6.0 * x3))
+    delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0,
+                (band2[1] - band2[0]) / 4.0)
+    dxi = delta / 5.0
+    return (_tube(xi1 - delta / 2, delta, lam1, dxi),
+            _tube(xi2 - delta / 2, delta, lam2, dxi))
 
 
 def _resonance_range(band1, band2, xi3, signs):
@@ -411,7 +435,7 @@ def _admissible_xi3(big_h, band1, band2, xi3):
 LAM3_BINS = 8
 
 
-def _tube_targets(triple: DyadicTriple, dtau) -> dict:
+def _tube_targets(triple: DyadicTriple) -> dict:
     """Per-triple constants of the tube-pair construction.
 
     ``xi3`` is the |xi3| range the output is aimed at: where beta_N3 and
@@ -422,14 +446,12 @@ def _tube_targets(triple: DyadicTriple, dtau) -> dict:
     region.  ``lam_in`` = lam1 + lam2 of the middle input cells: with a cell
     pair rather than the means, the output cloud has a cell at the aimed lam3.
     """
-    lam1 = _lam_centers(triple.l1, dtau)
-    lam2 = _lam_centers(triple.l2, dtau)
+    lam1, lam2 = _lam_centers(triple.l1), _lam_centers(triple.l2)
     lam_in = float(lam1[lam1.size // 2] + lam2[lam2.size // 2])
-    band1, band2 = _band_interval(triple.n1), _band_interval(triple.n2)
-    for xi3, lam3 in ((_half_height(triple.n3, _band_interval(1)[0]),
-                       _half_height(triple.l3, 0.0)),
-                      (_band_interval(triple.n3), _box_interval(triple.l3))):
-        reach = _reachable_lam3(band1, band2, xi3, lam3, lam_in)
+    band1, band2 = _band(triple.n1, 0.1), _band(triple.n2, 0.1)
+    for scale in ((0.75, 1.5), (0.5, 2.0)):  # half height, then the supports
+        xi3 = _band(triple.n3, 0.1, *scale)
+        reach = _reachable_lam3(band1, band2, xi3, _band(triple.l3, 0.0, *scale), lam_in)
         if reach:
             break
     bins, weights = [], []
@@ -445,17 +467,15 @@ def _tube_targets(triple: DyadicTriple, dtau) -> dict:
             "lam3_weights": weights, "lam1": lam1, "lam2": lam2, "lam_in": lam_in}
 
 
-def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac, dtau):
+def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac):
     """Tube pair whose product lands coherently where the output bumps peak.
 
     lam3 is drawn (at ``lam3_frac``) from the reachable part of the target
     range (see ``_tube_targets``), then xi3 (at ``xi3_frac``) from the signed
     pieces of the target |xi3| range on which the resonance
     lam1 + lam2 - lam3 = 3 xi1 xi2 xi3 has its two roots (xi1, xi2) inside
-    the N1 and N2 bands, so every draw is admissible.  Widths are the
-    coherence scale along the output fiber (both the linear and the
-    quadratic spread stay below one tau cell).  Returns None, before any
-    tube is built, when nothing is reachable or a draw rounds off a cut.
+    the N1 and N2 bands, so every draw is admissible.  Returns None, before
+    any tube is built, when nothing is reachable or a draw rounds off a cut.
     """
     if not tg["lam3"]:
         return None
@@ -469,159 +489,98 @@ def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac, dtau):
     roots = _resonance_roots(abs(xi3), sign3 * big_h, band1, band2)
     if roots is None:
         return None
-    xi1, xi2 = sign3 * roots[0], sign3 * roots[1]
-    x3 = abs(xi1 + xi2)
-    fiber_slope = 3.0 * x3 * abs(xi2 - xi1)
-    delta_lin = dtau / (2.0 * fiber_slope) if fiber_slope > 0 else np.inf
-    delta_quad = np.sqrt(dtau / (6.0 * x3))
-    delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0,
-                (band2[1] - band2[0]) / 4.0)
-    dxi = delta / 5.0
-    u = _tube(xi1 - delta / 2, delta, tg["lam1"], dxi, dtau)
-    v = _tube(xi2 - delta / 2, delta, tg["lam2"], dxi, dtau)
-    return u, v
+    return _coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2,
+                          tg["lam1"], tg["lam2"])
 
 
-def measure_block_ratio(triple: DyadicTriple, trials: int = 32, seed: int = 0,
-                        dtau: float = DEFAULT_DTAU,
-                        geometry: str = "tube") -> RatioRecord:
+def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
+                        seed: int = 0) -> RatioRecord:
     """Max over trials of ||P_N3 Q_L3 (u1 u2)|| / (C_pred ||u1|| ||u2||).
 
-    Exactly ``trials`` admissible trials are performed.  Tube parameters are
-    drawn in order from one seeded stream, two uniforms per draw, and an
-    inadmissible draw is replaced by the next one, so a run with more trials
-    extends the run with fewer.  The uniforms are fractions of the target
+    Exactly ``trials`` admissible trials are performed (see ``_max_ratio``),
+    two uniforms per tube draw.  The uniforms are fractions of the target
     ranges, not absolute positions, so an N-sweep with one seed reuses the
     same trial family at every N (common random numbers), which keeps the
-    max over trials a smooth function of N.  After MAX_ATTEMPTS_PER_TRIAL *
-    trials draws the triple counts as unresolvable (UnresolvableBandError
-    with the requested, admissible and attempted counts).  See
-    ``_targeted_tube_pair`` for where the output is aimed.
+    max over trials a smooth function of N.  See ``_targeted_tube_pair`` for
+    where the output is aimed.
 
     For configurations violating the support conditions the product block is
     identically zero and the record carries measured_lhs = 0 with the raw
-    ratio (predicted_c set to nan); those, and ``geometry="box"``, use box
-    probes on one common lattice.
+    ratio (predicted_c set to nan); those use box probes on one common
+    lattice.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2),
                  (triple.n3, triple.l3)):
-        _validate_bands(n, l, dtau)
-    rng = np.random.default_rng(seed)
+        _validate_bands(n, l)
     vanishing = not triple.satisfies_support_conditions()
-    box = geometry == "box" or vanishing
-    if box:
-        dxi = min(_box_dxi(triple.n1), _box_dxi(triple.n2))
-    else:
-        targets = _tube_targets(triple, dtau)
-    max_attempts = MAX_ATTEMPTS_PER_TRIAL * trials
-    best_raw = 0.0
-    performed = attempts = 0
-    while performed < trials:
-        if attempts == max_attempts:
-            raise UnresolvableBandError(
-                f"no admissible tube pair for {triple}: {performed} of {trials} "
-                f"requested trials admissible after {attempts} attempts")
-        attempts += 1
-        if box:
-            u = _box(triple.n1, triple.l1,
-                     np.random.default_rng(rng.integers(2 ** 31)), dtau, dxi)
-            v = _box(triple.n2, triple.l2,
-                     np.random.default_rng(rng.integers(2 ** 31)), dtau, dxi)
-        else:
-            pair = _targeted_tube_pair(targets, *rng.random(2), dtau)
-            if pair is None:
-                continue
-            u, v = pair
-        w = product(u, v)
-        lhs = w.band_l2_norm(triple.n3, triple.l3)
-        denom = u.l2_norm() * v.l2_norm()
-        if denom > 0:
-            best_raw = max(best_raw, lhs / denom)
-        performed += 1
     if vanishing:
-        return RatioRecord(triple, best_raw, 1.0, float("nan"), best_raw,
-                           performed, attempts)
-    c = predicted_block_constant(triple)
-    return RatioRecord(triple, best_raw, 1.0, c, best_raw / c, performed, attempts)
+        dxi = min(_box_dxi(triple.n1), _box_dxi(triple.n2))
 
-
-def _draw_xnorm_params(rng):
-    """Dimensionless parameters for one X-norm ratio trial (fixed draw count)."""
-    return {
-        "xi3_frac": rng.uniform(0.05, 0.95),
-        "sign3": float(rng.choice((-1.0, 1.0))),
-        "prefer_stationary": float(rng.uniform()) < 0.7,
-        "jitter": rng.uniform(-1.0, 1.0),
-        "xi1_frac": rng.uniform(0.1, 0.9),
-        "sign1": float(rng.choice((-1.0, 1.0))),
-        "scale": 2.0 ** rng.uniform(-0.7, 0.7),
-    }
-
-
-def _xnorm_tube_pair(n1, n2, n3, params, dtau):
-    """Tube pair for the smoothed-product X-norm ratio; output anywhere in N3."""
-    lo1, hi1 = _band_interval(n1)
-    lo2, hi2 = _band_interval(n2)
-    lo3, hi3 = _band_interval(n3)
-    sign3 = params["sign3"]
-    xi3 = lo3 + params["xi3_frac"] * (hi3 - lo3)
-    stationary = lo1 <= xi3 / 2 <= hi1 and lo2 <= xi3 / 2 <= hi2
-    if stationary and params["prefer_stationary"]:
-        delta_quad = np.sqrt(dtau / (3.0 * xi3))
-        xi1 = xi3 / 2 + params["jitter"] * delta_quad
+        def draw(rng):
+            return tuple(_box(n, l, np.random.default_rng(rng.integers(2 ** 31)), dxi)
+                         for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2)))
     else:
-        xi1 = (lo1 + params["xi1_frac"] * (hi1 - lo1)) * params["sign1"]
+        targets = _tube_targets(triple)
+
+        def draw(rng):
+            return _targeted_tube_pair(targets, *rng.random(2))
+
+    def ratio(u, v):
+        return product(u, v).band_l2_norm(triple.n3, triple.l3) / (u.l2_norm() * v.l2_norm())
+
+    best, attempts = _max_ratio(draw, ratio, trials, seed, triple)
+    if vanishing:
+        return RatioRecord(triple, best, float("nan"), best, trials, attempts)
+    c = predicted_block_constant(triple)
+    return RatioRecord(triple, best, c, best / c, trials, attempts)
+
+
+def _xnorm_tube_pair(bands, rng):
+    """Coherent tube pair for the X-norm ratio, output anywhere in the third band.
+
+    Six random numbers per draw: xi3 across band 3 with a random sign, then xi1 at
+    the stationary point xi3 / 2, jittered within the quadratic coherence
+    scale, with probability 0.7 when both input bands hold it, else uniform
+    in band 1 with a random sign.  None when xi2 = xi3 - xi1 leaves band 2.
+    """
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = bands
+    xi3 = lo3 + rng.uniform(0.05, 0.95) * (hi3 - lo3)
+    sign3 = rng.choice((-1.0, 1.0))
+    prefer_stationary = rng.uniform() < 0.7
+    jitter = rng.uniform(-1.0, 1.0)
+    xi1_frac = rng.uniform(0.1, 0.9)
+    sign1 = rng.choice((-1.0, 1.0))
+    if prefer_stationary and lo1 <= xi3 / 2 <= hi1 and lo2 <= xi3 / 2 <= hi2:
+        xi1 = xi3 / 2 + jitter * np.sqrt(DEFAULT_DTAU / (3.0 * xi3))
+    else:
+        xi1 = (lo1 + xi1_frac * (hi1 - lo1)) * sign1
     xi2 = xi3 - xi1
     if not (lo1 <= abs(xi1) <= hi1 and lo2 <= abs(xi2) <= hi2):
         return None
-    fiber_slope = 3.0 * xi3 * abs(xi2 - xi1)
-    delta_lin = dtau / (2.0 * fiber_slope) if fiber_slope > 0 else np.inf
-    delta_quad = np.sqrt(dtau / (6.0 * xi3))
-    delta = params["scale"] * min(delta_lin, delta_quad,
-                                  (hi1 - lo1) / 4.0, (hi2 - lo2) / 4.0)
-    dxi = delta / 5.0
-    lam = _lam_centers(1, dtau)
-    u = _tube(sign3 * xi1 - (delta if sign3 * xi1 < 0 else 0), delta, lam,
-              dxi, dtau)
-    v = _tube(sign3 * xi2 - (delta if sign3 * xi2 < 0 else 0), delta, lam,
-              dxi, dtau)
-    return u, v
+    lam = _lam_centers(1)
+    return _coherent_pair(sign3 * xi1, sign3 * xi2, bands[0], bands[1], lam, lam)
 
 
-def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0,
-                        dtau: float = DEFAULT_DTAU) -> float:
+def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0) -> float:
     """Max over trials of ||Lambda^-1 P_N3 d_x(u v)||_X / (||u||_X ||v||_X).
 
     Lambda^-1 is the nonsingular inverse modulation weight 1/(i + tau - xi^3).
+    Exactly ``trials`` admissible trials are performed (see ``_max_ratio``).
     Trial parameters are dimensionless band fractions, so sweeps over N reuse
     identical trial families when given the same seed.
     """
     for n in (n1, n2, n3):
-        _validate_bands(n, 1, dtau)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    performed = 0
-    for _ in range(trials):
-        pair = _xnorm_tube_pair(n1, n2, n3, _draw_xnorm_params(rng), dtau)
-        if pair is None:
-            continue
-        u, v = pair
+        _validate_bands(n, 1)
+    bands = [_band(n, 0.1) for n in (n1, n2, n3)]
+
+    def ratio(u, v):
         w = product(u, v)
-        if w.amp.size == 0:
-            performed += 1
-            continue
         amp = w.amp * (1j * w.xi) * dyadic_bump(n3, w.xi) / (1j + w.modulation)
         f = WavePacketField(w.xi_index, w.tau, amp, w.dxi, w.dtau)
-        denom = u.x_norm() * v.x_norm()
-        if denom > 0:
-            best = max(best, f.x_norm() / denom)
-        performed += 1
-    if performed == 0:
-        raise UnresolvableBandError(
-            f"no admissible probe positions for bands ({n1}, {n2}, {n3})")
-    return best
+        return f.x_norm() / (u.x_norm() * v.x_norm())
+
+    return _max_ratio(lambda rng: _xnorm_tube_pair(bands, rng), ratio, trials, seed,
+                      f"bands ({n1}, {n2}, {n3})")[0]
 
 
 def fit_exponent(ns, values):

@@ -71,25 +71,13 @@ def dyadic_bands(indices, s):
         prev_n, prev = n, cur
 
 
-def dyadic_indices(limit):
-    """All dyadic indices 1, 2, 4, ... up to and including limit (rounded up)."""
-    out = []
-    n = 1
-    while n <= limit:
-        out.append(n)
-        n *= 2
-    if not out or out[-1] < limit:
-        out.append(n)
-    return out
-
-
 def covering_indices(max_abs):
-    """Dyadic indices whose bumps cover all |s| <= max_abs exactly.
+    """Dyadic indices 1, 2, ..., N_top whose bumps cover all |s| <= max_abs exactly.
 
     The partial sum of bumps up to N_top equals 1 on |s| <= N_top, so
     N_top is the first dyadic >= max_abs.
     """
-    n_top = 1
-    while n_top < max_abs:
-        n_top *= 2
-    return dyadic_indices(n_top)
+    out = [1]
+    while out[-1] < max_abs:
+        out.append(2 * out[-1])
+    return out

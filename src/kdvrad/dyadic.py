@@ -73,8 +73,11 @@ def project_ql(field: SpacetimeField, l, pad: int = 4) -> SpacetimeField:
 
 
 def modulation_norms(lam, power, weight, l_list=None) -> dict:
-    """||Q_l .|| per band l (default: all covering max|lam|) from cell powers and weight."""
-    l_list = _covering_modulations(lam) if l_list is None else l_list
+    """||Q_l .|| per band l from cell powers and weight; by default every band
+    covering max|lam| except those with 2l <= min|lam|, where beta_l is exactly 0."""
+    if l_list is None:
+        lam_min = float(np.min(np.abs(lam), initial=np.inf))
+        l_list = [l for l in _covering_modulations(lam) if 2 * l > lam_min]
     return {l: float(np.sqrt(np.sum(wgt * wgt * power) * weight))
             for l, wgt in dyadic_bands(l_list, lam)}
 

@@ -52,6 +52,10 @@ class GridSpec:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the read-only arrays, not restore writable copies
+        return GridSpec, (self.num_points, self.half_length)
+
     @property
     def dx(self) -> float:
         return 2.0 * self.half_length / self.num_points

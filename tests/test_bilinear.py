@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from kdvrad import bilinear
 from kdvrad.bilinear import (DyadicTriple, RatioRecord, WavePacketField,
                              fit_exponent, make_localized,
                              measure_block_ratio, predicted_block_constant,
@@ -186,6 +187,23 @@ class TestXnormProductRatio:
         for f in clouds:
             assert f.x_norm() == loop_x_norm(f)
         assert WavePacketField([], [], [], 0.1, 0.5).x_norm() == 0.0
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_performs_every_requested_trial(self, n, monkeypatch):
+        calls = []
+        original = bilinear.product
+        monkeypatch.setattr(bilinear, "product",
+                            lambda u, v: calls.append(None) or original(u, v))
+        xnorm_product_ratio(n, n, n, trials=32, seed=3)
+        assert len(calls) == 32
+
+    def test_unresolvable_bands_report_counts(self):
+        # no (xi1, xi2) in +-(0.1, 2) sums to |xi3| >= 32
+        with pytest.raises(UnresolvableBandError,
+                           match=r"0 of 4 requested trials admissible after 256 attempts"):
+            xnorm_product_ratio(1, 1, 64, trials=4)
+        with pytest.raises(ValueError):
+            xnorm_product_ratio(8, 8, 8, trials=0)
 
     def test_comparable_bands_exponent(self):
         ns = [8, 16, 32, 64]

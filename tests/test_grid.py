@@ -4,6 +4,9 @@ The sech example is checked against its continuous transform; the closed
 form pi*sech(pi*xi/2) was confirmed independently by adaptive quadrature of
 integral 2*sech(x)*cos(x*xi) dx (frozen reference values below).
 """
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +56,12 @@ class TestGridSpec:
                 a[1] = 0
         # computed once: every read returns the same array
         assert g.xi is g.xi and g.k_index is g.k_index
+        # copies rebuild the arrays read-only
+        for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert h == g and h.xi.tobytes() == g.xi.tobytes()
+            for a in (h.k_index, h.xi, h._phase()):
+                with pytest.raises(ValueError):
+                    a[1] = 0
 
     def test_transforms_work_along_last_axis(self, small_grid, rng):
         g = small_grid
