@@ -5,17 +5,16 @@ from .errors import (BlowupError, ConfigError, DomainTooSmallError,
                      InsufficientSpectralRangeError, KdvradError,
                      SpectralOverflowError, TimeWindowTooShortError,
                      UnresolvableBandError, VanishingConfigurationError)
-from .gevrey import (FitPolicy, GevreyParams, RadiusEstimate, estimate_radius,
-                     gevrey_norm, hs_norm, rescale, smooth)
+from .gevrey import (GevreyParams, RadiusEstimate, estimate_radius, gevrey_norm,
+                     hs_norm, smooth)
 from .grid import (GridSpec, SpectralField, apply_multiplier,
                    check_boundary_smallness, dealiased_product, derivative,
                    forward_transform)
 from .solver import (SolverConfig, Trajectory, airy_propagate,
-                     classical_invariants, evolve, load_snapshot, reflect,
-                     save_snapshot, soliton, trajectory_to_csv)
+                     classical_invariants, evolve, soliton)
 from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
-                        inverse_spacetime_transform, sample_flow,
-                        spacetime_transform, temporal_taper)
+                        inverse_spacetime_transform, spacetime_transform,
+                        temporal_taper)
 from .dyadic import (NormReport, free_evolution_norm_ratio, project_pn,
                      project_ql, x_norm, xbar_norm)
 

@@ -12,7 +12,6 @@ which is what drives the sigma^(3/4) smallness of the defect.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,9 @@ def commutator_term(w: SpectralField, sigma: float,
     """Source term f(w) of the smoothed flow; exactly zero at sigma = 0."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    direct = dealiased_product(w, w, dealias)
     if sigma == 0.0:
         return SpectralField(w.grid, np.zeros_like(w.coeffs))
+    direct = dealiased_product(w, w, dealias)
     wm = smooth(w, -sigma)
     lifted = smooth(dealiased_product(wm, wm, dealias), sigma)
     return derivative(direct - lifted) * 0.5
@@ -155,26 +154,6 @@ def prepare_acl_trajectory(f: SpectralField, sigma0: float, c_lwp: float = 0.01,
     dt = t0 / (num_snapshots * steps_per_snapshot)
     config = SolverConfig(dt=dt, record_every=steps_per_snapshot)
     return evolve(f, t0, config)
-
-
-def sweep_conservation(f: SpectralField, sigmas, c_lwp: float = 0.01,
-                       num_snapshots: int = 128) -> list:
-    """ConservationReport for each sigma on a shared trajectory of f."""
-    traj = prepare_acl_trajectory(f, max(sigmas), c_lwp, num_snapshots)
-    return [measure_conservation(traj, s) for s in sigmas]
-
-
-def sweep_to_csv(reports, path, fitted_exponent: float) -> list:
-    header = ["sigma", "t0", "lhs", "rhs_base", "error_measured",
-              "r_integral", "fitted_exponent"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in reports:
-            writer.writerow([repr(r.sigma), repr(r.interval[1]), repr(r.lhs),
-                             repr(r.rhs_base), repr(r.error_measured),
-                             repr(r.r_integral), repr(fitted_exponent)])
-    return header
 
 
 def smoothing_multiplier_bounds(xi1: float, xi2: float, sigma: float,

@@ -17,7 +17,6 @@ only in where they put (xi1, xi2).  Vanishing triples use coarse full-band
 """
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -587,18 +586,3 @@ def fit_exponent(ns, values):
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
-
-
-def sweep_to_csv(records, fitted_exponent, path):
-    header = ["N1", "N2", "N3", "L1", "L2", "L3", "regime", "predicted_C",
-              "max_ratio", "trials", "attempts", "fitted_exponent"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in records:
-            t = r.triple
-            regime = t.regime if t.satisfies_support_conditions() else "vanishing"
-            writer.writerow([t.n1, t.n2, t.n3, t.l1, t.l2, t.l3, regime,
-                             repr(r.predicted_c), repr(r.measured_lhs),
-                             r.trials, r.attempts, repr(fitted_exponent)])
-    return header

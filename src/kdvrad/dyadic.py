@@ -50,16 +50,6 @@ def modulation_blocks(spec: SpacetimeSpectrum):
     return _covering_modulations(spec.modulation())
 
 
-def resolvable_blocks(spec: SpacetimeSpectrum):
-    """L indices whose band [L/2, 2L] lies inside the covered tau range.
-
-    Bands beyond max|tau - xi^3| resolvable on the grid are truncated from
-    norm sums; the split is reported by xbar_norm rather than hidden.
-    """
-    tau_max = float(np.max(np.abs(spec.tau)))
-    return [l for l in modulation_blocks(spec) if 2 * l <= tau_max]
-
-
 def project_ql(field: SpacetimeField, l, pad: int = 4) -> SpacetimeField:
     """Modulation block Q_l of the tapered field."""
     validate_dyadic(l, "modulation band")
@@ -136,8 +126,9 @@ def xbar_norm(field: SpacetimeField, s: float, pad: int = 4) -> NormReport:
         x_per_n[n] = float(sqrt_l @ np.sqrt(m @ (band * band) * spec.weight))
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2
                                   for n, v in x_per_n.items() if n > 1))
-    resolvable = resolvable_blocks(spec)
-    truncated = [l for l in l_list if l not in resolvable]
+    # bands reaching past max|tau| are cut off by the tau grid
+    tau_max = float(np.max(np.abs(spec.tau)))
+    truncated = [l for l in l_list if 2 * l > tau_max]
     return NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
                       xbar_s=float(xbar), truncated_l=truncated)
 

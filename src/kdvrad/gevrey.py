@@ -16,10 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSpectralRangeError, SpectralOverflowError
-from .grid import GridSpec, SpectralField
+from .grid import SpectralField
 
 #: log-magnitude ceiling; exp of anything above this is treated as overflow
 _LOG_LIMIT = 690.0
+
+# Radius-fit window: bins with |coeff| in [_FLOOR_REL, _CEIL_REL] * max|coeff|
+# are usable; the fit uses the upper _UPPER_FRACTION of that band in |xi|,
+# needs at least _MIN_BINS bins, and flags superexponential decay when the
+# local slope steepens by more than _STEEPENING across the window.
+_FLOOR_REL = 1e-13
+_CEIL_REL = 1e-2
+_UPPER_FRACTION = 0.6
+_MIN_BINS = 8
+_STEEPENING = 0.25
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,11 @@ def gevrey_norm(field: SpectralField, params: GevreyParams) -> float:
     e = _log_weighted_magnitudes(field, params.sigma, params.s)
     finite = np.isfinite(e)
     if np.any(2.0 * e[finite] > _LOG_LIMIT):
+        cert = _certifiable_sigma(field, params.s)
         raise SpectralOverflowError(
             f"exp({params.sigma}*|xi|) weight overflows for this field; "
-            f"certifiable sigma = {_certifiable_sigma(field, params.s):.6g}",
-            certifiable_sigma=_certifiable_sigma(field, params.s),
+            f"certifiable sigma = {cert:.6g}",
+            certifiable_sigma=cert,
         )
     total = np.sum(np.exp(2.0 * e[finite]))
     return float(np.sqrt(total * field.grid.spectral_weight))
@@ -97,23 +108,6 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
 
 
 @dataclass(frozen=True)
-class FitPolicy:
-    """Window-selection policy for the radius estimator.
-
-    Bins with |coeff| in [floor_rel, ceil_rel] * max|coeff| are usable; the
-    fit uses the upper ``upper_fraction`` of that band in |xi|, needs at
-    least ``min_bins`` bins, and flags superexponential decay when the local
-    slope steepens by more than ``steepening_threshold`` across the window.
-    """
-
-    floor_rel: float = 1e-13
-    ceil_rel: float = 1e-2
-    upper_fraction: float = 0.6
-    min_bins: int = 8
-    steepening_threshold: float = 0.25
-
-
-@dataclass(frozen=True)
 class RadiusEstimate:
     sigma_hat: float
     fit_window: tuple
@@ -123,15 +117,12 @@ class RadiusEstimate:
     num_bins: int
 
 
-DEFAULT_FIT_POLICY = FitPolicy()
-
-
-def estimate_radius(field: SpectralField, policy: FitPolicy = DEFAULT_FIT_POLICY) -> RadiusEstimate:
+def estimate_radius(field: SpectralField) -> RadiusEstimate:
     """Least-squares decay rate of log|coeff| against |xi|.
 
-    sigma_hat = -slope over the policy window, after averaging the +-k
-    coefficient pairs.  Entire-function (faster than exponential) decay is
-    flagged instead of reported as a single rate.
+    sigma_hat = -slope over the fit window set by the module constants above,
+    after averaging the +-k coefficient pairs.  Entire-function (faster than
+    exponential) decay is flagged instead of reported as a single rate.
     """
     n = field.grid.num_points
     c = field.coeffs
@@ -141,19 +132,19 @@ def estimate_radius(field: SpectralField, policy: FitPolicy = DEFAULT_FIT_POLICY
     # average +k and -k magnitudes; drop the 0 and Nyquist bins
     mag = 0.5 * (np.abs(c[1:n // 2]) + np.abs(c[-1:-(n // 2):-1]))
     xi = np.abs(field.grid.xi[1:n // 2])
-    floor = policy.floor_rel * peak
-    usable = (mag >= floor) & (mag <= policy.ceil_rel * peak)
+    floor = _FLOOR_REL * peak
+    usable = (mag >= floor) & (mag <= _CEIL_REL * peak)
     floor_hit = bool(np.any(mag < floor))
-    if np.count_nonzero(usable) < policy.min_bins:
+    if np.count_nonzero(usable) < _MIN_BINS:
         raise InsufficientSpectralRangeError(
             f"insufficient spectral range: {np.count_nonzero(usable)} usable bins "
-            f"< {policy.min_bins}"
+            f"< {_MIN_BINS}"
         )
     idx = np.flatnonzero(usable)
     xi_lo, xi_hi = xi[idx[0]], xi[idx[-1]]
-    cut = xi_hi - policy.upper_fraction * (xi_hi - xi_lo)
+    cut = xi_hi - _UPPER_FRACTION * (xi_hi - xi_lo)
     sel = usable & (xi >= cut)
-    if np.count_nonzero(sel) < policy.min_bins:
+    if np.count_nonzero(sel) < _MIN_BINS:
         sel = usable
     xs = xi[sel]
     ys = np.log(mag[sel])
@@ -173,7 +164,7 @@ def estimate_radius(field: SpectralField, policy: FitPolicy = DEFAULT_FIT_POLICY
     if sm.size >= 2 and sm[0] < 0:
         span = np.max(np.abs(sm))
         monotone = bool(np.all(np.diff(sm) <= 0.02 * span))
-        steepening = monotone and sm[-1] < (1.0 + policy.steepening_threshold) * sm[0]
+        steepening = monotone and sm[-1] < (1.0 + _STEEPENING) * sm[0]
     sigma_hat = float(-sm[-1]) if steepening else float(-slope)
     return RadiusEstimate(
         sigma_hat=sigma_hat,
@@ -183,23 +174,3 @@ def estimate_radius(field: SpectralField, policy: FitPolicy = DEFAULT_FIT_POLICY
         superexponential=steepening,
         num_bins=int(xs.size),
     )
-
-
-def rescale(field: SpectralField, lam: float, max_half_length: float = 1e4) -> SpectralField:
-    """KdV-scaling map on initial data: f(x) -> lam^2 f(lam x).
-
-    The scaled field lives on a grid with half_length / lam; the sample and
-    coefficient relations are exact (coeffs scale by lam on the new grid).
-    """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
-    new_half = field.grid.half_length / lam
-    if new_half > max_half_length:
-        raise ValueError(
-            f"rescaled half_length {new_half:.3g} exceeds the configured maximum "
-            f"{max_half_length:.3g}"
-        )
-    if lam == 1.0:
-        return field.copy()
-    new_grid = GridSpec(field.grid.num_points, new_half)
-    return SpectralField(new_grid, lam * field.coeffs)

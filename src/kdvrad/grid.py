@@ -87,9 +87,6 @@ class GridSpec:
         """Weight per coefficient in Parseval sums: dxi / (2 pi)."""
         return 1.0 / (2.0 * self.half_length)
 
-    def _phase(self) -> np.ndarray:
-        return self._sign
-
     def to_coeffs(self, values) -> np.ndarray:
         """Continuous-normalized coefficients of samples along the last axis."""
         return self.dx * self._sign * np.fft.fft(values)

@@ -12,7 +12,6 @@ stays constant for short times).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +73,15 @@ class ScheduleState:
     within_doubling: bool
 
 
-def _induction_state(params: ScheduleParams, sigma: float, t0: float,
-                     k: int) -> ScheduleState:
+def final_induction_state(params: ScheduleParams, horizon: float) -> ScheduleState:
+    """State at the last step k = n + 1, n = floor(T/t0), of the induction.
+
+    The squared-norm bound grows by 2^(3/2) C sigma^(3/4) gamma0^3 per step,
+    affine in k, so the last step carries the largest bound.
+    """
+    sigma = sigma_for_horizon(params, horizon)
+    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
+    k = int(np.floor(horizon / t0)) + 1
     increment = 2.0 ** 1.5 * params.c_acl * sigma ** 0.75 * params.gamma0 ** 3
     base = params.gamma0 ** 2
     bound = base + k * increment
@@ -85,32 +91,6 @@ def _induction_state(params: ScheduleParams, sigma: float, t0: float,
         gamma_sq_bound=bound,
         within_doubling=bool(bound <= 2.0 * base * (1 + 1e-12)),
     )
-
-
-def build_schedule(params: ScheduleParams, horizon: float, max_states: int = 4096):
-    """Iterate the squared-norm bound over the local steps up to the horizon.
-
-    Returns (sigma, states) for steps k = 0 .. n+1 with n = floor(T/t0); the
-    increment per step is 2^(3/2) C sigma^(3/4) gamma0^3, affine in k, so for
-    very long horizons the ladder is subsampled (first and last steps always
-    included) rather than materialized step by step.
-    """
-    sigma = sigma_for_horizon(params, horizon)
-    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
-    n = int(np.floor(horizon / t0))
-    if n + 2 <= max_states:
-        ks = range(n + 2)
-    else:
-        ks = sorted(set(np.linspace(0, n + 1, max_states).astype(int)))
-    return sigma, [_induction_state(params, sigma, t0, k) for k in ks]
-
-
-def final_induction_state(params: ScheduleParams, horizon: float) -> ScheduleState:
-    """State at the last step k = n + 1 without building the ladder."""
-    sigma = sigma_for_horizon(params, horizon)
-    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
-    n = int(np.floor(horizon / t0))
-    return _induction_state(params, sigma, t0, n + 1)
 
 
 @dataclass
@@ -128,23 +108,6 @@ class ScheduleComparison:
     @property
     def contract_holds(self) -> bool:
         return not self.violations
-
-    def to_csv(self, path):
-        header = ["t", "sigma_certified", "sigma_hat", "gamma_measured",
-                  "gamma_sq_bound", "within_doubling"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self.times)):
-                writer.writerow([
-                    repr(float(self.times[i])),
-                    repr(float(self.sigma_certified[i])),
-                    repr(float(self.sigma_hat[i])),
-                    repr(float(self.gamma_measured[i])),
-                    repr(float(self.gamma_sq_bound[i])),
-                    str(bool(self.within_doubling[i])),
-                ])
-        return header
 
 
 def empirical_schedule(f: SpectralField, params: ScheduleParams, horizon: float,

@@ -8,13 +8,11 @@ solution; snapshots are converted to SpectralField at recording times only.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError
-from .gevrey import GevreyParams, estimate_radius, gevrey_norm
 from .grid import (GridSpec, SpectralField, airy_phase, check_boundary_smallness,
                    dealias_mask, forward_transform)
 
@@ -200,51 +198,8 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     )
 
 
-def reflect(field: SpectralField) -> SpectralField:
-    """Spatial reflection x -> -x (conjugates the coefficients of a real field)."""
-    return SpectralField(field.grid, np.conj(field.coeffs))
-
-
 def soliton(grid: GridSpec, speed: float = 1.0, center: float = 0.0) -> SpectralField:
     """Traveling-wave solution 3c sech^2(sqrt(c)/2 (x - center)) sampled on the grid."""
     x = grid.x
     vals = 3.0 * speed / np.cosh(np.sqrt(speed) / 2.0 * (x - center)) ** 2
     return forward_transform(vals, grid)
-
-
-def trajectory_to_csv(traj: Trajectory, path, sigma_list=()) -> list:
-    """Write per-snapshot diagnostics; returns the header columns.
-
-    Columns: t, mass, momentum, hamiltonian, one gevrey_sigma_<s> column per
-    requested sigma, and sigma_hat from the radius estimator.
-    """
-    header = ["t", "mass", "momentum", "hamiltonian"]
-    header += [f"gevrey_sigma_{s:g}" for s in sigma_list]
-    header.append("sigma_hat")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            snap = traj.snapshots[i]
-            row = [repr(float(t)), repr(float(traj.mass[i])),
-                   repr(float(traj.momentum[i])), repr(float(traj.hamiltonian[i]))]
-            for s in sigma_list:
-                row.append(repr(gevrey_norm(snap, GevreyParams(s))))
-            row.append(repr(estimate_radius(snap).sigma_hat))
-            writer.writerow(row)
-    return header
-
-
-def save_snapshot(field: SpectralField, time: float, path) -> None:
-    """Binary snapshot: grid spec + time header and the coefficient array."""
-    np.savez(path,
-             num_points=field.grid.num_points,
-             half_length=field.grid.half_length,
-             time=float(time),
-             coeffs=field.coeffs)
-
-
-def load_snapshot(path):
-    data = np.load(path)
-    grid = GridSpec(int(data["num_points"]), float(data["half_length"]))
-    return SpectralField(grid, data["coeffs"]), float(data["time"])

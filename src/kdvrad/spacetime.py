@@ -131,15 +131,3 @@ def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
     times = np.linspace(t_a, t_b, num_time_samples)
     vals = g.to_values(f.coeffs * airy_phase(g.xi, times[:, None]))
     return SpacetimeField(g, t_a, t_b, vals)
-
-
-def sample_flow(snapshots, times, grid: GridSpec) -> SpacetimeField:
-    """Assemble a SpacetimeField from uniformly spaced SpectralField snapshots."""
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(snapshots):
-        raise ValueError("times and snapshots differ in length")
-    steps = np.diff(times)
-    if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("snapshots are not uniformly spaced in time")
-    vals = np.stack([s.values() for s in snapshots])
-    return SpacetimeField(grid, float(times[0]), float(times[-1]), vals)

@@ -1,16 +1,13 @@
 """Commutator term, work-integral defect and the multiplier bound chain."""
-import csv
-
 import numpy as np
 import pytest
 
+from kdvrad import almost_conservation
 from kdvrad.almost_conservation import (commutator_term, conservation_defect,
                                         measure_conservation, modified_residual,
-                                        pairing, prepare_acl_trajectory,
-                                        smoothing_multiplier_bounds,
-                                        sweep_conservation, sweep_to_csv)
+                                        prepare_acl_trajectory,
+                                        smoothing_multiplier_bounds)
 from kdvrad.errors import KdvradError
-from kdvrad.gevrey import smooth
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import SolverConfig, airy_propagate, evolve, soliton
 
@@ -82,6 +79,21 @@ class TestCommutatorTerm:
         w = random_band_field(acl_grid, rng)
         out = commutator_term(w, 0.0)
         assert np.max(np.abs(out.coeffs)) <= 1e-13
+
+    def test_sigma_zero_computes_no_product(self, acl_grid, rng, monkeypatch):
+        calls = []
+        original = almost_conservation.dealiased_product
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(almost_conservation, "dealiased_product", counted)
+        w = random_band_field(acl_grid, rng)
+        commutator_term(w, 0.0)
+        assert len(calls) == 0
+        commutator_term(w, 0.1)
+        assert len(calls) == 2
 
     def test_single_mode_self_interaction_vanishes(self, acl_grid):
         # same-sign frequencies: |2 xi0| = 2 |xi0| so the symbol is zero
@@ -203,20 +215,6 @@ class TestConservationDefect:
             rep = measure_conservation(traj, s)
             assert rep.error_measured <= 1e-8 * rep.rhs_base
             assert rep.error_measured <= rep.bound_cubed * s ** 0.75
-
-
-class TestSweepToCsv:
-    def test_round_trip(self, packet_trajectory, tmp_path):
-        reports = [measure_conservation(packet_trajectory, s) for s in (0.2, 0.05)]
-        path = tmp_path / "acl.csv"
-        header = sweep_to_csv(reports, path, fitted_exponent=0.8125)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == header and len(rows) == 2
-        for row, r in zip(rows, reports):
-            assert [float(row[k]) for k in header] == [
-                r.sigma, r.interval[1], r.lhs, r.rhs_base, r.error_measured,
-                r.r_integral, 0.8125]
 
 
 class TestMultiplierBounds:

@@ -1,14 +1,12 @@
 """Dyadic bilinear block constants: regimes, support conditions, exponents."""
-import csv
-
 import numpy as np
 import pytest
 
 from kdvrad import bilinear
-from kdvrad.bilinear import (DyadicTriple, RatioRecord, WavePacketField,
-                             fit_exponent, make_localized,
-                             measure_block_ratio, predicted_block_constant,
-                             product, sweep_to_csv, xnorm_product_ratio)
+from kdvrad.bilinear import (DyadicTriple, WavePacketField, fit_exponent,
+                             make_localized, measure_block_ratio,
+                             predicted_block_constant, product,
+                             xnorm_product_ratio)
 from kdvrad.bumps import dyadic_bump
 from kdvrad.errors import UnresolvableBandError, VanishingConfigurationError
 
@@ -239,24 +237,3 @@ class TestProductBookkeeping:
         c = make_localized(8, 1, seed=3)
         with pytest.raises(ValueError, match="lattice"):
             product(a, c)
-
-
-class TestSweepToCsv:
-    def test_round_trip(self, tmp_path):
-        records = [measure_block_ratio(t, trials=2, seed=0)
-                   for t in (DyadicTriple(2, 8, 8, 1, 1, 128),
-                             DyadicTriple(2, 2, 32, 1, 1, 2048))]
-        path = tmp_path / "blocks.csv"
-        header = sweep_to_csv(records, -1.25, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == header and len(rows) == 2
-        for row, r in zip(rows, records):
-            t = r.triple
-            assert [int(row[k]) for k in ("N1", "N2", "N3", "L1", "L2", "L3")] \
-                == [t.n1, t.n2, t.n3, t.l1, t.l2, t.l3]
-            assert float(row["max_ratio"]) == r.measured_lhs
-            assert np.array_equal(float(row["predicted_C"]), r.predicted_c, equal_nan=True)
-            assert (int(row["trials"]), int(row["attempts"])) == (r.trials, r.attempts)
-            assert float(row["fitted_exponent"]) == -1.25
-        assert [row["regime"] for row in rows] == ["generic", "vanishing"]

@@ -11,7 +11,6 @@ from kdvrad.dyadic import (block_l2_norms, free_evolution_norm_ratio,
                            modulation_blocks, project_pn, project_ql, x_norm,
                            xbar_norm)
 from kdvrad.errors import TimeWindowTooShortError
-from kdvrad.gevrey import hs_norm
 from kdvrad.grid import (GridSpec, SpectralField, dealiased_product,
                          forward_transform)
 from kdvrad.spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,

@@ -1,12 +1,11 @@
-"""Gevrey norms, smoothing operators, radius estimation, rescaling."""
+"""Gevrey norms, smoothing operators and radius estimation."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrad.errors import InsufficientSpectralRangeError, SpectralOverflowError
-from kdvrad.gevrey import (GevreyParams, estimate_radius, gevrey_norm, hs_norm,
-                           rescale, smooth)
+from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, smooth
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import airy_propagate, soliton
 
@@ -135,54 +134,3 @@ class TestEstimateRadius:
         base = estimate_radius(f).sigma_hat
         shifted = estimate_radius(smooth(f, -0.5)).sigma_hat
         assert shifted == pytest.approx(base + 0.5, abs=1e-6)
-
-
-class TestRescale:
-    def test_identity(self, small_grid, rng):
-        f = random_band_field(small_grid, rng)
-        g = rescale(f, 1.0)
-        assert np.array_equal(g.coeffs, f.coeffs)
-        assert g.grid == f.grid
-
-    def test_l2_scaling_exact(self, small_grid, rng):
-        f = random_band_field(small_grid, rng)
-        lam = 0.5
-        g = rescale(f, lam)
-        assert g.l2_norm() == pytest.approx(lam ** 1.5 * f.l2_norm(), rel=1e-13)
-
-    def test_scaled_norm_identity(self, default_grid):
-        # ||f_lam||_{sigma,s} equals lam^(3/2) (sum exp(2 sigma lam |xi|)
-        # <lam xi>^(2s) |f_hat|^2 w)^(1/2) exactly on the grid
-        f = forward_transform(1.0 / np.cosh(default_grid.x), default_grid)
-        lam, sig, s = 0.25, 0.3, -0.75
-        g = rescale(f, lam)
-        lhs = gevrey_norm(g, GevreyParams(sig, s))
-        xi = default_grid.xi
-        w = default_grid.spectral_weight
-        rhs = lam ** 1.5 * np.sqrt(np.sum(
-            np.exp(2 * sig * lam * np.abs(xi)) * (1 + (lam * xi) ** 2) ** s
-            * np.abs(f.coeffs) ** 2) * w)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_scaling_exponent_on_high_frequency_data(self, default_grid):
-        # with s = -3/4 and data concentrated at |xi| >> 1/lam the measured
-        # norms follow lam^(3/2+s) = lam^(3/4); the Sobolev factor only bites
-        # at high frequency, so a high carrier makes the exponent visible
-        g = default_grid
-        f = forward_transform(np.cos(20.0 * g.x) / np.cosh(g.x), g)
-        s = -0.75
-        lams = np.array([0.5, 0.25, 0.125])
-        norms = [gevrey_norm(rescale(f, l), GevreyParams(0.0, s)) for l in lams]
-        slope = np.polyfit(np.log(lams), np.log(norms), 1)[0]
-        assert slope == pytest.approx(0.75, abs=0.15)
-        # plain sech data satisfies the lam^(3/4) bound with a fixed constant
-        sig = 0.2
-        fs = forward_transform(1.0 / np.cosh(g.x), g)
-        base = gevrey_norm(fs, GevreyParams(sig, s))
-        for l in lams:
-            assert gevrey_norm(rescale(fs, l), GevreyParams(l * sig, s)) <= 2.0 * l ** 0.75 * base
-
-    def test_max_grid_rejection(self, small_grid, rng):
-        f = random_band_field(small_grid, rng)
-        with pytest.raises(ValueError, match="maximum"):
-            rescale(f, 0.001, max_half_length=1000.0)

@@ -50,8 +50,8 @@ class TestGridSpec:
         assert g.k_index.dtype == np.int64
         assert g.k_index.tobytes() == k.tobytes()
         assert g.xi.tobytes() == (np.pi * k / 30.0).tobytes()
-        assert g._phase().tobytes() == np.where(k % 2 == 0, 1.0, -1.0).tobytes()
-        for a in (g.k_index, g.xi, g._phase()):
+        assert g._sign.tobytes() == np.where(k % 2 == 0, 1.0, -1.0).tobytes()
+        for a in (g.k_index, g.xi, g._sign):
             with pytest.raises(ValueError):
                 a[1] = 0
         # computed once: every read returns the same array
@@ -59,7 +59,7 @@ class TestGridSpec:
         # copies rebuild the arrays read-only
         for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert h == g and h.xi.tobytes() == g.xi.tobytes()
-            for a in (h.k_index, h.xi, h._phase()):
+            for a in (h.k_index, h.xi, h._sign):
                 with pytest.raises(ValueError):
                     a[1] = 0
 
@@ -149,7 +149,7 @@ class TestApplyMultiplier:
     def test_real_even_multiplier_preserves_reality(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
         g = apply_multiplier(f, lambda xi: np.exp(-np.abs(xi)))
-        v = np.fft.ifft(g.coeffs * small_grid._phase()) / small_grid.dx
+        v = np.fft.ifft(g.coeffs * small_grid._sign) / small_grid.dx
         assert np.max(np.abs(v.imag)) < 1e-12 * np.max(np.abs(v.real))
 
     def test_non_finite_multiplier_names_frequency(self, small_grid, rng):

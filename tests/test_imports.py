@@ -1,0 +1,26 @@
+"""Every top-level import of the package and of the tests is read."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_top_level_import_is_read():
+    files = [p for p in sorted((ROOT / "src" / "kdvrad").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py"))
+    unused = {p.relative_to(ROOT).as_posix(): names
+              for p in files if (names := unused_imports(p))}
+    assert not unused, f"imported but never read: {unused}"

@@ -5,8 +5,8 @@ import pytest
 from kdvrad.errors import KdvradError
 from kdvrad.grid import GridSpec, forward_transform
 from kdvrad.spacetime import (SpacetimeField, airy_spacetime,
-                              inverse_spacetime_transform, sample_flow,
-                              spacetime_transform, temporal_taper)
+                              inverse_spacetime_transform, spacetime_transform,
+                              temporal_taper)
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +139,3 @@ class TestBuilders:
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=9)
         for t, row in zip(np.linspace(-1.0, 1.0, 9), st.values):
             assert row.tobytes() == airy_propagate(f0, t).values().tobytes()
-
-    def test_sample_flow_uniformity_check(self, st_grid):
-        f0 = forward_transform(np.exp(-st_grid.x ** 2), st_grid)
-        snaps = [f0, f0, f0]
-        with pytest.raises(ValueError, match="uniform"):
-            sample_flow(snaps, [0.0, 0.1, 0.3], st_grid)
-        st = sample_flow(snaps, [0.0, 0.1, 0.2], st_grid)
-        assert st.num_time_samples == 3
