@@ -19,6 +19,7 @@ import numpy as np
 from .errors import KdvradError
 from .gevrey import GevreyParams, gevrey_norm, smooth
 from .grid import SpectralField, dealiased_product, derivative
+from .scheduler import local_existence_time
 from .solver import SolverConfig, Trajectory, evolve
 
 
@@ -41,10 +42,6 @@ def pairing(f: SpectralField, g: SpectralField) -> float:
                  * f.grid.spectral_weight)
 
 
-def _smoothed_snapshots(traj: Trajectory, sigma: float):
-    return [smooth(s, sigma) for s in traj.snapshots]
-
-
 def modified_residual(u_trajectory: Trajectory, sigma: float) -> float:
     """Consistency check of the smoothed-flow equation.
 
@@ -54,7 +51,7 @@ def modified_residual(u_trajectory: Trajectory, sigma: float) -> float:
     """
     if len(u_trajectory) < 3:
         raise KdvradError("need at least 3 snapshots for a centered difference")
-    w = _smoothed_snapshots(u_trajectory, sigma)
+    w = [smooth(s, sigma) for s in u_trajectory.snapshots]
     times = u_trajectory.times
     worst = 0.0
     for i in range(1, len(w) - 1):
@@ -69,43 +66,6 @@ def modified_residual(u_trajectory: Trajectory, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class DefectReport:
-    """Discretized work integral and the energy-identity diagnostics."""
-
-    value: float                 # 2 |int 1_I w f(w) dt dx|
-    identity_abs: float          # |(||w(t0)||^2 - ||w(0)||^2) - int 2 w f(w)|
-    identity_rel: float          # identity_abs / max(value, tiny)
-    flux: np.ndarray             # g(t) = 2 int w f(w) dx per snapshot
-
-    def __float__(self):
-        return self.value
-
-
-def conservation_defect(u_trajectory: Trajectory, sigma: float) -> DefectReport:
-    """Trapezoidal time quadrature of the work integral 2 int w f(w) dx dt.
-
-    Also evaluates both sides of d/dt ||w||^2 = 2 int w f(w) dx over the
-    interval, which must agree to quadrature accuracy.
-    """
-    if len(u_trajectory) < 3:
-        raise KdvradError("need at least 3 snapshots for the quadrature")
-    w = _smoothed_snapshots(u_trajectory, sigma)
-    times = u_trajectory.times
-    flux = np.array([2.0 * pairing(wi, commutator_term(wi, sigma))
-                     for wi in w])
-    integral = float(np.trapezoid(flux, times))
-    lhs = w[-1].l2_norm() ** 2 - w[0].l2_norm() ** 2
-    identity_abs = abs(lhs - integral)
-    value = abs(integral)
-    return DefectReport(
-        value=value,
-        identity_abs=identity_abs,
-        identity_rel=identity_abs / max(value, 1e-300),
-        flux=flux,
-    )
-
-
-@dataclass(frozen=True)
 class ConservationReport:
     """Almost-conservation measurement for one sigma on one trajectory."""
 
@@ -114,43 +74,58 @@ class ConservationReport:
     lhs: float            # sup_t ||u(t)||^2 in the sigma-Gevrey norm
     rhs_base: float       # ||u(0)||^2
     error_measured: float # max(lhs - rhs_base, 0)
-    r_integral: float     # the work-integral defect
+    r_integral: float     # 2 |int 1_I w f(w) dt dx|, the work-integral defect
     bound_cubed: float    # ||u(0)||^3 proxy for the cubic right side
-    identity_rel: float
-    identity_abs: float
+    identity_rel: float   # identity_abs / max(r_integral, tiny)
+    identity_abs: float   # |(||w(t0)||^2 - ||w(0)||^2) - int 2 w f(w)|
 
 
 def measure_conservation(u_trajectory: Trajectory, sigma: float) -> ConservationReport:
-    p = GevreyParams(sigma, 0.0)
-    sq = np.array([gevrey_norm(s, p) ** 2 for s in u_trajectory.snapshots])
-    defect = conservation_defect(u_trajectory, sigma)
-    lhs = float(np.max(sq))
-    base = float(sq[0])
+    """Sigma-Gevrey energies and the work-integral defect from one smoothing pass.
+
+    Each snapshot is smoothed once to w = exp(sigma|D|) u.  The energies
+    ||w||^2 give the sup and the base of the almost-conservation law; the flux
+    2 int w f(w) dx is integrated by the trapezoidal rule, and both sides of
+    d/dt ||w||^2 = 2 int w f(w) dx over the interval must agree to quadrature
+    accuracy.
+    """
+    if len(u_trajectory) < 3:
+        raise KdvradError("need at least 3 snapshots for the quadrature")
+    w = [smooth(s, sigma) for s in u_trajectory.snapshots]
+    with np.errstate(over="ignore"):
+        energy = np.array([wi.l2_norm() ** 2 for wi in w])
+    overflowed = np.flatnonzero(~np.isfinite(energy))
+    if overflowed.size:  # raises SpectralOverflowError with the certifiable sigma
+        gevrey_norm(u_trajectory.snapshots[overflowed[0]], GevreyParams(sigma))
+    flux = np.array([2.0 * pairing(wi, commutator_term(wi, sigma)) for wi in w])
+    times = u_trajectory.times
+    integral = float(np.trapezoid(flux, times))
+    identity_abs = float(abs(energy[-1] - energy[0] - integral))
+    lhs = float(np.max(energy))
+    base = float(energy[0])
     return ConservationReport(
         sigma=sigma,
-        interval=(float(u_trajectory.times[0]), float(u_trajectory.times[-1])),
+        interval=(float(times[0]), float(times[-1])),
         lhs=lhs,
         rhs_base=base,
         error_measured=max(lhs - base, 0.0),
-        r_integral=defect.value,
+        r_integral=abs(integral),
         bound_cubed=base ** 1.5,
-        identity_rel=defect.identity_rel,
-        identity_abs=defect.identity_abs,
+        identity_rel=identity_abs / max(abs(integral), 1e-300),
+        identity_abs=identity_abs,
     )
 
 
-def prepare_acl_trajectory(f: SpectralField, sigma0: float, c_lwp: float = 0.01,
-                           num_snapshots: int = 128,
+def prepare_acl_trajectory(f: SpectralField, sigma0: float, num_snapshots: int = 128,
                            steps_per_snapshot: int = 10) -> Trajectory:
     """Evolve f over one local-existence interval with dense snapshots.
 
-    The interval is t0 = c_lwp * ||f||_{G^sigma0}^(-2); the step size is tied
-    to the snapshot density so the work-integral quadrature error sits well
-    below the identity-check tolerance.
+    The interval is t0 = 0.01 * ||f||_{G^sigma0}^(-2) (``local_existence_time``);
+    the step size is tied to the snapshot density so the work-integral quadrature
+    error sits well below the identity-check tolerance.
     """
-    from .scheduler import local_existence_time
     gamma = gevrey_norm(f, GevreyParams(sigma0, 0.0))
-    t0 = local_existence_time(gamma, 0.0, c_lwp)
+    t0 = local_existence_time(gamma)
     dt = t0 / (num_snapshots * steps_per_snapshot)
     config = SolverConfig(dt=dt, record_every=steps_per_snapshot)
     return evolve(f, t0, config)

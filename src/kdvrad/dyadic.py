@@ -12,7 +12,7 @@ sum_tau beta_L^2 |v|^2 once; block N is sum_L L^(1/2) (M beta_N^2 weight)^(1/2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -50,38 +50,33 @@ def modulation_blocks(spec: SpacetimeSpectrum):
     return _covering_modulations(spec.modulation())
 
 
-def project_ql(field: SpacetimeField, l, pad: int = 4) -> SpacetimeField:
+def project_ql(field: SpacetimeField, l) -> SpacetimeField:
     """Modulation block Q_l of the tapered field."""
     validate_dyadic(l, "modulation band")
-    spec = spacetime_transform(field, pad=pad)
+    spec = spacetime_transform(field)
     _check_dtau(spec)
-    filtered = SpacetimeSpectrum(
-        values=spec.values * dyadic_bump(l, spec.modulation()),
-        tau=spec.tau, xi=spec.xi, dtau=spec.dtau, dxi=spec.dxi, field=spec.field,
-    )
-    return inverse_spacetime_transform(filtered)
+    return inverse_spacetime_transform(
+        replace(spec, values=spec.values * dyadic_bump(l, spec.modulation())))
 
 
-def modulation_norms(lam, power, weight, l_list=None) -> dict:
-    """||Q_l .|| per band l from cell powers and weight; by default every band
-    covering max|lam| except those with 2l <= min|lam|, where beta_l is exactly 0."""
-    if l_list is None:
-        lam_min = float(np.min(np.abs(lam), initial=np.inf))
-        l_list = [l for l in _covering_modulations(lam) if 2 * l > lam_min]
+def modulation_norms(lam, power, weight) -> dict:
+    """||Q_l .|| per band l from cell powers and weight, for every band covering
+    max|lam| except those with 2l <= min|lam|, where beta_l is exactly 0."""
+    lam_min = float(np.min(np.abs(lam), initial=np.inf))
+    l_list = [l for l in _covering_modulations(lam) if 2 * l > lam_min]
     return {l: float(np.sqrt(np.sum(wgt * wgt * power) * weight))
             for l, wgt in dyadic_bands(l_list, lam)}
 
 
-def block_l2_norms(spec: SpacetimeSpectrum, l_list=None) -> dict:
+def block_l2_norms(spec: SpacetimeSpectrum) -> dict:
     """||Q_l u|| for each modulation band, computed spectrally."""
     _check_dtau(spec)
-    return modulation_norms(spec.modulation(), np.abs(spec.values) ** 2,
-                            spec.weight, l_list)
+    return modulation_norms(spec.modulation(), np.abs(spec.values) ** 2, spec.weight)
 
 
-def x_norm(field: SpacetimeField, pad: int = 4) -> float:
+def x_norm(field: SpacetimeField) -> float:
     """sum_L L^(1/2) ||Q_L field|| over every band present on the grid."""
-    norms = block_l2_norms(spacetime_transform(field, pad=pad))
+    norms = block_l2_norms(spacetime_transform(field))
     return float(sum(np.sqrt(l) * v for l, v in norms.items()))
 
 
@@ -102,9 +97,9 @@ class NormReport:
         return abs(total - self.xbar_s ** 2) / max(self.xbar_s ** 2, 1e-300)
 
 
-def xbar_norm(field: SpacetimeField, s: float, pad: int = 4) -> NormReport:
+def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     """xbar^s norm: maximal-in-time low block plus N^s-weighted X blocks."""
-    spec = spacetime_transform(field, pad=pad)
+    spec = spacetime_transform(field)
     _check_dtau(spec)
     lam = spec.modulation()
     l_list = _covering_modulations(lam)
@@ -116,9 +111,7 @@ def xbar_norm(field: SpacetimeField, s: float, pad: int = 4) -> NormReport:
     for n, band in dyadic_bands(covering_indices(field.grid.nyquist_xi), spec.xi):
         if n == 1:
             # L_x^2 L_t^inf of the low block, evaluated in physical space
-            filtered = SpacetimeSpectrum(values=spec.values * band, tau=spec.tau, xi=spec.xi,
-                                         dtau=spec.dtau, dxi=spec.dxi, field=spec.field)
-            u1 = inverse_spacetime_transform(filtered).values
+            u1 = inverse_spacetime_transform(replace(spec, values=spec.values * band)).values
             sup_t = np.max(np.abs(u1), axis=0)
             low = float(np.sqrt(np.sum(sup_t ** 2) * field.grid.dx))
             x_per_n[1] = low

@@ -3,7 +3,7 @@
 A SpacetimeField holds real samples u(t_j, x_k) on a uniform window; before
 any modulation analysis the samples are multiplied by a smooth temporal
 taper equal to 1 on the inner half of the window and vanishing at its ends,
-then zero-padded in time (default factor 4) so that the transform samples
+then zero-padded in time (by the factor ``PAD``) so that the transform samples
 the same compactly supported signal on a finer tau grid.  The x axis is
 transformed by the grid (``GridSpec.to_coeffs`` / ``to_values``), which owns
 the spatial convention; this module adds only the tau axis.
@@ -17,6 +17,9 @@ import numpy as np
 from .bumps import chi
 from .errors import KdvradError
 from .grid import GridSpec, SpectralField, airy_phase
+
+#: zero-padding factor of the time axis before the tau transform
+PAD = 4
 
 
 def temporal_taper(t, t_a: float, t_b: float) -> np.ndarray:
@@ -89,18 +92,16 @@ class SpacetimeSpectrum:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.weight))
 
 
-def spacetime_transform(field: SpacetimeField, pad: int = 4) -> SpacetimeSpectrum:
+def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
     """Continuous-normalized 2D transform of the tapered, zero-padded samples.
 
-    The tau spacing is 2 pi / (pad * (t_b - t_a) * nt/(nt-1)); padding only
+    The tau spacing is 2 pi / (PAD * (t_b - t_a) * nt/(nt-1)); padding only
     refines the sampling of the transform of the compactly supported signal.
     """
     if field.num_time_samples < 8:
         raise KdvradError("need at least 8 time samples for modulation analysis")
-    if pad < 1:
-        raise ValueError("pad must be >= 1")
     g = field.grid
-    nt_pad = pad * field.num_time_samples
+    nt_pad = PAD * field.num_time_samples
     dt = field.dt
     tau = 2.0 * np.pi * np.fft.fftfreq(nt_pad, d=dt)
     # fft with n = nt_pad zero-pads the time axis

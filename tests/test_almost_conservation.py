@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from kdvrad import almost_conservation
-from kdvrad.almost_conservation import (commutator_term, conservation_defect,
-                                        measure_conservation, modified_residual,
-                                        prepare_acl_trajectory,
+from kdvrad.almost_conservation import (commutator_term, measure_conservation,
+                                        modified_residual, prepare_acl_trajectory,
                                         smoothing_multiplier_bounds)
-from kdvrad.errors import KdvradError
+from kdvrad.errors import KdvradError, SpectralOverflowError
+from kdvrad.gevrey import smooth
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import SolverConfig, airy_propagate, evolve, soliton
 
@@ -181,14 +181,34 @@ class TestModifiedResidual:
 
 class TestConservationDefect:
     def test_sigma_zero_recovers_l2_conservation(self, packet_trajectory):
-        rep = conservation_defect(packet_trajectory, 0.0)
-        assert rep.value < 1e-10
+        rep = measure_conservation(packet_trajectory, 0.0)
+        assert rep.r_integral < 1e-10
         mom = packet_trajectory.momentum
         assert np.max(np.abs(mom - mom[0])) / mom[0] < 1e-8
 
     def test_energy_identity(self, packet_trajectory):
-        rep = conservation_defect(packet_trajectory, 0.1)
+        rep = measure_conservation(packet_trajectory, 0.1)
         assert rep.identity_rel < 0.05
+
+    def test_energies_reuse_the_smoothed_snapshots(self, packet_trajectory, monkeypatch):
+        calls = []
+        original = almost_conservation.gevrey_norm
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(almost_conservation, "gevrey_norm", counted)
+        rep = measure_conservation(packet_trajectory, 0.2)
+        assert len(calls) == 0
+        energies = [smooth(s, 0.2).l2_norm() ** 2 for s in packet_trajectory.snapshots]
+        assert (rep.lhs, rep.rhs_base) == (max(energies), energies[0])
+
+    def test_energy_overflow_is_typed(self, acl_grid):
+        traj = prepare_acl_trajectory(soliton(acl_grid, 1.0), 0.1, num_snapshots=4,
+                                      steps_per_snapshot=2)
+        with pytest.raises(SpectralOverflowError):
+            measure_conservation(traj, 10.0)
 
     def test_sweep_monotone_and_positive(self, packet_trajectory):
         sigmas = [0.4, 0.2, 0.1, 0.05, 0.025]

@@ -1,4 +1,5 @@
-"""Every top-level import of the package and of the tests is read."""
+"""Every top-level import of the package and of the tests is read, and the
+package imports only at module level."""
 import ast
 from pathlib import Path
 
@@ -24,3 +25,14 @@ def test_every_top_level_import_is_read():
     unused = {p.relative_to(ROOT).as_posix(): names
               for p in files if (names := unused_imports(p))}
     assert not unused, f"imported but never read: {unused}"
+
+
+def test_package_imports_only_at_module_level():
+    nested = set()
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not nested, f"imports inside functions: {sorted(nested)}"

@@ -50,8 +50,8 @@ class TestSpacetimeTransform:
 
     def test_tau_spacing(self, st_grid):
         f = make_field(st_grid, lambda t, x: np.cos(x), nt=128)
-        spec = spacetime_transform(f, pad=4)
-        # padded window length = pad * nt * dt
+        spec = spacetime_transform(f)
+        # padded window length = PAD * nt * dt, PAD = 4
         expected = 2 * np.pi / (4 * 128 * f.dt)
         assert spec.dtau == pytest.approx(expected, rel=1e-12)
 
