@@ -16,24 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KdvradError
-from .gevrey import GevreyParams, gevrey_norm, smooth
-from .grid import SpectralField, dealiased_product, derivative
+from .errors import KdvradError, SpectralOverflowError
+from .gevrey import _LOG_LIMIT, GevreyParams, gevrey_norm, smooth
+from .grid import SpectralField, dealias_mask, dealiased_product, derivative
 from .scheduler import local_existence_time
 from .solver import SolverConfig, Trajectory, evolve
 
 
 def commutator_term(w: SpectralField, sigma: float,
                     dealias: float = 2.0 / 3.0) -> SpectralField:
-    """Source term f(w) of the smoothed flow; exactly zero at sigma = 0."""
+    """Source term f(w) of the smoothed flow; exactly zero at sigma = 0.  Raises
+    SpectralOverflowError where exp(sigma|xi|) overflows on the dealiased band."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return SpectralField(w.grid, np.zeros_like(w.coeffs))
+    g = w.grid
+    exponent = sigma * np.abs(g.xi) * dealias_mask(g, dealias)
+    if np.max(exponent) > _LOG_LIMIT:
+        cert = sigma * _LOG_LIMIT / np.max(exponent)
+        raise SpectralOverflowError(f"exp({sigma}*|xi|) overflows on the dealiased band; "
+                                    f"certifiable sigma = {cert:.6g}", certifiable_sigma=cert)
+    lift = np.exp(exponent)
     direct = dealiased_product(w, w, dealias)
-    wm = smooth(w, -sigma)
-    lifted = smooth(dealiased_product(wm, wm, dealias), sigma)
-    return derivative(direct - lifted) * 0.5
+    wm = SpectralField(g, w.coeffs / lift)
+    lifted = dealiased_product(wm, wm, dealias)
+    return SpectralField(g, 0.5j * g.xi * (direct.coeffs - lift * lifted.coeffs))
 
 
 def pairing(f: SpectralField, g: SpectralField) -> float:

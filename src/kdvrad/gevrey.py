@@ -20,6 +20,7 @@ from .grid import SpectralField
 
 #: log-magnitude ceiling; exp of anything above this is treated as overflow
 _LOG_LIMIT = 690.0
+_EXP_LIMIT = np.exp(_LOG_LIMIT)
 
 # Radius-fit window: bins with |coeff| in [_FLOOR_REL, _CEIL_REL] * max|coeff|
 # are usable; the fit uses the upper _UPPER_FRACTION of that band in |xi|,
@@ -88,23 +89,23 @@ def hs_norm(field: SpectralField, s: float = 0.0) -> float:
 def smooth(field: SpectralField, sigma: float) -> SpectralField:
     """Apply the multiplier exp(sigma*|xi|) (sigma may be negative).
 
-    Computed per bin in log space so that zero coefficients stay exactly
-    zero and overflow is detected instead of producing inf.
+    Zero coefficients stay exactly zero at any sigma; a nonzero one weighted past
+    exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.
     """
     if sigma == 0.0:
         return field.copy()
-    xi = np.abs(field.grid.xi)
-    mag = np.abs(field.coeffs)
+    with np.errstate(over="ignore"):
+        lift = np.exp(sigma * np.abs(field.grid.xi))
     if sigma > 0:
-        with np.errstate(divide="ignore"):
-            e = np.where(mag > 0, sigma * xi + np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-        if np.any(e > _LOG_LIMIT):
+        mag = np.abs(field.coeffs)
+        if np.any(mag > _EXP_LIMIT / lift):
             cert = _certifiable_sigma(field, 0.0, budget=_LOG_LIMIT)
             raise SpectralOverflowError(
                 f"exp({sigma}*|xi|) overflows on this field; certifiable sigma = {cert:.6g}",
                 certifiable_sigma=cert,
             )
-    return SpectralField(field.grid, field.coeffs * np.exp(sigma * xi))
+        lift[mag == 0.0] = 0.0
+    return SpectralField(field.grid, field.coeffs * lift)
 
 
 @dataclass(frozen=True)

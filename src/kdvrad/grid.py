@@ -12,6 +12,11 @@ so closed-form transforms (sech, sech^2, Gaussians) are directly comparable.
 Frequencies are xi_k = pi k / half_length in FFT (wrap-around) order, the
 quadratic nonlinearity is dealiased by the 2/3 rule (``dealias_mask``) and
 the free (Airy) flow multiplies by ``airy_phase``.
+A real field is Hermitian, so its k = 0..n/2 half-spectrum (the first n/2 + 1
+FFT-order entries) holds all of it: kernels on real fields run real FFTs on it
+(``GridSpec.to_half`` / ``half_to_values``) and ``from_half`` completes it to
+the FFT-order array of ``SpectralField``; ``to_coeffs`` / ``to_values`` stay
+complex, for non-Hermitian space-time data.
 """
 from __future__ import annotations
 
@@ -33,8 +38,8 @@ def _is_power_of_two(n: int) -> bool:
 class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
 
-    The mode numbers, the frequencies and the (-1)^k phase are computed once,
-    as read-only arrays.
+    The mode numbers, the frequencies, the (-1)^k phase and the 2/3 dealias
+    mask are computed once, as read-only arrays.
     """
 
     num_points: int
@@ -48,7 +53,8 @@ class GridSpec:
         k = (np.fft.fftfreq(self.num_points) * self.num_points).astype(np.int64)
         # _sign = exp(i pi k): offset of the first grid node from x = 0
         for name, a in (("_k", k), ("_xi", np.pi * k / self.half_length),
-                        ("_sign", np.where(k % 2 == 0, 1.0, -1.0))):
+                        ("_sign", np.where(k % 2 == 0, 1.0, -1.0)),
+                        ("_mask", _keep_mask(k, 2.0 / 3.0))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -94,6 +100,23 @@ class GridSpec:
     def to_values(self, coeffs) -> np.ndarray:
         """Real samples of coefficients along the last axis (inverse of ``to_coeffs``)."""
         return np.real(np.fft.ifft(coeffs * self._sign) / self.dx)
+
+    def to_half(self, values) -> np.ndarray:
+        """k = 0..n/2 coefficients of real samples: ``to_coeffs`` by a real FFT."""
+        return self.dx * self._sign[:self.num_points // 2 + 1] * np.fft.rfft(values)
+
+    def half_to_values(self, half, num_points: int | None = None) -> np.ndarray:
+        """Real samples of a k = 0..n/2 half-spectrum (inverse of ``to_half``); a larger
+        ``num_points`` zero-pads to that finer grid, the Nyquist term split over +-n/2."""
+        m = num_points or self.num_points
+        half = half * self._sign[:half.shape[-1]]
+        if m > self.num_points:
+            half[..., -1] *= 0.5
+        return np.fft.irfft(half, m) / (2.0 * self.half_length / m)
+
+    def from_half(self, half) -> np.ndarray:
+        """FFT-order coefficients of a real field from its k = 0..n/2 half."""
+        return np.concatenate((half, np.conj(half[-2:0:-1])))
 
 
 def airy_phase(xi, t) -> np.ndarray:
@@ -180,31 +203,32 @@ def derivative(field: SpectralField, order: int = 1) -> SpectralField:
     return apply_multiplier(field, lambda xi: (1j * xi) ** order)
 
 
+def _keep_mask(k: np.ndarray, fraction: float) -> np.ndarray:
+    nyquist = k.size // 2
+    return (np.abs(k) <= int(np.floor(fraction * nyquist))) & (np.abs(k) != nyquist)
+
+
 def dealias_mask(grid: GridSpec, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Keep-mask for modes |k| <= fraction * Nyquist (Nyquist itself dropped)."""
-    k = np.abs(grid.k_index)
-    cut = int(np.floor(fraction * (grid.num_points // 2)))
-    mask = k <= cut
-    mask[k == grid.num_points // 2] = False
-    return mask
+    """Keep-mask for |k| <= fraction * Nyquist, Nyquist dropped; the 2/3 default is the grid's."""
+    return grid._mask if fraction == 2.0 / 3.0 else _keep_mask(grid.k_index, fraction)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField,
                       fraction: float = 2.0 / 3.0) -> SpectralField:
-    """Pointwise product f*g with the classical 2/3-rule truncation.
+    """Pointwise product f*g of two real fields with the classical 2/3-rule truncation.
 
     Both factors are truncated to |k| <= fraction*Nyquist before the physical
     multiplication and the result is truncated again, which removes every
-    aliased mode of the quadratic product from the retained band.
+    aliased mode of the quadratic product from the retained band.  The
+    factors must be real: the product is taken on their half-spectra.
     """
     if f.grid != g.grid:
         raise ValueError("grids differ")
-    mask = dealias_mask(f.grid, fraction)
-    u = SpectralField(f.grid, f.coeffs * mask).values()
-    v = u if g is f else SpectralField(g.grid, g.coeffs * mask).values()
-    prod = forward_transform(u * v, f.grid)
-    prod.coeffs *= mask
-    return prod
+    grid = f.grid
+    mask = dealias_mask(grid, fraction)[:grid.num_points // 2 + 1]
+    u = grid.half_to_values(f.coeffs[:mask.size] * mask)
+    v = u if g is f else grid.half_to_values(g.coeffs[:mask.size] * mask)
+    return SpectralField(grid, grid.from_half(grid.to_half(u * v) * mask))
 
 
 def check_boundary_smallness(field: SpectralField, time: float | None = None,

@@ -67,14 +67,10 @@ def classical_invariants(field: SpectralField):
     g = field.grid
     mass = float(np.real(field.coeffs[0]))
     momentum = float(np.sum(np.abs(field.coeffs) ** 2) * g.spectral_weight)
-    fine = GridSpec(2 * g.num_points, g.half_length)
-    coeffs = np.zeros(fine.num_points, dtype=np.complex128)
-    half = g.num_points // 2
-    coeffs[:half] = field.coeffs[:half]
-    coeffs[-half:] = field.coeffs[-half:]
-    u = fine.to_values(coeffs)
-    ux = fine.to_values(coeffs * (1j * fine.xi))
-    hamiltonian = float(np.sum(0.5 * ux * ux - u ** 3 / 6.0) * fine.dx)
+    half = field.coeffs[:g.num_points // 2 + 1]
+    u = g.half_to_values(half, 2 * g.num_points)
+    ux = g.half_to_values(1j * np.abs(g.xi[:half.size]) * half, 2 * g.num_points)
+    hamiltonian = float(np.sum(0.5 * ux * ux - u * u * u / 6.0) * (0.5 * g.dx))
     return mass, momentum, hamiltonian
 
 

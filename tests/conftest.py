@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdvrad.grid import GridSpec, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, forward_transform
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,22 @@ def random_band_field(grid, rng, max_mode=None, amplitude=1.0):
     vals = np.real(np.fft.ifft(coeffs))
     window = np.exp(-((grid.x) / (grid.half_length / 3)) ** 2)
     return forward_transform(vals * window, grid)
+
+
+def keep_mask_formula(grid, fraction=2.0 / 3.0):
+    """The 2/3-rule keep-mask written out: |k| <= fraction * Nyquist, Nyquist dropped."""
+    k = np.abs(grid.k_index)
+    mask = k <= int(np.floor(fraction * (grid.num_points // 2)))
+    mask[k == grid.num_points // 2] = False
+    return mask
+
+
+def complex_dealiased_product(f, g, fraction=2.0 / 3.0):
+    """Reference dealiased product on the full complex FFT (no half-spectrum)."""
+    mask = keep_mask_formula(f.grid, fraction)
+    u = f.grid.to_values(f.coeffs * mask)
+    v = f.grid.to_values(g.coeffs * mask)
+    return SpectralField(f.grid, f.grid.to_coeffs(u * v) * mask)
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ from kdvrad.almost_conservation import (commutator_term, measure_conservation,
 from kdvrad.errors import KdvradError, SpectralOverflowError
 from kdvrad.gevrey import smooth
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.solver import SolverConfig, airy_propagate, evolve, soliton
+from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants, evolve,
+                           soliton)
 
-from conftest import random_band_field
+from conftest import complex_dealiased_product, random_band_field
 
 
 def wavepacket(grid, seed, reflect_x=False):
@@ -130,6 +131,33 @@ class TestCommutatorTerm:
         scale = max(np.max(np.abs(slow.coeffs)), 1e-300)
         assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_smooth_based_formula(self, seed):
+        # the unsmooth / product / lift / derivative chain written with full
+        # complex FFTs and the smoothing operator
+        g = GridSpec(256, 40.0)
+        w = random_band_field(g, np.random.default_rng(seed))
+        for sigma in (0.025, 0.1, 0.4):
+            wm = smooth(w, -sigma)
+            lifted = smooth(complex_dealiased_product(wm, wm), sigma)
+            ref = (complex_dealiased_product(w, w) - lifted).coeffs * (0.5j * g.xi)
+            got = commutator_term(w, sigma).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_overflow_is_typed_never_non_finite(self, acl_grid):
+        w = soliton(acl_grid, 1.0)
+        raised = []
+        for sigma in (5.0, 20.0, 26.0, 30.0):
+            try:
+                out = commutator_term(w, sigma)
+            except SpectralOverflowError as err:
+                assert 0.0 < err.certifiable_sigma < sigma
+                assert np.all(np.isfinite(commutator_term(w, err.certifiable_sigma).coeffs))
+                raised.append(sigma)
+            else:
+                assert np.all(np.isfinite(out.coeffs))
+        assert 30.0 in raised and 5.0 not in raised and 20.0 not in raised
+
     def test_symbol_nonnegative_and_bounded(self):
         xi1, xi2 = np.meshgrid(np.linspace(-30, 30, 121),
                                np.linspace(-30, 30, 121))
@@ -235,6 +263,18 @@ class TestConservationDefect:
             rep = measure_conservation(traj, s)
             assert rep.error_measured <= 1e-8 * rep.rhs_base
             assert rep.error_measured <= rep.bound_cubed * s ** 0.75
+
+
+class TestRealFftOnly:
+    def test_no_complex_fft_on_the_diagnostic_paths(self, packet_trajectory, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex FFT on a real-field diagnostic path")
+
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        for sigma in (0.0, 0.1):
+            measure_conservation(packet_trajectory, sigma)
+        classical_invariants(packet_trajectory.snapshots[-1])
 
 
 class TestMultiplierBounds:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from kdvrad.errors import InsufficientSpectralRangeError, SpectralOverflowError
 from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, smooth
-from kdvrad.grid import GridSpec, SpectralField, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, dealiased_product, forward_transform
 from kdvrad.solver import airy_propagate, soliton
 
 from conftest import random_band_field
@@ -101,6 +101,17 @@ class TestSmooth:
         f = exponential_tail_field(small_grid, 0.01)
         with pytest.raises(SpectralOverflowError):
             smooth(f, 80.0)
+
+    def test_zero_coefficients_stay_zero_where_the_weight_overflows(self, default_grid):
+        # the product is zero past the 2/3 band, where exp(20|xi|) is inf
+        p = dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))
+        zero = p.coeffs == 0
+        with np.errstate(over="ignore"):
+            weight = np.exp(20.0 * np.abs(default_grid.xi))
+        assert np.isinf(weight[zero]).sum() == 121
+        out = smooth(p, 20.0)
+        assert np.all(np.isfinite(out.coeffs)) and np.all(out.coeffs[zero] == 0)
+        assert out.coeffs[~zero].tobytes() == (p.coeffs[~zero] * weight[~zero]).tobytes()
 
 
 class TestEstimateRadius:

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from kdvrad.errors import DomainTooSmallError, KdvradError
 from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier,
-                         check_boundary_smallness, dealiased_product,
-                         derivative, forward_transform)
+                         check_boundary_smallness, dealias_mask,
+                         dealiased_product, derivative, forward_transform)
 
-from conftest import random_band_field
+from conftest import complex_dealiased_product, keep_mask_formula, random_band_field
 
 # oracle: scipy.integrate.quad of 2*cos(x*xi)/cosh(x) on [0, 60], abs tol ~1e-12
 SECH_TRANSFORM_ORACLE = {
@@ -51,15 +51,18 @@ class TestGridSpec:
         assert g.k_index.tobytes() == k.tobytes()
         assert g.xi.tobytes() == (np.pi * k / 30.0).tobytes()
         assert g._sign.tobytes() == np.where(k % 2 == 0, 1.0, -1.0).tobytes()
-        for a in (g.k_index, g.xi, g._sign):
+        assert g._mask.tobytes() == keep_mask_formula(g).tobytes()
+        for a in (g.k_index, g.xi, g._sign, g._mask):
             with pytest.raises(ValueError):
                 a[1] = 0
         # computed once: every read returns the same array
         assert g.xi is g.xi and g.k_index is g.k_index
+        assert dealias_mask(g) is g._mask
         # copies rebuild the arrays read-only
         for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert h == g and h.xi.tobytes() == g.xi.tobytes()
-            for a in (h.k_index, h.xi, h._sign):
+            assert h._mask.tobytes() == g._mask.tobytes()
+            for a in (h.k_index, h.xi, h._sign, h._mask):
                 with pytest.raises(ValueError):
                     a[1] = 0
 
@@ -73,6 +76,23 @@ class TestGridSpec:
         values = g.to_values(coeffs)
         for c, v in zip(coeffs, values):
             assert SpectralField(g, c).values().tobytes() == v.tobytes()
+
+    def test_half_spectrum_matches_full_transforms(self, small_grid, rng):
+        g = small_grid
+        h = g.num_points // 2 + 1
+        v = random_band_field(g, rng).values()
+        full = g.to_coeffs(v)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(g.to_half(v) - full[:h])) < 1e-14 * scale
+        assert np.max(np.abs(g.from_half(full[:h]) - full)) < 1e-14 * scale
+        assert np.max(np.abs(g.half_to_values(g.to_half(v)) - v)) < 1e-14 * np.max(np.abs(v))
+        # zero padding samples the same band-limited field on the 2x grid
+        fine = GridSpec(2 * g.num_points, g.half_length)
+        padded = np.zeros(fine.num_points, dtype=complex)
+        padded[:h - 1], padded[-(h - 1):] = full[:h - 1], full[-(h - 1):]
+        refined = g.half_to_values(full[:h], fine.num_points)
+        assert np.max(np.abs(refined - fine.to_values(padded))) < 1e-14 * np.max(np.abs(v))
+        assert np.max(np.abs(refined[::2] - v)) < 1e-14 * np.max(np.abs(v))
 
 
 class TestForwardTransform:
@@ -167,6 +187,15 @@ class TestDealiasedProduct:
         vals = prod.values()
         expected = np.cos(xi0 * g.x) ** 2
         assert np.max(np.abs(vals - expected)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_complex_fft_product(self, default_grid, seed):
+        rng = np.random.default_rng(seed)
+        f, g = random_band_field(default_grid, rng), random_band_field(default_grid, rng)
+        for a, b in ((f, f), (f, g)):
+            ref = complex_dealiased_product(a, b).coeffs
+            got = dealiased_product(a, b).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_band_is_truncated(self, small_grid, rng):
         f = random_band_field(small_grid, rng)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
-from kdvrad.grid import SpectralField, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants,
                            evolve, soliton)
 
@@ -35,6 +35,20 @@ class TestAiryPropagate:
             <= 1e-14 * np.max(np.abs(f.coeffs))
 
 
+def fine_grid_invariants(field):
+    """(mass, momentum, hamiltonian) with the integrands on an explicit GridSpec(2N)."""
+    g = field.grid
+    fine = GridSpec(2 * g.num_points, g.half_length)
+    coeffs = np.zeros(fine.num_points, dtype=np.complex128)
+    half = g.num_points // 2
+    coeffs[:half], coeffs[-half:] = field.coeffs[:half], field.coeffs[-half:]
+    u = fine.to_values(coeffs)
+    ux = fine.to_values(coeffs * (1j * fine.xi))
+    return (float(np.real(field.coeffs[0])),
+            float(np.sum(np.abs(field.coeffs) ** 2) * g.spectral_weight),
+            float(np.sum(0.5 * ux * ux - u ** 3 / 6.0) * fine.dx))
+
+
 class TestClassicalInvariants:
     def test_zero_field(self, small_grid):
         f = forward_transform(np.zeros(small_grid.num_points), small_grid)
@@ -59,6 +73,28 @@ class TestClassicalInvariants:
         for c in (0.5, 1.0, 2.25):
             _, _, hamiltonian = classical_invariants(soliton(default_grid, speed=c))
             assert hamiltonian == pytest.approx(-36.0 / 5.0 * c ** 2.5, rel=1e-12)
+
+    def test_equal_fine_grid_formula(self, default_grid, small_grid):
+        fields = [soliton(default_grid, c, center=x0)
+                  for c, x0 in ((0.5, -3.0), (1.0, 0.0), (2.25, 5.0))]
+        for seed in range(3):
+            fields += [random_band_field(g, np.random.default_rng(seed))
+                       for g in (default_grid, small_grid)]
+        for f in fields:
+            mass, momentum, hamiltonian = classical_invariants(f)
+            ref = fine_grid_invariants(f)
+            assert (mass, momentum) == ref[:2]
+            assert abs(hamiltonian - ref[2]) <= 1e-13 * abs(ref[2])
+
+    def test_builds_no_grid(self, default_grid, monkeypatch):
+        f = soliton(default_grid, 1.0)
+        expected = classical_invariants(f)
+
+        def refuse(self):
+            raise AssertionError("GridSpec constructed")
+
+        monkeypatch.setattr(GridSpec, "__post_init__", refuse)
+        assert classical_invariants(f) == expected
 
 
 class TestEvolve:
