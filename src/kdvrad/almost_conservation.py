@@ -26,7 +26,10 @@ from .solver import SolverConfig, Trajectory, evolve
 def commutator_term(w: SpectralField, sigma: float,
                     dealias: float = 2.0 / 3.0) -> SpectralField:
     """Source term f(w) of the smoothed flow; exactly zero at sigma = 0.  Raises
-    SpectralOverflowError where exp(sigma|xi|) overflows on the dealiased band."""
+    SpectralOverflowError where exp(sigma|xi|) overflows on the dealiased band.
+    Roundoff in the lifted product is amplified by up to exp(sigma max band |xi|):
+    on the c = 1 soliton at N = 1024, L = 40, max|f| is 0.56 at sigma = 0.4
+    (exact: 0.56) but 5.1e8 at sigma = 2 (exact: 1.6): past sigma ~ 1, do not trust it."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:

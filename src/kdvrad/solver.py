@@ -3,8 +3,10 @@
 The linear part is handled exactly through the Airy phase exp(i t xi^3); the
 quadratic nonlinearity -(1/2) d_x(u^2) is evaluated in physical space with
 2/3-rule dealiasing.  The frequencies, the dealias mask and the phase come
-from ``grid``.  The hot loop runs on half-spectra (rfft) of the real
-solution; snapshots are converted to SpectralField at recording times only.
+from ``grid``.  The state is the grid's k = 0..n/2 half-spectrum dx (-1)^k rfft(u)
+(``GridSpec.to_half``); a snapshot is its Hermitian completion.  Squaring needs
+no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
+which commutes with squaring, so only the 1/dx is left, in the derivative factor.
 """
 from __future__ import annotations
 
@@ -74,49 +76,35 @@ def classical_invariants(field: SpectralField):
     return mass, momentum, hamiltonian
 
 
-class _Stepper:
-    """rfft-based stepping kernel shared by the schemes."""
+def _ifrk4(xi, dt):
+    """Integrating-factor RK4 step: the Airy flow over each half step is exact."""
+    e_half = airy_phase(xi, dt / 2)
+    e_full = e_half * e_half
 
-    def __init__(self, grid: GridSpec):
-        half = grid.num_points // 2 + 1
-        # rfft modes k = 0 .. n/2 of the FFT-order arrays, Nyquist taken positive
-        self.xi = np.abs(grid.xi[:half])
-        self.mask = dealias_mask(grid)[:half]
-        self._dfactor = -0.5j * self.xi * self.mask
+    def step(uh, nonlinear):
+        n1 = nonlinear(uh)
+        a = e_half * (uh + (dt / 2) * n1)
+        n2 = nonlinear(a)
+        b = e_half * uh + (dt / 2) * n2
+        n3 = nonlinear(b)
+        c = e_full * uh + dt * e_half * n3
+        n4 = nonlinear(c)
+        return e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
 
-    def nonlinear(self, uh: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(uh * self.mask)
-        return self._dfactor * np.fft.rfft(u * u)
-
-
-def _step_ifrk4(uh, dt, e_half, e_full, nonlinear):
-    n1 = nonlinear(uh)
-    a = e_half * (uh + (dt / 2) * n1)
-    n2 = nonlinear(a)
-    b = e_half * uh + (dt / 2) * n2
-    n3 = nonlinear(b)
-    c = e_full * uh + dt * e_half * n3
-    n4 = nonlinear(c)
-    return e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+    return step
 
 
-def _etdrk4_coefficients(lam: np.ndarray, dt: float, m: int = 64):
-    """Contour-averaged phi-function weights (stable near lam = 0)."""
-    lam_dt = lam * dt
-    r = np.exp(2j * np.pi * (np.arange(1, m + 1) - 0.5) / m)
-    lr = lam_dt[:, None] + r[None, :]
+def _etdrk4(xi, dt):
+    """ETDRK4 step (Kassam & Trefethen 2005), phi weights averaged on a 64-point contour."""
+    lam = 1j * xi ** 3
+    e_full = np.exp(lam * dt)
+    e_half = np.exp(lam * dt / 2)
+    r = np.exp(2j * np.pi * (np.arange(1, 65) - 0.5) / 64)
+    lr = lam[:, None] * dt + r[None, :]
     q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
     f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr ** 2)) / lr ** 3, axis=1)
     f2 = dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1)
     f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1)
-    return q, f1, f2, f3
-
-
-def _make_etdrk4_step(xi, dt):
-    lam = 1j * xi ** 3
-    e_full = np.exp(lam * dt)
-    e_half = np.exp(lam * dt / 2)
-    q, f1, f2, f3 = _etdrk4_coefficients(lam, dt)
 
     def step(uh, nonlinear):
         n1 = nonlinear(uh)
@@ -145,23 +133,19 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     if config.check_boundary:
         check_boundary_smallness(f, time=0.0)
 
-    stepper = _Stepper(grid)
-    uh = np.fft.rfft(f.values())
-    dt = config.dt
-    num_steps = max(1, int(round(T / dt)))
+    half = grid.num_points // 2 + 1
+    xi = np.abs(grid.xi[:half])  # Nyquist taken positive
+    mask = dealias_mask(grid)[:half]
+    dfactor = -0.5j * xi * mask / grid.dx
+
+    def nonlinear(uh):
+        u = np.fft.irfft(uh * mask)
+        return dfactor * np.fft.rfft(u * u)
+
+    uh = f.coeffs[:half]
+    num_steps = max(1, int(round(T / config.dt)))
     dt = T / num_steps  # land exactly on T
-
-    if config.scheme == "ifrk4":
-        e_half = airy_phase(stepper.xi, dt / 2)
-        e_full = e_half * e_half
-
-        def do_step(uh):
-            return _step_ifrk4(uh, dt, e_half, e_full, stepper.nonlinear)
-    else:
-        etd_step = _make_etdrk4_step(stepper.xi, dt)
-
-        def do_step(uh):
-            return etd_step(uh, stepper.nonlinear)
+    step = _ifrk4(xi, dt) if config.scheme == "ifrk4" else _etdrk4(xi, dt)
 
     times = [0.0]
     snapshots = [f.copy()]
@@ -169,7 +153,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     last_valid = 0.0
     for i in range(1, num_steps + 1):
         with np.errstate(invalid="ignore", over="ignore"):
-            uh = do_step(uh)
+            uh = step(uh, nonlinear)
         if i % config.record_every == 0 or i == num_steps:
             t = i * dt
             if not np.all(np.isfinite(uh)):
@@ -177,7 +161,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
                     f"non-finite values during stepping; last valid time t = {last_valid:.6g}",
                     last_valid_time=last_valid,
                 )
-            snap = forward_transform(np.fft.irfft(uh), grid)
+            snap = SpectralField(grid, grid.from_half(uh))
             if config.check_boundary:
                 check_boundary_smallness(snap, time=t)
             times.append(t)

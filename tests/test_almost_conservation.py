@@ -8,7 +8,8 @@ from kdvrad.almost_conservation import (commutator_term, measure_conservation,
                                         smoothing_multiplier_bounds)
 from kdvrad.errors import KdvradError, SpectralOverflowError
 from kdvrad.gevrey import smooth
-from kdvrad.grid import GridSpec, SpectralField, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, derivative, forward_transform
+from kdvrad.scheduler import ScheduleParams, empirical_schedule
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants, evolve,
                            soliton)
 
@@ -177,7 +178,6 @@ class TestModifiedResidual:
         f = wavepacket(acl_grid, 5)
         # 21 snapshots of the free (Airy) flow, 2e-6 apart: check consistency
         # of the centred time derivative with the linear generator directly
-        from kdvrad.grid import derivative
         t = np.arange(21) * (4e-5 / 20)
         w = [airy_propagate(f, ti) for ti in t]
         worst = 0.0
@@ -265,16 +265,30 @@ class TestConservationDefect:
             assert rep.error_measured <= rep.bound_cubed * s ** 0.75
 
 
-class TestRealFftOnly:
-    def test_no_complex_fft_on_the_diagnostic_paths(self, packet_trajectory, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("complex FFT on a real-field diagnostic path")
+def refuse_complex_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT on a real-field path")
 
-        monkeypatch.setattr(np.fft, "fft", refuse)
-        monkeypatch.setattr(np.fft, "ifft", refuse)
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+
+
+class TestRealFftOnly:
+    def test_no_complex_fft_on_the_diagnostic_paths(self, acl_grid, monkeypatch):
+        f = wavepacket(acl_grid, 12, reflect_x=True)
+        refuse_complex_fft(monkeypatch)
+        traj = prepare_acl_trajectory(f, sigma0=0.4, num_snapshots=8)
         for sigma in (0.0, 0.1):
-            measure_conservation(packet_trajectory, sigma)
-        classical_invariants(packet_trajectory.snapshots[-1])
+            measure_conservation(traj, sigma)
+        classical_invariants(traj.snapshots[-1])
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_no_complex_fft_in_evolve_or_the_schedule(self, acl_grid, monkeypatch, scheme):
+        f = wavepacket(acl_grid, 12, reflect_x=True)
+        refuse_complex_fft(monkeypatch)
+        config = SolverConfig(dt=1e-3, scheme=scheme, record_every=10, check_boundary=True)
+        traj = evolve(f, 0.05, config)
+        empirical_schedule(f, ScheduleParams(sigma0=0.4, gamma0=1.0), 0.05, trajectory=traj)
 
 
 class TestMultiplierBounds:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from kdvrad.errors import InsufficientSpectralRangeError, SpectralOverflowError
 from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, smooth
-from kdvrad.grid import GridSpec, SpectralField, dealiased_product, forward_transform
+from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier, dealiased_product,
+                         forward_transform)
 from kdvrad.solver import airy_propagate, soliton
 
 from conftest import random_band_field
@@ -89,7 +90,6 @@ class TestSmooth:
         # the sech transform decays at rate pi/2; smoothing by sigma < pi/2
         # reduces the tail slope by exactly sigma.  Band-limit first: past the
         # roundoff floor exp(sigma*|xi|) amplifies noise into a rising tail.
-        from kdvrad.grid import apply_multiplier
         f = forward_transform(1.0 / np.cosh(default_grid.x), default_grid)
         f = apply_multiplier(f, lambda xi: (np.abs(xi) <= 18.0).astype(float))
         sm = smooth(f, 1.0)

@@ -1,5 +1,5 @@
 """Every top-level import of the package and of the tests is read, and the
-package imports only at module level."""
+package and the tests import only at module level."""
 import ast
 from pathlib import Path
 
@@ -29,10 +29,12 @@ def test_every_top_level_import_is_read():
 
 def test_package_imports_only_at_module_level():
     nested = set()
-    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+    paths = sorted((ROOT / "src" / "kdvrad").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                nested |= {f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+                           for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert not nested, f"imports inside functions: {sorted(nested)}"

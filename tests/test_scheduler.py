@@ -6,7 +6,7 @@ from kdvrad.gevrey import GevreyParams, gevrey_norm
 from kdvrad.scheduler import (ScheduleParams, doubling_condition_value,
                               empirical_schedule, final_induction_state,
                               local_existence_time, sigma_for_horizon)
-from kdvrad.solver import SolverConfig, soliton
+from kdvrad.solver import SolverConfig, evolve, soliton
 
 
 @pytest.fixture
@@ -87,7 +87,6 @@ class TestEmpiricalSchedule:
 
     def test_l2_row_constant(self, default_grid):
         # the sigma = 0 row of the comparison table is the conserved L2 norm
-        from kdvrad.solver import evolve
         f = soliton(default_grid, 1.0)
         traj = evolve(f, 0.2, SolverConfig(dt=1e-3, record_every=50))
         l2 = np.array([gevrey_norm(s, GevreyParams(0.0, 0.0))

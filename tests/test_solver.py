@@ -168,10 +168,13 @@ class TestEvolve:
         assert ham_drift < 1e-6
 
     def test_reality_preserved(self, default_grid):
-        traj = evolve(soliton(default_grid, 1.0), 0.5,
-                      SolverConfig(dt=1e-3, record_every=100))
-        for snap in traj.snapshots:
-            assert snap.hermitian_defect() < 1e-12
+        for scheme in ("ifrk4", "etdrk4"):
+            traj = evolve(soliton(default_grid, 1.0), 0.5,
+                          SolverConfig(dt=1e-3, scheme=scheme, record_every=100))
+            for snap in traj.snapshots:
+                assert snap.hermitian_defect() < 1e-12
+            # every recorded snapshot is a Hermitian completion of the state
+            assert all(snap.hermitian_defect() == 0.0 for snap in traj.snapshots[1:])
 
     def test_time_reversal(self, default_grid):
         g = default_grid
@@ -203,39 +206,51 @@ class TestEvolve:
 
     def test_two_soliton_snapshots_equal_reference_stepper_bitwise(self, default_grid):
         # IFRK4 written out with the frequencies, the 2/3 mask and the Airy
-        # phase spelled as explicit formulas on the rfft half-spectrum
+        # phase spelled as explicit formulas on a k = 0..n/2 half-spectrum
         g = default_grid
         f = soliton(g, 1.0, -10.0) + soliton(g, 2.25, 5.0)
         traj = evolve(f, 0.06, SolverConfig(dt=1e-3, record_every=20))
         n = g.num_points
-        xi = np.pi * np.arange(n // 2 + 1) / g.half_length
-        mask = np.arange(n // 2 + 1) <= int(np.floor(2.0 / 3.0 * (n // 2)))
+        h = n // 2 + 1
+        xi = np.pi * np.arange(h) / g.half_length
+        mask = np.arange(h) <= int(np.floor(2.0 / 3.0 * (n // 2)))
         mask[-1] = False
-        dfactor = -0.5j * xi * mask
-
-        def nonlinear(uh):
-            u = np.fft.irfft(uh * mask)
-            return dfactor * np.fft.rfft(u * u)
-
         dt = 0.06 / 60
         e_half = np.exp(1j * np.mod(xi ** 3 * (dt / 2), 2.0 * np.pi))
         e_full = e_half * e_half
-        uh = np.fft.rfft(f.values())
-        expected = [f.coeffs]
-        for i in range(1, 61):
-            n1 = nonlinear(uh)
-            a = e_half * (uh + (dt / 2) * n1)
-            n2 = nonlinear(a)
-            b = e_half * uh + (dt / 2) * n2
-            n3 = nonlinear(b)
-            c = e_full * uh + dt * e_half * n3
-            n4 = nonlinear(c)
-            uh = e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
-            if i % 20 == 0:
-                expected.append(forward_transform(np.fft.irfft(uh), g).coeffs)
+
+        def reference(uh, dfactor, record):
+            def nonlinear(uh):
+                u = np.fft.irfft(uh * mask)
+                return dfactor * np.fft.rfft(u * u)
+
+            snaps = [f.coeffs]
+            for i in range(1, 61):
+                n1 = nonlinear(uh)
+                a = e_half * (uh + (dt / 2) * n1)
+                n2 = nonlinear(a)
+                b = e_half * uh + (dt / 2) * n2
+                n3 = nonlinear(b)
+                c = e_full * uh + dt * e_half * n3
+                n4 = nonlinear(c)
+                uh = e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+                if i % 20 == 0:
+                    snaps.append(record(uh))
+            return snaps
+
+        # the grid's half-spectrum dx (-1)^k rfft: the 1/dx of the normalization
+        # goes into the derivative factor; Hermitian completion, real k = 0 and Nyquist
+        expected = reference(f.coeffs[:h], -0.5j * xi * mask / g.dx,
+                             lambda uh: np.concatenate(([uh[0].real], uh[1:-1], [uh[-1].real],
+                                                        np.conj(uh[-2:0:-1]))))
         assert len(traj.snapshots) == len(expected) == 4
         for snap, ref in zip(traj.snapshots, expected):
             assert snap.coeffs.tobytes() == ref.tobytes()
+        # numpy's unnormalized rfft steps the same flow to roundoff
+        raw = reference(np.fft.rfft(f.values()), -0.5j * xi * mask,
+                        lambda uh: forward_transform(np.fft.irfft(uh), g).coeffs)
+        for snap, ref in zip(traj.snapshots, raw):
+            assert np.max(np.abs(snap.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_rejects_complex_data(self, small_grid):
         c = np.zeros(small_grid.num_points, dtype=complex)

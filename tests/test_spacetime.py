@@ -4,6 +4,7 @@ import pytest
 
 from kdvrad.errors import KdvradError
 from kdvrad.grid import GridSpec, forward_transform
+from kdvrad.solver import airy_propagate
 from kdvrad.spacetime import (SpacetimeField, airy_spacetime,
                               inverse_spacetime_transform, spacetime_transform,
                               temporal_taper)
@@ -128,13 +129,11 @@ class TestBuilders:
         f0 = forward_transform(np.cos(8 * np.pi * g.x / 40.0)
                                * np.exp(-(g.x / 12.0) ** 2), g)
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=33)
-        from kdvrad.solver import airy_propagate
         expected = airy_propagate(f0, st.times[5]).values()
         assert np.max(np.abs(st.values[5] - expected)) < 1e-11
 
     def test_airy_spacetime_rows_equal_free_flow_bitwise(self, st_grid):
         # one Airy phase and one normalization serve both builders
-        from kdvrad.solver import airy_propagate
         f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=9)
         for t, row in zip(np.linspace(-1.0, 1.0, 9), st.values):
