@@ -14,8 +14,8 @@ quadratic nonlinearity is dealiased by the 2/3 rule (``dealias_mask``) and
 the free (Airy) flow multiplies by ``airy_phase``.
 A real field is Hermitian, so its k = 0..n/2 half-spectrum (the first n/2 + 1
 FFT-order entries) holds all of it: the solver steps on it, kernels on real
-fields run real FFTs on it (``GridSpec.to_half`` / ``half_to_values``) and
-``from_half`` completes it to the FFT-order array of ``SpectralField``;
+fields run real FFTs on it (``GridSpec.to_half`` / ``half_to_values``) and ``from_half``
+completes it to the FFT-order array of ``SpectralField``, all along the last axis;
 ``to_coeffs`` / ``to_values`` stay complex, for non-Hermitian space-time data.
 """
 from __future__ import annotations
@@ -115,10 +115,10 @@ class GridSpec:
         return np.fft.irfft(half, m) / (2.0 * self.half_length / m)
 
     def from_half(self, half) -> np.ndarray:
-        """FFT-order coefficients of a real field from its k = 0..n/2 half; the k = 0
-        and Nyquist entries are read by their real parts, as ``irfft`` reads them."""
-        return np.concatenate((half[:1].real, half[1:-1], half[-1:].real,
-                               np.conj(half[-2:0:-1])))
+        """FFT-order coefficients of a real field from its k = 0..n/2 half (last axis); the
+        k = 0 and Nyquist entries are read by their real parts, as ``irfft`` reads them."""
+        return np.concatenate((half[..., :1].real, half[..., 1:-1], half[..., -1:].real,
+                               np.conj(half[..., -2:0:-1])), axis=-1)
 
 
 def airy_phase(xi, t) -> np.ndarray:

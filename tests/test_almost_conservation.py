@@ -290,6 +290,27 @@ class TestRealFftOnly:
         traj = evolve(f, 0.05, config)
         empirical_schedule(f, ScheduleParams(sigma0=0.4, gamma0=1.0), 0.05, trajectory=traj)
 
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_one_irfft_and_one_rfft_per_stage(self, acl_grid, monkeypatch, scheme):
+        # two runs with the same snapshots, 10 steps apart: 4 stages x 10 steps
+        f = wavepacket(acl_grid, 12, reflect_x=True)
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        config = SolverConfig(dt=1e-3, scheme=scheme, record_every=10 ** 9)
+        counts = []
+        for steps in (10, 20):
+            before = dict(calls)
+            traj = evolve(f, steps * config.dt, config)
+            assert len(traj) == 2
+            counts.append({name: calls[name] - before[name] for name in calls})
+        assert {name: counts[1][name] - counts[0][name] for name in calls} \
+            == {"rfft": 40, "irfft": 40}
+
 
 class TestMultiplierBounds:
     def test_same_sign_vanishes(self):

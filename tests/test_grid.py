@@ -77,6 +77,18 @@ class TestGridSpec:
         for c, v in zip(coeffs, values):
             assert SpectralField(g, c).values().tobytes() == v.tobytes()
 
+    def test_from_half_works_along_last_axis(self, default_grid, rng):
+        g = default_grid
+        h = g.num_points // 2 + 1
+        batch = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
+        full = g.from_half(batch)
+        assert full.shape == (2, g.num_points)
+        for row, c in zip(batch, full):
+            # the 1-D completion written out: real k = 0 and Nyquist, conjugate mirror
+            expected = np.concatenate(([row[0].real], row[1:-1], [row[-1].real],
+                                       np.conj(row[-2:0:-1])))
+            assert g.from_half(row).tobytes() == c.tobytes() == expected.tobytes()
+
     def test_half_spectrum_matches_full_transforms(self, small_grid, rng):
         g = small_grid
         h = g.num_points // 2 + 1

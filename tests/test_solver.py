@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
-from kdvrad.grid import GridSpec, SpectralField, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, airy_phase, dealias_mask, forward_transform
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants,
                            evolve, soliton)
 
@@ -33,6 +33,26 @@ class TestAiryPropagate:
         g = airy_propagate(f, 5.0)
         assert np.max(np.abs(np.abs(g.coeffs) - np.abs(f.coeffs))) \
             <= 1e-14 * np.max(np.abs(f.coeffs))
+
+
+def two_soliton_values(x, t, k, x0):
+    """Exact 2-soliton u = 12 d_x^2 log tau, tau = 1 + E1 + E2 + A12 E1 E2, with
+    E_i = exp(k_i (x - x0_i) - k_i^3 t) and A12 = ((k1 - k2) / (k1 + k2))^2.
+
+    d_x^2 log tau is the variance of the slopes (0, k1, k2, k1 + k2) of the four
+    terms of tau, weighted by the terms; the weights are formed from their logs,
+    so nothing overflows and no large terms cancel.
+    """
+    (k1, k2), (a, b) = k, x0
+    eta1 = k1 * (x - a) - k1 ** 3 * t
+    eta2 = k2 * (x - b) - k2 ** 3 * t
+    logs = np.stack([np.zeros_like(x), eta1, eta2,
+                     eta1 + eta2 + 2 * np.log(abs(k1 - k2) / (k1 + k2))])
+    slopes = np.array([0.0, k1, k2, k1 + k2])[:, None]
+    w = np.exp(logs - np.max(logs, axis=0))
+    w /= np.sum(w, axis=0)
+    mean = np.sum(w * slopes, axis=0)
+    return 12.0 * np.sum(w * (slopes - mean) ** 2, axis=0)
 
 
 def fine_grid_invariants(field):
@@ -251,6 +271,32 @@ class TestEvolve:
                         lambda uh: forward_transform(np.fft.irfft(uh), g).coeffs)
         for snap, ref in zip(traj.snapshots, raw):
             assert np.max(np.abs(snap.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_two_soliton_collision_matches_closed_form(self, default_grid, scheme):
+        # the c = 2.25 soliton starts 5 behind the c = 1 one and overtakes it
+        # before t = 6; the true radius rises from 2.10 to 2.75 at the collision
+        g = default_grid
+        k, x0 = (1.0, 1.5), (-2.0, -7.0)
+        f = forward_transform(two_soliton_values(g.x, 0.0, k, x0), g)
+        traj = evolve(f, 6.0, SolverConfig(dt=1e-3, scheme=scheme, record_every=500))
+        assert len(traj) == 13
+        err = max(np.max(np.abs(snap.values() - two_soliton_values(g.x, t, k, x0)))
+                  for snap, t in zip(traj.snapshots, traj.times))
+        assert err <= 1e-8 * np.max(np.abs(f.values()))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_modes_above_the_dealias_band_rotate_freely(self, default_grid, scheme):
+        g = default_grid
+        n = g.num_points
+        m = int(np.count_nonzero(dealias_mask(g)[:n // 2 + 1]))
+        f = soliton(g, 1.0, -10.0) + soliton(g, 2.25, 5.0)
+        traj = evolve(f, 0.5, SolverConfig(dt=1e-3, scheme=scheme, record_every=100))
+        # k = m..n/2 - 1; the Nyquist entry is read by its real part
+        xi, c0 = g.xi[m:n // 2], f.coeffs[m:n // 2]
+        for snap, t in zip(traj.snapshots, traj.times):
+            err = np.max(np.abs(snap.coeffs[m:n // 2] - airy_phase(xi, t) * c0))
+            assert err <= 1e-10 * np.max(np.abs(c0))
 
     def test_rejects_complex_data(self, small_grid):
         c = np.zeros(small_grid.num_points, dtype=complex)
