@@ -9,6 +9,13 @@ so the growth of ||w||_L2^2 = ||u||_{G^sigma}^2 over a time interval equals
 the work integral 2 * int w f(w) dt dx.  The commutator symbol is controlled
 pointwise by 1 - exp(-r) <= r^theta with r = sigma(|xi1|+|xi2|-|xi1+xi2|),
 which is what drives the sigma^(3/4) smallness of the defect.
+
+On same-sign pairs r = 0; for an output xi > 0 the negative factor xi2 of an
+opposite-sign pair is the smaller one, so the symbol is A(xi2) = 1 - exp(-2 sigma
+|xi2|) <= 1 and f_hat(xi > 0) = i xi FT[w+ conj(A w+)], w+ = (w + iHw)/2 (H the
+Hilbert transform); xi < 0 follows by Hermitian symmetry.  Nothing is lifted by
+exp(+sigma|xi|), so nothing overflows and roundoff is not amplified, as it is
+by up to exp(sigma|xi|) in the formula above computed as written.
 """
 from __future__ import annotations
 
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KdvradError, SpectralOverflowError
-from .gevrey import _LOG_LIMIT, GevreyParams, gevrey_norm, smooth
+from .errors import KdvradError
+from .gevrey import GevreyParams, gevrey_norm, smooth
 from .grid import SpectralField, dealias_mask, dealiased_product, derivative
 from .scheduler import local_existence_time
 from .solver import SolverConfig, Trajectory, evolve
@@ -25,26 +32,22 @@ from .solver import SolverConfig, Trajectory, evolve
 
 def commutator_term(w: SpectralField, sigma: float,
                     dealias: float = 2.0 / 3.0) -> SpectralField:
-    """Source term f(w) of the smoothed flow; exactly zero at sigma = 0.  Raises
-    SpectralOverflowError where exp(sigma|xi|) overflows on the dealiased band.
-    Roundoff in the lifted product is amplified by up to exp(sigma max band |xi|):
-    on the c = 1 soliton at N = 1024, L = 40, max|f| is 0.56 at sigma = 0.4
-    (exact: 0.56) but 5.1e8 at sigma = 2 (exact: 1.6): past sigma ~ 1, do not trust it."""
+    """Source term f(w) of the smoothed flow on the dealiased band; exactly zero at
+    sigma = 0.  One irfft of the stacked half-spectra of w, Hw, Aw and HAw, one rfft of
+    Re and Im of w+ conj(A w+), band k < m only; no (-1)^k, as every factor is shifted alike."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return SpectralField(w.grid, np.zeros_like(w.coeffs))
-    g = w.grid
-    exponent = sigma * np.abs(g.xi) * dealias_mask(g, dealias)
-    if np.max(exponent) > _LOG_LIMIT:
-        cert = sigma * _LOG_LIMIT / np.max(exponent)
-        raise SpectralOverflowError(f"exp({sigma}*|xi|) overflows on the dealiased band; "
-                                    f"certifiable sigma = {cert:.6g}", certifiable_sigma=cert)
-    lift = np.exp(exponent)
-    direct = dealiased_product(w, w, dealias)
-    wm = SpectralField(g, w.coeffs / lift)
-    lifted = dealiased_product(wm, wm, dealias)
-    return SpectralField(g, 0.5j * g.xi * (direct.coeffs - lift * lifted.coeffs))
+    g, n = w.grid, w.grid.num_points
+    m = int(np.count_nonzero(dealias_mask(g, dealias)[:n // 2 + 1]))
+    xi, wh = g.xi[:m], w.coeffs[:m]
+    awh = -np.expm1(-2.0 * sigma * xi) * wh
+    a, b, c, d = np.fft.irfft(np.stack((wh, -1j * wh, awh, -1j * awh)), n)
+    re, im = np.fft.rfft(np.stack((a * c + b * d, b * c - a * d)))[:, :m]
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[:m] = (0.25j / g.dx) * xi * (re + 1j * im)
+    return SpectralField(g, g.from_half(half))
 
 
 def pairing(f: SpectralField, g: SpectralField) -> float:
