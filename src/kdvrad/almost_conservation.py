@@ -38,21 +38,21 @@ def commutator_term(w: SpectralField, sigma: float,
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
-        return SpectralField(w.grid, np.zeros_like(w.coeffs))
+        return SpectralField(w.grid, np.zeros_like(w.half))
     g, n = w.grid, w.grid.num_points
     m = int(np.count_nonzero(dealias_mask(g, dealias)[:n // 2 + 1]))
-    xi, wh = g.xi[:m], w.coeffs[:m]
+    xi, wh = g.xi[:m], w.half[:m]
     awh = -np.expm1(-2.0 * sigma * xi) * wh
     a, b, c, d = np.fft.irfft(np.stack((wh, -1j * wh, awh, -1j * awh)), n)
     re, im = np.fft.rfft(np.stack((a * c + b * d, b * c - a * d)))[:, :m]
     half = np.zeros(n // 2 + 1, dtype=complex)
     half[:m] = (0.25j / g.dx) * xi * (re + 1j * im)
-    return SpectralField(g, g.from_half(half))
+    return SpectralField(g, half)
 
 
 def pairing(f: SpectralField, g: SpectralField) -> float:
-    """Real L2 pairing int f g dx via the coefficient sum."""
-    return float(np.real(np.sum(np.conj(f.coeffs) * g.coeffs))
+    """Real L2 pairing int f g dx via the weighted half-spectrum sum."""
+    return float(np.sum(f.grid.half_weight * np.real(np.conj(f.half) * g.half))
                  * f.grid.spectral_weight)
 
 

@@ -7,7 +7,8 @@ L2-in-spacetime combination sum_L L^(1/2) ||Q_L v||, and the xbar^s norm
 replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
 
 Band sums telescope beta_L = chi(lam/L) - chi(lam/(L/2)), one chi per scale, bitwise equal
-to ``dyadic_bump`` as L/2 is a power of two.  ``xbar_norm`` reduces M[L, xi] =
+to ``dyadic_bump`` as L/2 is a power of two.  Sums run over the xi >= 0 half plane, each
+column with its multiplicity (``SpacetimeSpectrum.power``).  ``xbar_norm`` reduces M[L, xi] =
 sum_tau beta_L^2 |v|^2 once; block N is sum_L L^(1/2) (M beta_N^2 weight)^(1/2).
 """
 from __future__ import annotations
@@ -71,7 +72,7 @@ def modulation_norms(lam, power, weight) -> dict:
 def block_l2_norms(spec: SpacetimeSpectrum) -> dict:
     """||Q_l u|| for each modulation band, computed spectrally."""
     _check_dtau(spec)
-    return modulation_norms(spec.modulation(), np.abs(spec.values) ** 2, spec.weight)
+    return modulation_norms(spec.modulation(), spec.power(), spec.weight)
 
 
 def x_norm(field: SpacetimeField) -> float:
@@ -103,7 +104,7 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     _check_dtau(spec)
     lam = spec.modulation()
     l_list = _covering_modulations(lam)
-    power = np.abs(spec.values) ** 2
+    power = spec.power()
     m = np.array([np.sum(wgt * wgt * power, axis=0) for _, wgt in dyadic_bands(l_list, lam)])
     sqrt_l = np.sqrt(l_list)
     x_per_n = {}

@@ -46,15 +46,15 @@ class GevreyParams:
 
 
 def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np.ndarray:
-    xi = field.grid.xi
-    mag = np.abs(field.coeffs)
+    xi = field.grid.xi[:field.half.size]
+    mag = np.abs(field.half)
     with np.errstate(divide="ignore"):
         logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
     return sigma * np.abs(xi) + 0.5 * s * np.log1p(xi * xi) + logmag
 
 
 def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT) -> float:
-    xi = np.abs(field.grid.xi)
+    xi = np.abs(field.grid.xi[:field.half.size])
     rest = _log_weighted_magnitudes(field, 0.0, s)
     ok = (xi > 0) & np.isfinite(rest)
     if not np.any(ok):
@@ -78,7 +78,7 @@ def gevrey_norm(field: SpectralField, params: GevreyParams) -> float:
             f"certifiable sigma = {cert:.6g}",
             certifiable_sigma=cert,
         )
-    total = np.sum(np.exp(2.0 * e[finite]))
+    total = np.sum(field.grid.half_weight[finite] * np.exp(2.0 * e[finite]))
     return float(np.sqrt(total * field.grid.spectral_weight))
 
 
@@ -93,11 +93,11 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
     exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.
     """
     if sigma == 0.0:
-        return field.copy()
+        return SpectralField(field.grid, field.half)
     with np.errstate(over="ignore"):
-        lift = np.exp(sigma * np.abs(field.grid.xi))
+        lift = np.exp(sigma * np.abs(field.grid.xi[:field.half.size]))
     if sigma > 0:
-        mag = np.abs(field.coeffs)
+        mag = np.abs(field.half)
         if np.any(mag > _EXP_LIMIT / lift):
             cert = _certifiable_sigma(field, 0.0, budget=_LOG_LIMIT)
             raise SpectralOverflowError(
@@ -105,7 +105,7 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
                 certifiable_sigma=cert,
             )
         lift[mag == 0.0] = 0.0
-    return SpectralField(field.grid, field.coeffs * lift)
+    return SpectralField(field.grid, field.half * lift)
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,17 @@ class RadiusEstimate:
 def estimate_radius(field: SpectralField) -> RadiusEstimate:
     """Least-squares decay rate of log|coeff| against |xi|.
 
-    sigma_hat = -slope over the fit window set by the module constants above,
-    after averaging the +-k coefficient pairs.  Entire-function (faster than
-    exponential) decay is flagged instead of reported as a single rate.
+    sigma_hat = -slope over the fit window set by the module constants above, on
+    k = 1..n/2 - 1.  Entire-function (faster than exponential) decay is flagged
+    instead of reported as a single rate.
     """
-    n = field.grid.num_points
-    c = field.coeffs
+    c = field.half
     peak = float(np.max(np.abs(c)))
     if peak == 0.0:
         raise InsufficientSpectralRangeError("field is identically zero")
-    # average +k and -k magnitudes; drop the 0 and Nyquist bins
-    mag = 0.5 * (np.abs(c[1:n // 2]) + np.abs(c[-1:-(n // 2):-1]))
-    xi = np.abs(field.grid.xi[1:n // 2])
+    # drop the 0 and Nyquist bins
+    mag = np.abs(c[1:-1])
+    xi = field.grid.xi[1:c.size - 1]
     floor = _FLOOR_REL * peak
     usable = (mag >= floor) & (mag <= _CEIL_REL * peak)
     floor_hit = bool(np.any(mag < floor))

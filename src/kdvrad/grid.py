@@ -12,11 +12,10 @@ so closed-form transforms (sech, sech^2, Gaussians) are directly comparable.
 Frequencies are xi_k = pi k / half_length in FFT (wrap-around) order, the
 quadratic nonlinearity is dealiased by the 2/3 rule (``dealias_mask``) and
 the free (Airy) flow multiplies by ``airy_phase``.
-A real field is Hermitian, so its k = 0..n/2 half-spectrum (the first n/2 + 1
-FFT-order entries) holds all of it: the solver steps on it, kernels on real
-fields run real FFTs on it (``GridSpec.to_half`` / ``half_to_values``) and ``from_half``
-completes it to the FFT-order array of ``SpectralField``, all along the last axis;
-``to_coeffs`` / ``to_values`` stay complex, for non-Hermitian space-time data.
+Every field is real, so its k = 0..n/2 half-spectrum holds all of it: ``SpectralField``
+stores it, ``to_half`` / ``half_to_values`` are real FFTs along the last axis, multipliers
+act on ``xi[:n/2 + 1]`` (Nyquist keeps its negative FFT-order frequency) and Parseval sums
+weight the entries by ``GridSpec.half_weight``.
 """
 from __future__ import annotations
 
@@ -38,8 +37,8 @@ def _is_power_of_two(n: int) -> bool:
 class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
 
-    The mode numbers, the frequencies, the (-1)^k phase and the 2/3 dealias
-    mask are computed once, as read-only arrays.
+    The mode numbers, the frequencies, the (-1)^k phase, the 2/3 dealias mask and
+    ``half_weight`` are computed once, as read-only arrays.
     """
 
     num_points: int
@@ -51,10 +50,13 @@ class GridSpec:
         if self.half_length <= 0:
             raise ValueError("half_length must be positive")
         k = (np.fft.fftfreq(self.num_points) * self.num_points).astype(np.int64)
-        # _sign = exp(i pi k): offset of the first grid node from x = 0
+        weight = np.full(self.num_points // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        # _sign = exp(i pi k): offset of the first grid node from x = 0; half_weight:
+        # multiplicity of each k = 0..n/2 entry in Parseval sums, 2 where it stands for +-k
         for name, a in (("_k", k), ("_xi", np.pi * k / self.half_length),
                         ("_sign", np.where(k % 2 == 0, 1.0, -1.0)),
-                        ("_mask", _keep_mask(k, 2.0 / 3.0))):
+                        ("_mask", _keep_mask(k, 2.0 / 3.0)), ("half_weight", weight)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -93,16 +95,8 @@ class GridSpec:
         """Weight per coefficient in Parseval sums: dxi / (2 pi)."""
         return 1.0 / (2.0 * self.half_length)
 
-    def to_coeffs(self, values) -> np.ndarray:
-        """Continuous-normalized coefficients of samples along the last axis."""
-        return self.dx * self._sign * np.fft.fft(values)
-
-    def to_values(self, coeffs) -> np.ndarray:
-        """Real samples of coefficients along the last axis (inverse of ``to_coeffs``)."""
-        return np.real(np.fft.ifft(coeffs * self._sign) / self.dx)
-
     def to_half(self, values) -> np.ndarray:
-        """k = 0..n/2 coefficients of real samples: ``to_coeffs`` by a real FFT."""
+        """k = 0..n/2 coefficients dx (-1)^k rfft of real samples along the last axis."""
         return self.dx * self._sign[:self.num_points // 2 + 1] * np.fft.rfft(values)
 
     def half_to_values(self, half, num_points: int | None = None) -> np.ndarray:
@@ -131,45 +125,45 @@ def airy_phase(xi, t) -> np.ndarray:
 
 @dataclass
 class SpectralField:
-    """One time slice of a real field stored as complex Fourier coefficients."""
+    """One time slice of a real field: a copy of its k = 0..n/2 half-spectrum, the real k = 0
+    and Nyquist entries stored by their real parts; ``coeffs`` derives the full array."""
 
     grid: GridSpec
-    coeffs: np.ndarray = field(repr=False)
+    half: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (self.grid.num_points,):
-            raise ValueError("coefficient array does not match grid size")
+        self.half = np.array(self.half, dtype=np.complex128)
+        if self.half.shape != (self.grid.num_points // 2 + 1,):
+            raise ValueError(f"half-spectrum of shape {self.half.shape} does not match the grid")
+        self.half[[0, -1]] = self.half[[0, -1]].real
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
+    @property
+    def coeffs(self) -> np.ndarray:
+        """All n coefficients in FFT order, completed by Hermitian symmetry (read-only)."""
+        c = self.grid.from_half(self.half)
+        c.setflags(write=False)
+        return c
 
     def values(self) -> np.ndarray:
-        """Physical-space samples (real part; imaginary residue is checked in tests)."""
-        return self.grid.to_values(self.coeffs)
+        """Physical-space samples."""
+        return self.grid.half_to_values(self.half)
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.grid.spectral_weight))
-
-    def hermitian_defect(self) -> float:
-        """Relative departure from coeff(-k) = conj(coeff(k))."""
-        c = self.coeffs
-        flipped = np.conj(np.roll(c[::-1], 1))
-        scale = np.max(np.abs(c)) or 1.0
-        return float(np.max(np.abs(c - flipped)) / scale)
+        return float(np.sqrt(np.sum(self.grid.half_weight * np.abs(self.half) ** 2)
+                             * self.grid.spectral_weight))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.grid != self.grid:
             raise ValueError("grids differ")
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.half + other.half)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if other.grid != self.grid:
             raise ValueError("grids differ")
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.half - other.half)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
+        return SpectralField(self.grid, self.half * scalar)
 
     __rmul__ = __mul__
 
@@ -182,23 +176,23 @@ def forward_transform(values, grid: GridSpec) -> SpectralField:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise KdvradError(f"non-finite input value at sample index {bad}")
-    return SpectralField(grid, grid.to_coeffs(values))
+    return SpectralField(grid, grid.to_half(values))
 
 
 def apply_multiplier(field: SpectralField, m) -> SpectralField:
     """Apply a Fourier multiplier m(xi) to the field.
 
-    ``m`` may be a callable of the frequency array or a precomputed array.
+    ``m`` may be a callable of the frequencies ``xi[:n/2 + 1]`` or an array.
     Non-finite multiplier values are rejected, naming the frequency.
     """
-    xi = field.grid.xi
+    xi = field.grid.xi[:field.half.size]
     mv = m(xi) if callable(m) else np.asarray(m)
     mv = np.broadcast_to(np.asarray(mv, dtype=np.complex128), xi.shape)
     finite = np.isfinite(mv)
     if not np.all(finite):
         bad = xi[~finite][0]
         raise KdvradError(f"multiplier is non-finite at frequency xi = {bad}")
-    return SpectralField(field.grid, field.coeffs * mv)
+    return SpectralField(field.grid, field.half * mv)
 
 
 def derivative(field: SpectralField, order: int = 1) -> SpectralField:
@@ -228,16 +222,16 @@ def dealiased_product(f: SpectralField, g: SpectralField,
         raise ValueError("grids differ")
     grid = f.grid
     mask = dealias_mask(grid, fraction)[:grid.num_points // 2 + 1]
-    u = grid.half_to_values(f.coeffs[:mask.size] * mask)
-    v = u if g is f else grid.half_to_values(g.coeffs[:mask.size] * mask)
-    return SpectralField(grid, grid.from_half(grid.to_half(u * v) * mask))
+    u = grid.half_to_values(f.half * mask)
+    v = u if g is f else grid.half_to_values(g.half * mask)
+    return SpectralField(grid, grid.to_half(u * v) * mask)
 
 
 def check_boundary_smallness(field: SpectralField, time: float | None = None,
                              tol: float = BOUNDARY_TOLERANCE) -> None:
     """Raise DomainTooSmallError when max |u| over the cells adjacent to the
     periodic seam x = +-half_length exceeds tol * max |u|."""
-    v = np.abs(field.grid.half_to_values(field.coeffs[:field.grid.num_points // 2 + 1]))
+    v = np.abs(field.values())
     peak = float(np.max(v))
     edge = float(np.max(v[[0, 1, -1]]))
     if edge > tol * peak:

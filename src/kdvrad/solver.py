@@ -4,7 +4,7 @@ The linear part is handled exactly through the Airy phase exp(i t xi^3); the
 quadratic nonlinearity -(1/2) d_x(u^2) is evaluated in physical space with
 2/3-rule dealiasing.  The frequencies, the dealias mask and the phase come
 from ``grid``.  The state is the grid's k = 0..n/2 half-spectrum dx (-1)^k rfft(u)
-(``GridSpec.to_half``); a snapshot is its Hermitian completion.  Squaring needs
+(``GridSpec.to_half``), which is also what a ``SpectralField`` snapshot stores.  Squaring needs
 no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
 which commutes with squaring, so only the 1/dx is left, in the derivative factor.
 Only the 2/3 band k < m, all the nonlinear term reads or writes, runs the RK stages; the
@@ -57,7 +57,7 @@ class Trajectory:
 
 def airy_propagate(field: SpectralField, t: float) -> SpectralField:
     """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi)."""
-    return SpectralField(field.grid, field.coeffs * airy_phase(field.grid.xi, t))
+    return SpectralField(field.grid, field.half * airy_phase(field.grid.xi[:field.half.size], t))
 
 
 def classical_invariants(field: SpectralField):
@@ -68,10 +68,9 @@ def classical_invariants(field: SpectralField):
     The cubic and quadratic integrands are evaluated on a 2x refined grid,
     which keeps their quadrature alias-free for band-limited fields.
     """
-    g = field.grid
-    mass = float(np.real(field.coeffs[0]))
-    momentum = float(np.sum(np.abs(field.coeffs) ** 2) * g.spectral_weight)
-    half = field.coeffs[:g.num_points // 2 + 1]
+    g, half = field.grid, field.half
+    mass = float(half[0].real)
+    momentum = float(np.sum(g.half_weight * np.abs(half) ** 2) * g.spectral_weight)
     u = g.half_to_values(half, 2 * g.num_points)
     ux = g.half_to_values(1j * np.abs(g.xi[:half.size]) * half, 2 * g.num_points)
     hamiltonian = float(np.sum(0.5 * ux * ux - u * u * u / 6.0) * (0.5 * g.dx))
@@ -128,13 +127,11 @@ def _etdrk4(xi, dt, m):
 def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the nonlinear flow over [0, T], recording every record_every steps.
 
-    The initial datum must be real-valued and negligible at the domain edge;
-    the edge check is repeated at every recorded snapshot.
+    The initial datum must be negligible at the domain edge; the edge check
+    is repeated at every recorded snapshot.
     """
     if T <= 0:
         raise ConfigError("T must be positive")
-    if f.hermitian_defect() > 1e-10:
-        raise ConfigError("initial field is not real-valued (Hermitian defect too large)")
     grid = f.grid
     if config.check_boundary:
         check_boundary_smallness(f, time=0.0)
@@ -151,13 +148,13 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
         np.multiply(u, u, out=u)
         return dfactor * np.fft.rfft(u, out=buf)[:m]
 
-    band, tail = f.coeffs[:m], f.coeffs[m:half]
+    band, tail = f.half[:m], f.half[m:]
     num_steps = max(1, int(round(T / config.dt)))
     dt = T / num_steps  # land exactly on T
     step, e_tail = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi, dt, m)
 
     times = [0.0]
-    snapshots = [f.copy()]
+    snapshots = [SpectralField(grid, f.half)]
     diag = [classical_invariants(f)]
     last_valid = 0.0
     for i in range(1, num_steps + 1):
@@ -173,7 +170,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
                     f"non-finite values during stepping; last valid time t = {last_valid:.6g}",
                     last_valid_time=last_valid,
                 )
-            snap = SpectralField(grid, grid.from_half(uh))
+            snap = SpectralField(grid, uh)
             if config.check_boundary:
                 check_boundary_smallness(snap, time=t)
             times.append(t)

@@ -4,9 +4,10 @@ A SpacetimeField holds real samples u(t_j, x_k) on a uniform window; before
 any modulation analysis the samples are multiplied by a smooth temporal
 taper equal to 1 on the inner half of the window and vanishing at its ends,
 then zero-padded in time (by the factor ``PAD``) so that the transform samples
-the same compactly supported signal on a finer tau grid.  The x axis is
-transformed by the grid (``GridSpec.to_coeffs`` / ``to_values``), which owns
-the spatial convention; this module adds only the tau axis.
+the same compactly supported signal on a finer tau grid.  The samples are real,
+so the xi >= 0 half plane holds the whole transform: x goes to the grid's
+half-spectrum (``GridSpec.to_half`` / ``half_to_values``), which owns the spatial
+convention, and this module adds only the complex FFT along tau.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ class SpacetimeField:
 
 @dataclass
 class SpacetimeSpectrum:
-    """2D transform values indexed (tau_j, xi_k), both in FFT order."""
+    """2D transform values indexed (tau_j, xi_k): tau in FFT order, xi = xi[:n/2 + 1]."""
 
     values: np.ndarray = dc_field(repr=False)
     tau: np.ndarray = dc_field(repr=False)
@@ -88,8 +89,12 @@ class SpacetimeSpectrum:
         """lambda = tau - xi^3 on the (tau, xi) grid."""
         return self.tau[:, None] - self.xi[None, :] ** 3
 
+    def power(self) -> np.ndarray:
+        """|values|^2 times each column's multiplicity: a xi > 0 column stands for +-xi."""
+        return np.abs(self.values) ** 2 * self.field.grid.half_weight
+
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.weight))
+        return float(np.sqrt(np.sum(self.power()) * self.weight))
 
 
 def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
@@ -105,12 +110,12 @@ def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
     dt = field.dt
     tau = 2.0 * np.pi * np.fft.fftfreq(nt_pad, d=dt)
     # fft with n = nt_pad zero-pads the time axis
-    raw_t = np.fft.fft(g.to_coeffs(field.tapered_values()), n=nt_pad, axis=0)
+    raw_t = np.fft.fft(g.to_half(field.tapered_values()), n=nt_pad, axis=0)
     values = dt * np.exp(-1j * tau * field.t_a)[:, None] * raw_t
     return SpacetimeSpectrum(
         values=values,
         tau=tau,
-        xi=g.xi,
+        xi=g.xi[:raw_t.shape[1]],
         dtau=float(tau[1] - tau[0]),
         dxi=g.dxi,
         field=field,
@@ -121,8 +126,8 @@ def inverse_spacetime_transform(spec: SpacetimeSpectrum) -> SpacetimeField:
     """Invert the 2D transform and crop back to the original window."""
     f = spec.field
     phase_t = np.exp(1j * spec.tau * f.t_a)[:, None]
-    coeffs = np.fft.ifft(spec.values * phase_t, axis=0)[:f.num_time_samples] / f.dt
-    return SpacetimeField(f.grid, f.t_a, f.t_b, f.grid.to_values(coeffs), pretapered=True)
+    half = np.fft.ifft(spec.values * phase_t, axis=0)[:f.num_time_samples] / f.dt
+    return SpacetimeField(f.grid, f.t_a, f.t_b, f.grid.half_to_values(half), pretapered=True)
 
 
 def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
@@ -130,5 +135,5 @@ def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
     """Sample the free (Airy) evolution of f on a uniform time window."""
     g = f.grid
     times = np.linspace(t_a, t_b, num_time_samples)
-    vals = g.to_values(f.coeffs * airy_phase(g.xi, times[:, None]))
+    vals = g.half_to_values(f.half * airy_phase(g.xi[:f.half.size], times[:, None]))
     return SpacetimeField(g, t_a, t_b, vals)

@@ -38,12 +38,27 @@ def keep_mask_formula(grid, fraction=2.0 / 3.0):
     return mask
 
 
+def sign_formula(n):
+    """(-1)^k over k = 0..n-1: the offset of the first grid node from x = 0."""
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+
 def complex_dealiased_product(f, g, fraction=2.0 / 3.0):
-    """Reference dealiased product on the full complex FFT (no half-spectrum)."""
-    mask = keep_mask_formula(f.grid, fraction)
-    u = f.grid.to_values(f.coeffs * mask)
-    v = f.grid.to_values(g.coeffs * mask)
-    return SpectralField(f.grid, f.grid.to_coeffs(u * v) * mask)
+    """Reference dealiased product on the full complex FFT, with the coefficients
+    c_k = dx (-1)^k fft(u)_k written out in np.fft (no half-spectrum transform)."""
+    grid = f.grid
+    n, dx = grid.num_points, grid.dx
+    mask, sign = keep_mask_formula(grid, fraction), sign_formula(n)
+    u = np.real(np.fft.ifft(f.coeffs * mask * sign)) / dx
+    v = np.real(np.fft.ifft(g.coeffs * mask * sign)) / dx
+    return SpectralField(grid, (dx * sign * np.fft.fft(u * v) * mask)[:n // 2 + 1])
+
+
+def hermitian_defect(coeffs):
+    """Relative departure of FFT-order coefficients from coeff(-k) = conj(coeff(k))."""
+    flipped = np.conj(np.roll(coeffs[::-1], 1))
+    scale = np.max(np.abs(coeffs)) or 1.0
+    return float(np.max(np.abs(coeffs - flipped)) / scale)
 
 
 @pytest.fixture

@@ -6,12 +6,14 @@ from kdvrad import almost_conservation
 from kdvrad.almost_conservation import (commutator_term, measure_conservation,
                                         modified_residual, prepare_acl_trajectory,
                                         smoothing_multiplier_bounds)
+from kdvrad.dyadic import project_pn, project_ql, xbar_norm
 from kdvrad.errors import KdvradError, SpectralOverflowError
 from kdvrad.gevrey import smooth
 from kdvrad.grid import GridSpec, SpectralField, derivative, forward_transform
 from kdvrad.scheduler import ScheduleParams, empirical_schedule
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants, evolve,
                            soliton)
+from kdvrad.spacetime import airy_spacetime, inverse_spacetime_transform, spacetime_transform
 
 from conftest import complex_dealiased_product, keep_mask_formula, random_band_field
 
@@ -49,7 +51,7 @@ def convolution_oracle(w, sigma, fraction=2.0 / 3.0):
     acc = np.sum(-np.expm1(-r) * w.coeffs[k % n][None, :] * c2, axis=1)
     out = np.zeros(n, dtype=complex)
     out[k % n] = 0.5j * g.dxi * k * acc * g.dxi / (2 * np.pi)
-    return SpectralField(g, out)
+    return SpectralField(g, out[:n // 2 + 1])
 
 
 def smoothed_soliton_coeffs(grid, sigma):
@@ -57,7 +59,7 @@ def smoothed_soliton_coeffs(grid, sigma):
     xi = grid.xi
     safe = np.where(xi == 0, 1.0, xi)
     sech2 = np.where(xi == 0, 12.0, 12.0 * np.pi * safe / np.sinh(np.pi * safe))
-    return np.exp(sigma * np.abs(xi)) * sech2
+    return (np.exp(sigma * np.abs(xi)) * sech2)[:grid.num_points // 2 + 1]
 
 
 def count_real_ffts(monkeypatch):
@@ -132,7 +134,7 @@ class TestCommutatorTerm:
         g = GridSpec(128, 20.0)
         w = random_band_field(g, rng, max_mode=12)
         # band-limit so the circular and truncated convolutions coincide
-        w.coeffs[np.abs(g.k_index) > 20] = 0.0
+        w.half[g.k_index[:w.half.size] > 20] = 0.0
         fast = commutator_term(w, 0.15, dealias=1.0)
         slow = convolution_oracle(w, 0.15, 1.0)
         scale = max(np.max(np.abs(slow.coeffs)), 1e-300)
@@ -279,6 +281,20 @@ def refuse_complex_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", refuse)
 
 
+def complex_fft_along_tau_only(monkeypatch):
+    """Let np.fft.fft / ifft run only along axis 0 of a 2-D array; count those calls."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def along_tau(a, n=None, axis=-1, *args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            if np.ndim(a) != 2 or axis != 0:
+                raise AssertionError(f"complex {_name} off the tau axis")
+            calls.append(_name)
+            return _fft(a, n, axis, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, along_tau)
+    return calls
+
+
 class TestRealFftOnly:
     def test_no_complex_fft_on_the_diagnostic_paths(self, acl_grid, monkeypatch):
         f = wavepacket(acl_grid, 12, reflect_x=True)
@@ -295,6 +311,17 @@ class TestRealFftOnly:
         config = SolverConfig(dt=1e-3, scheme=scheme, record_every=10, check_boundary=True)
         traj = evolve(f, 0.05, config)
         empirical_schedule(f, ScheduleParams(sigma0=0.4, gamma0=1.0), 0.05, trajectory=traj)
+
+    def test_space_time_layer_is_complex_along_tau_only(self, monkeypatch):
+        g = GridSpec(256, 40.0)
+        f = random_band_field(g, np.random.default_rng(3), max_mode=24)
+        calls = complex_fft_along_tau_only(monkeypatch)
+        st = airy_spacetime(f, -2.0, 2.0, 64)
+        xbar_norm(st, 0.5)
+        project_ql(st, 4)
+        project_pn(f, 4)
+        inverse_spacetime_transform(spacetime_transform(st))
+        assert calls.count("fft") == 3 and calls.count("ifft") == 3
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_one_irfft_and_one_rfft_per_stage(self, acl_grid, monkeypatch, scheme):

@@ -121,7 +121,7 @@ class TestProjectPN:
 
     def test_reconstruction(self, st_grid, rng):
         f = random_band_field(st_grid, rng)
-        f.coeffs[0] = 0.7  # include a mean component
+        f.half[0] = 0.7  # include a mean component
         total = np.zeros_like(f.coeffs)
         for n in covering_indices(st_grid.nyquist_xi):
             total += project_pn(f, n).coeffs
@@ -142,7 +142,7 @@ class TestProjectPN:
         coeffs[sel] = 1.0
         idx = np.flatnonzero(sel)
         coeffs[idx] *= np.exp(1j * rng.uniform(0, 2 * np.pi, idx.size))
-        f = SpectralField(st_grid, coeffs)
+        f = SpectralField(st_grid, coeffs[:st_grid.num_points // 2 + 1])
         once = project_pn(f, n)
         twice = project_pn(once, n)
         assert twice.l2_norm() >= 0.5 * once.l2_norm()
@@ -271,10 +271,17 @@ class TestXbarNorm:
         assert rep.xbar_s == pytest.approx(expected, rel=0.05)
 
 
+def column_weights(spec):
+    """1 on the xi = 0 and Nyquist columns, 2 on the xi > 0 columns that stand for +-xi."""
+    weight = np.full(spec.xi.size, 2.0)
+    weight[[0, -1]] = 1.0
+    return weight
+
+
 def brute_block_norms(spec, l_list):
     """||Q_l u|| per band with one dyadic_bump evaluation per band."""
     lam = spec.modulation()
-    power = np.abs(spec.values) ** 2
+    power = np.abs(spec.values) ** 2 * column_weights(spec)
     return {l: np.sqrt(np.sum(dyadic_bump(l, lam) ** 2 * power) * spec.weight)
             for l in l_list}
 
@@ -292,7 +299,7 @@ def brute_xbar(field, s):
             sup_t = np.max(np.abs(inverse_spacetime_transform(low).values), axis=0)
             per_n[1] = np.sqrt(np.sum(sup_t ** 2) * field.grid.dx)
             continue
-        power = np.abs(blocked) ** 2
+        power = np.abs(blocked) ** 2 * column_weights(spec)
         per_n[n] = sum(np.sqrt(l) * np.sqrt(np.sum(dyadic_bump(l, lam) ** 2 * power)
                                             * spec.weight)
                        for l in modulation_blocks(spec))
@@ -300,6 +307,39 @@ def brute_xbar(field, s):
     tau_max = np.max(np.abs(spec.tau))
     truncated = [l for l in modulation_blocks(spec) if 2 * l > tau_max]
     return np.sqrt(total), per_n, truncated
+
+
+def full_plane_norms(field, s):
+    """(xbar^s, {l: ||Q_l u||}, X norm) over the whole (tau, xi) plane, from np.fft.fft2
+    of the tapered samples zero-padded to 4x in time, with the continuous
+    normalization dt dx (-1)^k exp(-i tau t_a) written out."""
+    g, nt, dt = field.grid, field.num_time_samples, field.dt
+    padded = np.zeros((4 * nt, g.num_points))
+    padded[:nt] = field.tapered_values()
+    tau = 2 * np.pi * np.fft.fftfreq(4 * nt, d=dt)
+    k = np.fft.fftfreq(g.num_points) * g.num_points
+    xi = np.pi * k / g.half_length
+    factor = dt * g.dx * np.exp(-1j * tau * field.t_a)[:, None] * np.where(k % 2 == 0, 1.0, -1.0)
+    v = factor * np.fft.fft2(padded)
+    weight = (tau[1] - tau[0]) * (xi[1] - xi[0]) / (2 * np.pi) ** 2
+    lam = tau[:, None] - xi[None, :] ** 3
+    l_list = covering_indices(np.max(np.abs(lam)))
+
+    def block(l, power):
+        return np.sqrt(np.sum(dyadic_bump(l, lam) ** 2 * power) * weight)
+
+    power = np.abs(v) ** 2
+    total = 0.0
+    for n in covering_indices(g.nyquist_xi):
+        beta = dyadic_bump(n, xi)
+        if n == 1:
+            u1 = np.real(np.fft.ifft2(v * beta / factor))[:nt]
+            total += np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx
+        else:
+            total += n ** (2 * s) * sum(np.sqrt(l) * block(l, power * beta ** 2)
+                                        for l in l_list) ** 2
+    blocks = {l: block(l, power) for l in l_list}
+    return np.sqrt(total), blocks, sum(np.sqrt(l) * b for l, b in blocks.items())
 
 
 class TestBruteForceEquivalence:
@@ -330,6 +370,21 @@ class TestBruteForceEquivalence:
                 assert got[l] == pytest.approx(v, rel=1e-13, abs=0.0)
             want_x = sum(np.sqrt(l) * v for l, v in brute_block_norms(spec, l_all).items())
             assert x_norm(st) == pytest.approx(want_x, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, -0.75])
+    def test_against_the_full_plane_transform(self, st_grid, s):
+        # the half plane drops only the mirror of the tau-Nyquist row, which
+        # fftfreq holds at -tau_Nyquist alone
+        rng = np.random.default_rng(int(100 * (s + 1)))
+        st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24), -2.0, 2.0, 96)
+        want_xbar, want_blocks, want_x = full_plane_norms(st, s)
+        assert xbar_norm(st, s).xbar_s == pytest.approx(want_xbar, rel=1e-6, abs=0.0)
+        assert x_norm(st) == pytest.approx(want_x, rel=1e-6, abs=0.0)
+        got = block_l2_norms(spacetime_transform(st))
+        assert got.keys() == want_blocks.keys()
+        # relative to the largest block: the top bands hold 1e-6 of it and less
+        scale = max(want_blocks.values())
+        assert max(abs(got[l] - v) for l, v in want_blocks.items()) <= 1e-6 * scale
 
 
 class TestFreeEvolutionRatio:

@@ -17,7 +17,8 @@ from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier,
                          check_boundary_smallness, dealias_mask,
                          dealiased_product, derivative, forward_transform)
 
-from conftest import complex_dealiased_product, keep_mask_formula, random_band_field
+from conftest import (complex_dealiased_product, hermitian_defect, keep_mask_formula,
+                      random_band_field, sign_formula)
 
 # oracle: scipy.integrate.quad of 2*cos(x*xi)/cosh(x) on [0, 60], abs tol ~1e-12
 SECH_TRANSFORM_ORACLE = {
@@ -52,7 +53,10 @@ class TestGridSpec:
         assert g.xi.tobytes() == (np.pi * k / 30.0).tobytes()
         assert g._sign.tobytes() == np.where(k % 2 == 0, 1.0, -1.0).tobytes()
         assert g._mask.tobytes() == keep_mask_formula(g).tobytes()
-        for a in (g.k_index, g.xi, g._sign, g._mask):
+        weight = np.full(257, 2.0)
+        weight[[0, -1]] = 1.0
+        assert g.half_weight.tobytes() == weight.tobytes()
+        for a in (g.k_index, g.xi, g._sign, g._mask, g.half_weight):
             with pytest.raises(ValueError):
                 a[1] = 0
         # computed once: every read returns the same array
@@ -62,20 +66,20 @@ class TestGridSpec:
         for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert h == g and h.xi.tobytes() == g.xi.tobytes()
             assert h._mask.tobytes() == g._mask.tobytes()
-            for a in (h.k_index, h.xi, h._sign, h._mask):
+            for a in (h.k_index, h.xi, h._sign, h._mask, h.half_weight):
                 with pytest.raises(ValueError):
                     a[1] = 0
 
     def test_transforms_work_along_last_axis(self, small_grid, rng):
         g = small_grid
         rows = rng.standard_normal((3, g.num_points))
-        coeffs = g.to_coeffs(rows)
-        for row, c in zip(rows, coeffs):
+        halves = g.to_half(rows)
+        for row, h in zip(rows, halves):
             f = forward_transform(row, g)
-            assert f.coeffs.tobytes() == c.tobytes()
-        values = g.to_values(coeffs)
-        for c, v in zip(coeffs, values):
-            assert SpectralField(g, c).values().tobytes() == v.tobytes()
+            assert f.half.tobytes() == h.tobytes()
+        values = g.half_to_values(halves)
+        for h, v in zip(halves, values):
+            assert SpectralField(g, h).values().tobytes() == v.tobytes()
 
     def test_from_half_works_along_last_axis(self, default_grid, rng):
         g = default_grid
@@ -90,21 +94,40 @@ class TestGridSpec:
             assert g.from_half(row).tobytes() == c.tobytes() == expected.tobytes()
 
     def test_half_spectrum_matches_full_transforms(self, small_grid, rng):
+        # the full transforms written out: c_k = dx (-1)^k fft(u)_k and its inverse
         g = small_grid
-        h = g.num_points // 2 + 1
+        n, h = g.num_points, g.num_points // 2 + 1
         v = random_band_field(g, rng).values()
-        full = g.to_coeffs(v)
+        full = g.dx * sign_formula(n) * np.fft.fft(v)
         scale = np.max(np.abs(full))
         assert np.max(np.abs(g.to_half(v) - full[:h])) < 1e-14 * scale
         assert np.max(np.abs(g.from_half(full[:h]) - full)) < 1e-14 * scale
         assert np.max(np.abs(g.half_to_values(g.to_half(v)) - v)) < 1e-14 * np.max(np.abs(v))
         # zero padding samples the same band-limited field on the 2x grid
-        fine = GridSpec(2 * g.num_points, g.half_length)
-        padded = np.zeros(fine.num_points, dtype=complex)
+        padded = np.zeros(2 * n, dtype=complex)
         padded[:h - 1], padded[-(h - 1):] = full[:h - 1], full[-(h - 1):]
-        refined = g.half_to_values(full[:h], fine.num_points)
-        assert np.max(np.abs(refined - fine.to_values(padded))) < 1e-14 * np.max(np.abs(v))
+        fine_dx = g.dx / 2
+        fine_values = np.real(np.fft.ifft(padded * sign_formula(2 * n))) / fine_dx
+        refined = g.half_to_values(full[:h], 2 * n)
+        assert np.max(np.abs(refined - fine_values)) < 1e-14 * np.max(np.abs(v))
         assert np.max(np.abs(refined[::2] - v)) < 1e-14 * np.max(np.abs(v))
+
+    def test_field_stores_the_half_spectrum(self, small_grid, rng):
+        g = small_grid
+        h = g.num_points // 2 + 1
+        c = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        f = SpectralField(g, c)
+        # a copy, with the k = 0 and Nyquist entries stored by their real parts
+        assert f.half is not c and f.half.shape == (h,)
+        assert f.half[[0, -1]].tobytes() == (c[[0, -1]].real + 0j).tobytes()
+        assert f.half[1:-1].tobytes() == c[1:-1].tobytes()
+        # the full array is a derived read-only view: a write raises
+        assert f.coeffs.tobytes() == g.from_half(c).tobytes()
+        with pytest.raises(ValueError):
+            f.coeffs[1] = 0.0
+        for shape in ((g.num_points,), (h - 1,), (2, h)):
+            with pytest.raises(ValueError, match="half-spectrum"):
+                SpectralField(g, np.zeros(shape, dtype=complex))
 
 
 class TestForwardTransform:
@@ -155,7 +178,7 @@ class TestForwardTransform:
 
     def test_hermitian_symmetry(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
-        assert f.hermitian_defect() < 1e-12
+        assert hermitian_defect(f.coeffs) < 1e-12
 
 
 class TestApplyMultiplier:

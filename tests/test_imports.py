@@ -1,5 +1,6 @@
-"""Every top-level import of the package and of the tests is read, and the
-package and the tests import only at module level."""
+"""Every top-level import of the package and of the tests is read, the
+package and the tests import only at module level, and the package never
+reads the derived full coefficient array."""
 import ast
 from pathlib import Path
 
@@ -38,3 +39,13 @@ def test_package_imports_only_at_module_level():
                            for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert not nested, f"imports inside functions: {sorted(nested)}"
+
+
+def test_package_never_reads_the_full_coefficient_array():
+    # SpectralField.coeffs completes the half-spectrum on every read; it is a
+    # view for tests and the benchmark's oracles, not for the program
+    reads = [f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "kdvrad").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+    assert not reads, f".coeffs read inside the package: {reads}"

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
+from kdvrad.errors import BlowupError, DomainTooSmallError
+from kdvrad.gevrey import estimate_radius
 from kdvrad.grid import GridSpec, SpectralField, airy_phase, dealias_mask, forward_transform
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants,
                            evolve, soliton)
 
-from conftest import random_band_field
+from conftest import hermitian_defect, random_band_field
 
 
 def soliton_values(grid, speed, center):
@@ -20,9 +21,15 @@ class TestAiryPropagate:
         assert np.array_equal(airy_propagate(f, 0.0).coeffs, f.coeffs)
 
     def test_unitary_round_trip(self, small_grid, rng):
+        # unitary below Nyquist; a real field's Nyquist entry is real, and the flow
+        # keeps the cos(t xi^3) part of its phase there, all that the grid samples see
         f = random_band_field(small_grid, rng)
         g = airy_propagate(airy_propagate(f, 2.3), -2.3)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+        below = np.abs(small_grid.k_index) != small_grid.num_points // 2
+        assert np.max(np.abs(g.coeffs[below] - f.coeffs[below])) \
+            <= 1e-13 * np.max(np.abs(f.coeffs))
+        xi_n = small_grid.xi[small_grid.num_points // 2]
+        assert g.half[-1] == f.half[-1] * airy_phase(xi_n, 2.3).real * airy_phase(xi_n, -2.3).real
 
     def test_l2_preserved(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
@@ -31,8 +38,11 @@ class TestAiryPropagate:
     def test_modulus_invariant(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
         g = airy_propagate(f, 5.0)
-        assert np.max(np.abs(np.abs(g.coeffs) - np.abs(f.coeffs))) \
+        below = np.abs(small_grid.k_index) != small_grid.num_points // 2
+        assert np.max(np.abs(np.abs(g.coeffs[below]) - np.abs(f.coeffs[below]))) \
             <= 1e-14 * np.max(np.abs(f.coeffs))
+        xi_n = small_grid.xi[small_grid.num_points // 2]
+        assert g.half[-1] == f.half[-1] * airy_phase(xi_n, 5.0).real
 
 
 def two_soliton_values(x, t, k, x0):
@@ -56,17 +66,78 @@ def two_soliton_values(x, t, k, x0):
 
 
 def fine_grid_invariants(field):
-    """(mass, momentum, hamiltonian) with the integrands on an explicit GridSpec(2N)."""
+    """(mass, momentum, hamiltonian) with the integrands on the 2N grid, its transform
+    written out in np.fft, and the momentum as the weighted half-spectrum sum."""
     g = field.grid
-    fine = GridSpec(2 * g.num_points, g.half_length)
-    coeffs = np.zeros(fine.num_points, dtype=np.complex128)
-    half = g.num_points // 2
+    n, half = g.num_points, g.num_points // 2
+    coeffs = np.zeros(2 * n, dtype=np.complex128)
     coeffs[:half], coeffs[-half:] = field.coeffs[:half], field.coeffs[-half:]
-    u = fine.to_values(coeffs)
-    ux = fine.to_values(coeffs * (1j * fine.xi))
+    fine_dx = g.dx / 2
+    k = np.fft.fftfreq(2 * n) * 2 * n
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    u = np.real(np.fft.ifft(coeffs * sign)) / fine_dx
+    ux = np.real(np.fft.ifft(coeffs * (1j * np.pi * k / g.half_length) * sign)) / fine_dx
+    weight = np.full(half + 1, 2.0)
+    weight[[0, -1]] = 1.0
     return (float(np.real(field.coeffs[0])),
-            float(np.sum(np.abs(field.coeffs) ** 2) * g.spectral_weight),
-            float(np.sum(0.5 * ux * ux - u ** 3 / 6.0) * fine.dx))
+            float(np.sum(weight * np.abs(field.half) ** 2) * g.spectral_weight),
+            float(np.sum(0.5 * ux * ux - u ** 3 / 6.0) * fine_dx))
+
+
+def nearest_tau_zero(t, k, x0, half_length, y_max=3.5):
+    """Distance from the real axis to the nearest complex zero of tau(., t) of
+    ``two_soliton_values``: the zeros are the double poles of u, so this is the
+    true radius of analyticity.
+
+    The deepest local minima of |tau| / (sum of the term moduli) on a grid over
+    [-L, L] x (0, y_max], with the single-soliton zeros x0_i + k_i^2 t + i pi / k_i,
+    seed Newton's method; only converged zeros count.
+    """
+    (k1, k2), (a, b) = k, x0
+
+    def terms(z):
+        e1 = np.exp(k1 * (z - a) - k1 ** 3 * t)
+        e2 = np.exp(k2 * (z - b) - k2 ** 3 * t)
+        return e1, e2, ((k1 - k2) / (k1 + k2)) ** 2 * e1 * e2
+
+    def relative_tau(z):
+        e1, e2, e12 = terms(z)
+        return np.abs(1 + e1 + e2 + e12) / (1 + np.abs(e1) + np.abs(e2) + np.abs(e12))
+
+    z = np.linspace(-half_length, half_length, 321)[None, :] \
+        + 1j * np.linspace(0.02, y_max, 88)[:, None]
+    rel = relative_tau(z)
+    inner = rel[1:-1, 1:-1]
+    is_min = np.ones_like(inner, dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy or dx:
+                is_min &= inner <= rel[1 + dy:rel.shape[0] - 1 + dy, 1 + dx:rel.shape[1] - 1 + dx]
+    deepest = z[1:-1, 1:-1][is_min][np.argsort(inner[is_min])[:16]]
+    zc = np.concatenate([deepest, [a + k1 ** 2 * t + 1j * np.pi / k1,
+                                   b + k2 ** 2 * t + 1j * np.pi / k2]])
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            e1, e2, e12 = terms(zc)
+            step = (1 + e1 + e2 + e12) / (k1 * e1 + k2 * e2 + (k1 + k2) * e12)
+            zc = np.where(np.isfinite(step), zc - step, zc)
+        ok = (relative_tau(zc) <= 1e-12) & (np.abs(zc.imag) > 1e-8) \
+            & (np.abs(zc.real) <= 2 * half_length)
+    assert np.any(ok), f"no zero of tau found near the real axis at t = {t}"
+    return float(np.min(np.abs(zc.imag[ok])))
+
+
+COLLISION_K, COLLISION_X0 = (1.0, 1.5), (-2.0, -7.0)
+
+
+@pytest.fixture(scope="module", params=["ifrk4", "etdrk4"])
+def collision(request, default_grid):
+    """Exact 2-soliton datum and its trajectory to t = 6, 13 snapshots: the c = 2.25
+    soliton starts 5 behind the c = 1 one and overtakes it before t = 6."""
+    g = default_grid
+    f = forward_transform(two_soliton_values(g.x, 0.0, COLLISION_K, COLLISION_X0), g)
+    config = SolverConfig(dt=1e-3, scheme=request.param, record_every=500)
+    return f, evolve(f, 6.0, config)
 
 
 class TestClassicalInvariants:
@@ -104,6 +175,8 @@ class TestClassicalInvariants:
             mass, momentum, hamiltonian = classical_invariants(f)
             ref = fine_grid_invariants(f)
             assert (mass, momentum) == ref[:2]
+            assert momentum == pytest.approx(np.sum(np.abs(f.coeffs) ** 2) * f.grid.spectral_weight,
+                                             rel=1e-14)
             assert abs(hamiltonian - ref[2]) <= 1e-13 * abs(ref[2])
 
     def test_builds_no_grid(self, default_grid, monkeypatch):
@@ -192,9 +265,9 @@ class TestEvolve:
             traj = evolve(soliton(default_grid, 1.0), 0.5,
                           SolverConfig(dt=1e-3, scheme=scheme, record_every=100))
             for snap in traj.snapshots:
-                assert snap.hermitian_defect() < 1e-12
+                assert hermitian_defect(snap.coeffs) < 1e-12
             # every recorded snapshot is a Hermitian completion of the state
-            assert all(snap.hermitian_defect() == 0.0 for snap in traj.snapshots[1:])
+            assert all(hermitian_defect(snap.coeffs) == 0.0 for snap in traj.snapshots[1:])
 
     def test_time_reversal(self, default_grid):
         g = default_grid
@@ -205,9 +278,10 @@ class TestEvolve:
         one_way = np.sqrt(np.sum(
             (fwd.snapshots[-1].values() - soliton_values(g, 1.0, T - 2.0)) ** 2) * g.dx)
         # x -> -x conjugates the coefficients of a real field
-        reflected = SpectralField(g, np.conj(fwd.snapshots[-1].coeffs))
+        h = g.num_points // 2 + 1
+        reflected = SpectralField(g, np.conj(fwd.snapshots[-1].coeffs)[:h])
         back = evolve(reflected, T, cfg)
-        recovered = SpectralField(g, np.conj(back.snapshots[-1].coeffs))
+        recovered = SpectralField(g, np.conj(back.snapshots[-1].coeffs)[:h])
         err = np.sqrt(np.sum((recovered.values() - f.values()) ** 2) * g.dx)
         assert err <= 2 * one_way + 1e-12
 
@@ -272,18 +346,24 @@ class TestEvolve:
         for snap, ref in zip(traj.snapshots, raw):
             assert np.max(np.abs(snap.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
-    def test_two_soliton_collision_matches_closed_form(self, default_grid, scheme):
-        # the c = 2.25 soliton starts 5 behind the c = 1 one and overtakes it
-        # before t = 6; the true radius rises from 2.10 to 2.75 at the collision
-        g = default_grid
-        k, x0 = (1.0, 1.5), (-2.0, -7.0)
-        f = forward_transform(two_soliton_values(g.x, 0.0, k, x0), g)
-        traj = evolve(f, 6.0, SolverConfig(dt=1e-3, scheme=scheme, record_every=500))
+    def test_two_soliton_collision_matches_closed_form(self, collision):
+        f, traj = collision
+        g = f.grid
         assert len(traj) == 13
-        err = max(np.max(np.abs(snap.values() - two_soliton_values(g.x, t, k, x0)))
+        err = max(np.max(np.abs(snap.values()
+                                - two_soliton_values(g.x, t, COLLISION_K, COLLISION_X0)))
                   for snap, t in zip(traj.snapshots, traj.times))
         assert err <= 1e-8 * np.max(np.abs(f.values()))
+
+    def test_radius_tracks_the_nearest_pole_through_the_collision(self, collision):
+        # the true radius rises from 2.10 to 2.75 at the collision (t = 4.5);
+        # the fit reads it low, by 4 % to 23 %, never high
+        f, traj = collision
+        truth = np.array([nearest_tau_zero(t, COLLISION_K, COLLISION_X0, f.grid.half_length)
+                          for t in traj.times])
+        sigma_hat = np.array([estimate_radius(snap).sigma_hat for snap in traj.snapshots])
+        assert np.all(sigma_hat <= truth)
+        assert np.max(np.abs(sigma_hat / truth - 1.0)) <= 0.25
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_modes_above_the_dealias_band_rotate_freely(self, default_grid, scheme):
@@ -299,7 +379,8 @@ class TestEvolve:
             assert err <= 1e-10 * np.max(np.abs(c0))
 
     def test_rejects_complex_data(self, small_grid):
+        # a non-real field has no half-spectrum: its full array is refused
         c = np.zeros(small_grid.num_points, dtype=complex)
         c[3] = 1.0  # no Hermitian partner
-        with pytest.raises(ConfigError):
-            evolve(SpectralField(small_grid, c), 0.1, SolverConfig(dt=1e-3))
+        with pytest.raises(ValueError, match="half-spectrum"):
+            SpectralField(small_grid, c)
