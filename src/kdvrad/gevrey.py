@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSpectralRangeError, SpectralOverflowError
-from .grid import SpectralField
+from .grid import SpectralField, require_one_field
 
 #: log-magnitude ceiling; exp of anything above this is treated as overflow
 _LOG_LIMIT = 690.0
@@ -46,7 +46,7 @@ class GevreyParams:
 
 
 def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np.ndarray:
-    xi = field.grid.xi[:field.half.size]
+    xi = field.grid.xi[:field.half.shape[-1]]
     mag = np.abs(field.half)
     with np.errstate(divide="ignore"):
         logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
@@ -54,7 +54,7 @@ def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np
 
 
 def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT) -> float:
-    xi = np.abs(field.grid.xi[:field.half.size])
+    xi = np.abs(field.grid.xi[:field.half.shape[-1]])
     rest = _log_weighted_magnitudes(field, 0.0, s)
     ok = (xi > 0) & np.isfinite(rest)
     if not np.any(ok):
@@ -69,6 +69,7 @@ def gevrey_norm(field: SpectralField, params: GevreyParams) -> float:
     Raises SpectralOverflowError (carrying the largest admissible sigma for
     this field) when the exponential weight would overflow.
     """
+    require_one_field(field, "gevrey_norm")
     e = _log_weighted_magnitudes(field, params.sigma, params.s)
     finite = np.isfinite(e)
     if np.any(2.0 * e[finite] > _LOG_LIMIT):
@@ -90,21 +91,24 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
     """Apply the multiplier exp(sigma*|xi|) (sigma may be negative).
 
     Zero coefficients stay exactly zero at any sigma; a nonzero one weighted past
-    exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.
+    exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.  A stack is
+    smoothed row by row.
     """
     if sigma == 0.0:
         return SpectralField(field.grid, field.half)
     with np.errstate(over="ignore"):
-        lift = np.exp(sigma * np.abs(field.grid.xi[:field.half.size]))
+        lift = np.exp(sigma * np.abs(field.grid.xi[:field.half.shape[-1]]))
     if sigma > 0:
         mag = np.abs(field.half)
-        if np.any(mag > _EXP_LIMIT / lift):
-            cert = _certifiable_sigma(field, 0.0, budget=_LOG_LIMIT)
+        over = mag > _EXP_LIMIT / lift
+        if np.any(over):  # certified on the first row that overflows, as on that row alone
+            first = SpectralField(field.grid, field.half[tuple(np.argwhere(over)[0][:-1])])
+            cert = _certifiable_sigma(first, 0.0, budget=_LOG_LIMIT)
             raise SpectralOverflowError(
                 f"exp({sigma}*|xi|) overflows on this field; certifiable sigma = {cert:.6g}",
                 certifiable_sigma=cert,
             )
-        lift[mag == 0.0] = 0.0
+        lift = np.where(mag == 0.0, 0.0, lift)
     return SpectralField(field.grid, field.half * lift)
 
 
@@ -125,6 +129,7 @@ def estimate_radius(field: SpectralField) -> RadiusEstimate:
     k = 1..n/2 - 1.  Entire-function (faster than exponential) decay is flagged
     instead of reported as a single rate.
     """
+    require_one_field(field, "estimate_radius")
     c = field.half
     peak = float(np.max(np.abs(c)))
     if peak == 0.0:

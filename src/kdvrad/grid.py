@@ -14,12 +14,14 @@ quadratic nonlinearity is dealiased by the 2/3 rule (``dealias_mask``) and
 the free (Airy) flow multiplies by ``airy_phase``.
 Every field is real, so its k = 0..n/2 half-spectrum holds all of it: ``SpectralField``
 stores it, ``to_half`` / ``half_to_values`` are real FFTs along the last axis, multipliers
-act on ``xi[:n/2 + 1]`` (Nyquist keeps its negative FFT-order frequency) and Parseval sums
-weight the entries by ``GridSpec.half_weight``.
+act on ``xi[:n/2 + 1]`` (Nyquist keeps its negative FFT-order frequency) and the one Parseval
+sum, ``GridSpec.inner``, weights the entries by ``half_weight``.  A field may be a stack of
+snapshots, (..., n/2 + 1): its methods, the multipliers and ``dealiased_product`` act row by
+row, bitwise as on each row alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -95,6 +97,11 @@ class GridSpec:
         """Weight per coefficient in Parseval sums: dxi / (2 pi)."""
         return 1.0 / (2.0 * self.half_length)
 
+    def inner(self, a, b=None):
+        """int u v dx of real fields from their half-spectra a, b (last axis); ||u||^2 by |a|^2."""
+        density = np.abs(a) ** 2 if b is None else np.real(np.conj(a) * b)
+        return np.sum(self.half_weight * density, axis=-1) * self.spectral_weight
+
     def to_half(self, values) -> np.ndarray:
         """k = 0..n/2 coefficients dx (-1)^k rfft of real samples along the last axis."""
         return self.dx * self._sign[:self.num_points // 2 + 1] * np.fft.rfft(values)
@@ -125,17 +132,30 @@ def airy_phase(xi, t) -> np.ndarray:
 
 @dataclass
 class SpectralField:
-    """One time slice of a real field: a copy of its k = 0..n/2 half-spectrum, the real k = 0
-    and Nyquist entries stored by their real parts; ``coeffs`` derives the full array."""
+    """A real field, or a stack of them: a copy of the k = 0..n/2 half-spectra, the real k = 0
+    and Nyquist entries stored by their real parts; ``coeffs`` derives the full array.
+    ``copy=False`` adopts a complex128 array as it is, storing its ends in place unless it is
+    read-only: a read-only array is a view of rows stored already."""
 
     grid: GridSpec
     half: np.ndarray = field(repr=False)
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        self.half = np.array(self.half, dtype=np.complex128)
-        if self.half.shape != (self.grid.num_points // 2 + 1,):
+    def __post_init__(self, copy):
+        if copy:
+            self.half = np.array(self.half, dtype=np.complex128, order="C")  # rows sum as alone
+        if self.half.ndim == 0 or self.half.shape[-1] != self.grid.num_points // 2 + 1:
             raise ValueError(f"half-spectrum of shape {self.half.shape} does not match the grid")
-        self.half[[0, -1]] = self.half[[0, -1]].real
+        if self.half.flags.writeable:
+            self.half[..., [0, -1]] = self.half[..., [0, -1]].real
+
+    def __getitem__(self, rows) -> "SpectralField":
+        """Rows of a stack as a read-only view of its memory, no copy."""
+        if self.half.ndim < 2:
+            raise IndexError("a single field has no rows")
+        half = self.half[rows]
+        half.setflags(write=False)
+        return SpectralField(self.grid, half, copy=False)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -148,9 +168,8 @@ class SpectralField:
         """Physical-space samples."""
         return self.grid.half_to_values(self.half)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.half_weight * np.abs(self.half) ** 2)
-                             * self.grid.spectral_weight))
+    def l2_norm(self):
+        return np.sqrt(self.grid.inner(self.half))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.grid != self.grid:
@@ -185,7 +204,7 @@ def apply_multiplier(field: SpectralField, m) -> SpectralField:
     ``m`` may be a callable of the frequencies ``xi[:n/2 + 1]`` or an array.
     Non-finite multiplier values are rejected, naming the frequency.
     """
-    xi = field.grid.xi[:field.half.size]
+    xi = field.grid.xi[:field.half.shape[-1]]
     mv = m(xi) if callable(m) else np.asarray(m)
     mv = np.broadcast_to(np.asarray(mv, dtype=np.complex128), xi.shape)
     finite = np.isfinite(mv)
@@ -227,10 +246,17 @@ def dealiased_product(f: SpectralField, g: SpectralField,
     return SpectralField(grid, grid.to_half(u * v) * mask)
 
 
+def require_one_field(field: SpectralField, what: str) -> None:
+    """Refuse a stack where ``what`` reduces over the whole array to one number."""
+    if field.half.ndim != 1:
+        raise ValueError(f"{what} takes one field, not a stack of shape {field.half.shape}")
+
+
 def check_boundary_smallness(field: SpectralField, time: float | None = None,
                              tol: float = BOUNDARY_TOLERANCE) -> None:
     """Raise DomainTooSmallError when max |u| over the cells adjacent to the
     periodic seam x = +-half_length exceeds tol * max |u|."""
+    require_one_field(field, "check_boundary_smallness")
     v = np.abs(field.values())
     peak = float(np.max(v))
     edge = float(np.max(v[[0, 1, -1]]))

@@ -128,11 +128,11 @@ def empirical_schedule(f: SpectralField, params: ScheduleParams, horizon: float,
     bound = np.empty(len(times))
     doubling = np.empty(len(times), dtype=bool)
     violations = []
-    for i, t in enumerate(times):
+    for i, (t, snap) in enumerate(zip(times, traj.snapshots)):
         cert[i] = params.sigma0 if t < t0 else sigma_for_horizon(params, float(t))
-        est = estimate_radius(traj.snapshots[i])
+        est = estimate_radius(snap)
         hat[i] = est.sigma_hat
-        gam[i] = gevrey_norm(traj.snapshots[i], GevreyParams(cert[i], params.s))
+        gam[i] = gevrey_norm(snap, GevreyParams(cert[i], params.s))
         final = final_induction_state(params, max(float(t), t0))
         bound[i] = final.gamma_sq_bound
         doubling[i] = final.within_doubling

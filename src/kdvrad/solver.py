@@ -41,18 +41,25 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
+    """The recorded snapshots as one (records x n/2+1) stack, row i at ``times[i]``."""
+
     times: np.ndarray
-    snapshots: list
+    field: SpectralField
     mass: np.ndarray
     momentum: np.ndarray
     hamiltonian: np.ndarray
 
     @property
     def grid(self) -> GridSpec:
-        return self.snapshots[0].grid
+        return self.field.grid
+
+    @property
+    def snapshots(self) -> list:
+        """One read-only one-row field per record, viewing the stack."""
+        return [self.field[i] for i in range(len(self))]
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.times)
 
 
 def airy_propagate(field: SpectralField, t: float) -> SpectralField:
@@ -61,7 +68,7 @@ def airy_propagate(field: SpectralField, t: float) -> SpectralField:
 
 
 def classical_invariants(field: SpectralField):
-    """(mass, momentum, hamiltonian) with continuous normalization.
+    """(mass, momentum, hamiltonian) with continuous normalization, one per row of a stack.
 
     mass = int u dx, momentum = int u^2 dx,
     hamiltonian = int (u_x^2 / 2 - u^3 / 6) dx.
@@ -69,12 +76,11 @@ def classical_invariants(field: SpectralField):
     which keeps their quadrature alias-free for band-limited fields.
     """
     g, half = field.grid, field.half
-    mass = float(half[0].real)
-    momentum = float(np.sum(g.half_weight * np.abs(half) ** 2) * g.spectral_weight)
+    mass = np.take(half.real, 0, axis=-1)
     u = g.half_to_values(half, 2 * g.num_points)
-    ux = g.half_to_values(1j * np.abs(g.xi[:half.size]) * half, 2 * g.num_points)
-    hamiltonian = float(np.sum(0.5 * ux * ux - u * u * u / 6.0) * (0.5 * g.dx))
-    return mass, momentum, hamiltonian
+    ux = g.half_to_values(1j * np.abs(g.xi[:half.shape[-1]]) * half, 2 * g.num_points)
+    hamiltonian = np.sum(0.5 * ux * ux - u * u * u / 6.0, axis=-1) * (0.5 * g.dx)
+    return mass, g.inner(half), hamiltonian
 
 
 def _ifrk4(xi, dt, m):
@@ -127,8 +133,8 @@ def _etdrk4(xi, dt, m):
 def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the nonlinear flow over [0, T], recording every record_every steps.
 
-    The initial datum must be negligible at the domain edge; the edge check
-    is repeated at every recorded snapshot.
+    Each record is a row of one preallocated stack, whose invariants are taken at the end.
+    The datum must be negligible at the domain edge; that check is repeated at every record.
     """
     if T <= 0:
         raise ConfigError("T must be positive")
@@ -153,10 +159,9 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     dt = T / num_steps  # land exactly on T
     step, e_tail = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi, dt, m)
 
-    times = [0.0]
-    snapshots = [SpectralField(grid, f.half)]
-    diag = [classical_invariants(f)]
-    last_valid = 0.0
+    records = 1 + -(-num_steps // config.record_every)
+    times, stack, j = np.zeros(records), np.empty((records, half), dtype=complex), 1
+    stack[0] = f.half
     for i in range(1, num_steps + 1):
         # full-spectrum operand order kept (a*b != b*a in the last bit): snapshots match it bitwise
         with np.errstate(invalid="ignore", over="ignore"):
@@ -164,27 +169,21 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
             tail = e_tail * tail
         if i % config.record_every == 0 or i == num_steps:
             t = i * dt
-            uh = np.concatenate((band, tail))
-            if not np.all(np.isfinite(uh)):
+            row = stack[j]
+            row[:m], row[m:] = band, tail
+            if not np.all(np.isfinite(row)):
                 raise BlowupError(
-                    f"non-finite values during stepping; last valid time t = {last_valid:.6g}",
-                    last_valid_time=last_valid,
+                    f"non-finite values during stepping; last valid time t = {times[j - 1]:.6g}",
+                    last_valid_time=float(times[j - 1]),
                 )
-            snap = SpectralField(grid, uh)
+            snap = SpectralField(grid, row, copy=False)  # stores the row's real ends in place
             if config.check_boundary:
                 check_boundary_smallness(snap, time=t)
-            times.append(t)
-            snapshots.append(snap)
-            diag.append(classical_invariants(snap))
-            last_valid = t
-    diag = np.asarray(diag)
-    return Trajectory(
-        times=np.asarray(times),
-        snapshots=snapshots,
-        mass=diag[:, 0],
-        momentum=diag[:, 1],
-        hamiltonian=diag[:, 2],
-    )
+            times[j], j = t, j + 1
+    snaps = SpectralField(grid, stack, copy=False)
+    # row by row: blocks of rows need (rows x 2n) work arrays, which raise peak RSS
+    invariants = np.array([classical_invariants(snaps[i]) for i in range(records)]).T
+    return Trajectory(times, snaps, *invariants)
 
 
 def soliton(grid: GridSpec, speed: float = 1.0, center: float = 0.0) -> SpectralField:

@@ -1,18 +1,21 @@
 """Commutator term, work-integral defect and the multiplier bound chain."""
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from kdvrad import almost_conservation
 from kdvrad.almost_conservation import (commutator_term, measure_conservation,
-                                        modified_residual, prepare_acl_trajectory,
+                                        modified_residual, pairing, prepare_acl_trajectory,
                                         smoothing_multiplier_bounds)
 from kdvrad.dyadic import project_pn, project_ql, xbar_norm
 from kdvrad.errors import KdvradError, SpectralOverflowError
-from kdvrad.gevrey import smooth
-from kdvrad.grid import GridSpec, SpectralField, derivative, forward_transform
+from kdvrad.gevrey import GevreyParams, gevrey_norm, smooth
+from kdvrad.grid import (GridSpec, SpectralField, dealiased_product, derivative,
+                         forward_transform)
 from kdvrad.scheduler import ScheduleParams, empirical_schedule
-from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants, evolve,
-                           soliton)
+from kdvrad.solver import (SolverConfig, Trajectory, airy_propagate, classical_invariants,
+                           evolve, soliton)
 from kdvrad.spacetime import airy_spacetime, inverse_spacetime_transform, spacetime_transform
 
 from conftest import complex_dealiased_product, keep_mask_formula, random_band_field
@@ -60,6 +63,49 @@ def smoothed_soliton_coeffs(grid, sigma):
     safe = np.where(xi == 0, 1.0, xi)
     sech2 = np.where(xi == 0, 12.0, 12.0 * np.pi * safe / np.sinh(np.pi * safe))
     return (np.exp(sigma * np.abs(xi)) * sech2)[:grid.num_points // 2 + 1]
+
+
+def per_snapshot_report(traj, sigma):
+    """The ``ConservationReport`` fields but ``floor_rel``, one snapshot at a time."""
+    w = [smooth(s, sigma) for s in traj.snapshots]
+    energy = [wi.l2_norm() ** 2 for wi in w]
+    flux = [2.0 * pairing(wi, commutator_term(wi, sigma)) for wi in w]
+    integral = float(np.trapezoid(flux, traj.times))
+    identity_abs = float(abs(energy[-1] - energy[0] - integral))
+    lhs, base = float(max(energy)), float(energy[0])
+    return {"sigma": sigma, "interval": (float(traj.times[0]), float(traj.times[-1])),
+            "lhs": lhs, "rhs_base": base, "error_measured": max(lhs - base, 0.0),
+            "r_integral": abs(integral), "bound_cubed": base ** 1.5,
+            "identity_rel": identity_abs / max(abs(integral), 1e-300),
+            "identity_abs": identity_abs}
+
+
+def per_snapshot_overflow(traj, sigma):
+    """The ``SpectralOverflowError`` one snapshot at a time: every lift, then the energies."""
+    with pytest.raises(SpectralOverflowError) as exc:
+        w = [smooth(s, sigma) for s in traj.snapshots]
+        with np.errstate(over="ignore"):
+            energy = np.array([wi.l2_norm() ** 2 for wi in w])
+        gevrey_norm(traj.snapshots[np.flatnonzero(~np.isfinite(energy))[0]],
+                    GevreyParams(sigma))
+    return exc.value
+
+
+def per_snapshot_residual(traj, sigma):
+    """``modified_residual`` one centred difference at a time."""
+    w, t, worst = [smooth(s, sigma) for s in traj.snapshots], traj.times, 0.0
+    for i in range(1, len(w) - 1):
+        w_t = (w[i + 1] - w[i - 1]) * (1.0 / (t[i + 1] - t[i - 1]))
+        w_wx = derivative(dealiased_product(w[i], w[i])) * 0.5
+        resid = w_t + derivative(w[i], 3) + w_wx - commutator_term(w[i], sigma)
+        worst = max(worst, float(resid.l2_norm()))
+    return worst
+
+
+def without_floor(report):
+    fields = asdict(report)
+    del fields["floor_rel"]
+    return fields
 
 
 def count_real_ffts(monkeypatch):
@@ -178,6 +224,32 @@ class TestCommutatorTerm:
         assert np.all(sym <= bound + 1e-14)
 
 
+class TestStackedField:
+    """A stack of fields gives, row by row, bitwise what each field gives alone."""
+
+    @pytest.fixture(scope="class")
+    def packets(self, acl_grid):
+        fields = [wavepacket(acl_grid, seed, reflect_x=seed % 2 == 1) for seed in range(5)]
+        return fields, SpectralField(acl_grid, np.stack([f.half for f in fields]))
+
+    def test_smooth_and_commutator(self, packets):
+        fields, stack = packets
+        for sigma in (0.1, 0.4):
+            w = smooth(stack, sigma)
+            flux = commutator_term(w, sigma)
+            for i, f in enumerate(fields):
+                wi = smooth(f, sigma)
+                assert w.half[i].tobytes() == wi.half.tobytes()
+                assert flux.half[i].tobytes() == commutator_term(wi, sigma).half.tobytes()
+
+    def test_l2_norm_and_classical_invariants(self, packets):
+        fields, stack = packets
+        norms, invariants = stack.l2_norm(), classical_invariants(stack)
+        for i, f in enumerate(fields):
+            assert norms[i] == f.l2_norm()
+            assert tuple(v[i] for v in invariants) == classical_invariants(f)
+
+
 class TestModifiedResidual:
     def test_sigma_zero_is_solver_residual(self, packet_trajectory):
         assert modified_residual(packet_trajectory, 0.0) < 1e-6
@@ -198,17 +270,23 @@ class TestModifiedResidual:
     def test_second_order_in_snapshot_spacing(self, acl_grid):
         f = wavepacket(acl_grid, 5)
         fine = prepare_acl_trajectory(f, 0.2, num_snapshots=64)
-        coarse = type(fine)(times=fine.times[::2], snapshots=fine.snapshots[::2],
+        coarse = type(fine)(times=fine.times[::2], field=fine.field[::2],
                             mass=fine.mass[::2], momentum=fine.momentum[::2],
                             hamiltonian=fine.hamiltonian[::2])
         r_fine = modified_residual(fine, 0.2)
         r_coarse = modified_residual(coarse, 0.2)
         assert r_coarse / r_fine >= 3.5
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_blocks_equal_the_per_snapshot_loop(self, packet_trajectory, sigma):
+        # 65 snapshots: 63 centred differences in blocks of 16, 16, 16 and 15
+        assert modified_residual(packet_trajectory, sigma) \
+            == per_snapshot_residual(packet_trajectory, sigma)
+
     def test_needs_three_snapshots(self, acl_grid):
         f = wavepacket(acl_grid, 5)
         traj = evolve(f, 2e-4, SolverConfig(dt=1e-4, record_every=1))
-        short = type(traj)(times=traj.times[:2], snapshots=traj.snapshots[:2],
+        short = type(traj)(times=traj.times[:2], field=traj.field[:2],
                            mass=traj.mass[:2], momentum=traj.momentum[:2],
                            hamiltonian=traj.hamiltonian[:2])
         with pytest.raises(KdvradError):
@@ -240,11 +318,71 @@ class TestConservationDefect:
         energies = [smooth(s, 0.2).l2_norm() ** 2 for s in packet_trajectory.snapshots]
         assert (rep.lhs, rep.rhs_base) == (max(energies), energies[0])
 
+    def test_one_commutator_and_one_fft_pair_per_block(self, acl_grid, monkeypatch):
+        # 33 snapshots are ceil(33 / 16) = 3 blocks of the sweep
+        traj = prepare_acl_trajectory(wavepacket(acl_grid, 12, reflect_x=True), 0.4,
+                                      num_snapshots=32)
+        assert len(traj) == 33
+        expected = per_snapshot_report(traj, 0.2)
+        commutator_calls = []
+        original = almost_conservation.commutator_term
+
+        def counted(*args):
+            commutator_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(almost_conservation, "commutator_term", counted)
+        calls = count_real_ffts(monkeypatch)
+        rep = measure_conservation(traj, 0.2)
+        assert len(commutator_calls) == 3 and calls == {"rfft": 3, "irfft": 3}
+        assert without_floor(rep) == expected
+
+    @pytest.mark.parametrize("sigma", [0.025, 0.1, 0.4])
+    def test_blocks_equal_the_per_snapshot_loop(self, packet_trajectory, sigma):
+        assert without_floor(measure_conservation(packet_trajectory, sigma)) \
+            == per_snapshot_report(packet_trajectory, sigma)
+
+    def test_roundoff_floor_rises_with_sigma_on_the_sampled_soliton(self, acl_grid):
+        traj = prepare_acl_trajectory(soliton(acl_grid, 1.0), 0.4, num_snapshots=8)
+        sigmas = (0.4, 1.0, 2.0)
+        reports = [measure_conservation(traj, s) for s in sigmas]
+        floors = [rep.floor_rel for rep in reports]
+        assert 0.0 < floors[0] < floors[1] < floors[2]
+        # eps max|u_hat| exp(sigma xi_band) / max|w_hat|, maxima over the 2/3 band |k| < m
+        band = keep_mask_formula(acl_grid)[:acl_grid.num_points // 2 + 1]
+        xi_band = np.max(acl_grid.xi[:band.size][band])
+        for sigma, rep in zip(sigmas, reports):
+            ratio = max(np.max(np.abs(s.half[band])) / np.max(np.abs(smooth(s, sigma).half[band]))
+                        for s in traj.snapshots)
+            assert rep.floor_rel == pytest.approx(
+                np.finfo(float).eps * np.exp(sigma * xi_band) * ratio, rel=1e-12)
+            assert without_floor(rep) == per_snapshot_report(traj, sigma)
+        # the sampled soliton smoothed at sigma = 2 is roundoff at the band edge
+        assert floors[0] < 1e-9 < 1.0 < floors[2]
+
     def test_energy_overflow_is_typed(self, acl_grid):
         traj = prepare_acl_trajectory(soliton(acl_grid, 1.0), 0.1, num_snapshots=4,
                                       steps_per_snapshot=2)
         with pytest.raises(SpectralOverflowError):
             measure_conservation(traj, 10.0)
+
+    def test_overflow_is_raised_as_one_snapshot_at_a_time(self, acl_grid):
+        soli = prepare_acl_trajectory(soliton(acl_grid, 1.0), 0.1, num_snapshots=20,
+                                      steps_per_snapshot=2)
+        # lifts that overflow only in the second block: first on row 19, whose spike is the
+        # smaller, so its certifiable sigma is larger than row 20's
+        spikes = np.repeat(soli.field.half[-1:], 3, axis=0)
+        spikes[1:, -2] = (1e150, 1e160)
+        field = SpectralField(acl_grid, np.concatenate((soli.field.half[:18], spikes)))
+        mixed = Trajectory(soli.times[:21], field, *np.zeros((3, 21)))
+        # sigma = 10: the energy overflows first (gevrey_norm's certifiable sigma);
+        # 20: the lift (smooth's); the mixed stack: row 19's lift, not row 0's energy
+        for traj, sigma in ((soli, 10.0), (soli, 20.0), (mixed, 10.0)):
+            expected = per_snapshot_overflow(traj, sigma)
+            with pytest.raises(SpectralOverflowError) as exc:
+                measure_conservation(traj, sigma)
+            assert exc.value.certifiable_sigma == expected.certifiable_sigma
+            assert str(exc.value) == str(expected)
 
     def test_sweep_monotone_and_positive(self, packet_trajectory):
         sigmas = [0.4, 0.2, 0.1, 0.05, 0.025]

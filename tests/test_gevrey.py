@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrad.errors import InsufficientSpectralRangeError, SpectralOverflowError
-from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, smooth
-from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier, dealiased_product,
-                         forward_transform)
+from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, hs_norm, smooth
+from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier, check_boundary_smallness,
+                         dealiased_product, forward_transform)
 from kdvrad.solver import airy_propagate, soliton
 
 from conftest import random_band_field
@@ -102,6 +102,19 @@ class TestSmooth:
         with pytest.raises(SpectralOverflowError):
             smooth(f, 80.0)
 
+    def test_overflow_on_a_stack_certifies_its_first_overflowing_row(self, small_grid):
+        # exp(70|xi|) is finite on this grid; rows 1 and 2 overflow, row 2 the more
+        rows = [exponential_tail_field(small_grid, a) for a in (20.0, 0.01, 0.001)]
+        smooth(rows[0], 70.0)
+        with pytest.raises(SpectralOverflowError) as alone:
+            smooth(rows[1], 70.0)
+        with pytest.raises(SpectralOverflowError) as stacked:
+            smooth(SpectralField(small_grid, np.stack([r.half for r in rows])), 70.0)
+        assert stacked.value.certifiable_sigma == alone.value.certifiable_sigma
+        with pytest.raises(SpectralOverflowError) as last:
+            smooth(rows[2], 70.0)
+        assert last.value.certifiable_sigma < alone.value.certifiable_sigma
+
     def test_zero_coefficients_stay_zero_where_the_weight_overflows(self, default_grid):
         # the product is zero past the 2/3 band, where exp(20|xi|) is inf
         p = dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))
@@ -147,3 +160,13 @@ class TestEstimateRadius:
         base = estimate_radius(f).sigma_hat
         shifted = estimate_radius(smooth(f, -0.5)).sigma_hat
         assert shifted == pytest.approx(base + 0.5, abs=1e-6)
+
+
+def test_whole_field_diagnostics_refuse_a_stack(default_grid):
+    f = soliton(default_grid, 1.0)
+    stack = SpectralField(default_grid, np.stack([f.half, f.half]))
+    for diagnostic in (lambda g: gevrey_norm(g, GevreyParams(0.1)), hs_norm, estimate_radius,
+                       check_boundary_smallness):
+        with pytest.raises(ValueError, match="not a stack"):
+            diagnostic(stack)
+        diagnostic(stack[0])  # one row is one field

@@ -125,9 +125,28 @@ class TestGridSpec:
         assert f.coeffs.tobytes() == g.from_half(c).tobytes()
         with pytest.raises(ValueError):
             f.coeffs[1] = 0.0
-        for shape in ((g.num_points,), (h - 1,), (2, h)):
+        for shape in ((g.num_points,), (h - 1,), (2, h - 1), ()):
             with pytest.raises(ValueError, match="half-spectrum"):
                 SpectralField(g, np.zeros(shape, dtype=complex))
+        # a stack of rows: each row stores its k = 0 and Nyquist entries by their real parts
+        rows = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
+        stack = SpectralField(g, rows)
+        assert stack.half.shape == (2, h)
+        assert stack.half[:, [0, -1]].tobytes() == (rows[:, [0, -1]].real + 0j).tobytes()
+        assert stack.half[:, 1:-1].tobytes() == rows[:, 1:-1].tobytes()
+
+    def test_rows_of_a_stack_are_read_only_views(self, small_grid, rng):
+        h = small_grid.num_points // 2 + 1
+        stack = SpectralField(small_grid, rng.standard_normal((3, h)))
+        row, tail = stack[1], stack[1:]
+        assert row.half.shape == (h,) and np.shares_memory(row.half, stack.half)
+        assert tail.half.tobytes() == stack.half[1:].tobytes()
+        with pytest.raises(ValueError):
+            row.half[0] = 1.0
+        with pytest.raises(IndexError):
+            row[0]
+        # stored C-ordered whatever the input's layout, so each row sums as it would alone
+        assert SpectralField(small_grid, np.asfortranarray(stack.half)).half.flags.c_contiguous
 
 
 class TestForwardTransform:
