@@ -162,24 +162,21 @@ def prepare_acl_trajectory(f: SpectralField, sigma0: float, num_snapshots: int =
     return evolve(f, t0, config)
 
 
-def smoothing_multiplier_bounds(xi1: float, xi2: float, sigma: float,
-                                theta: float = 0.75):
-    """The pointwise chain controlling the commutator symbol.
+def smoothing_multiplier_bounds(xi1: float, xi2: float, sigma: float):
+    """The pointwise chain controlling the commutator symbol, at the paper's theta = 3/4.
 
     Returns (lhs, rhs1, rhs2) with
         lhs  = 1 - exp(-r),              r = sigma (|xi1|+|xi2|-|xi1+xi2|)
-        rhs1 = r^theta
-        rhs2 = sigma^theta (2 min(|xi1|, |xi2|))^theta
-    and lhs <= rhs1 <= rhs2 for theta in [0, 1].
+        rhs1 = r^(3/4)
+        rhs2 = sigma^(3/4) (2 min(|xi1|, |xi2|))^(3/4)
+    and lhs <= rhs1 <= rhs2.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     r = sigma * (np.abs(xi1) + np.abs(xi2) - np.abs(xi1 + xi2))
     lhs = 1.0 - np.exp(-r)
-    rhs1 = r ** theta
-    rhs2 = (sigma * 2.0 * np.minimum(np.abs(xi1), np.abs(xi2))) ** theta
+    rhs1 = r ** 0.75
+    rhs2 = (sigma * 2.0 * np.minimum(np.abs(xi1), np.abs(xi2))) ** 0.75
     return lhs, rhs1, rhs2

@@ -12,8 +12,7 @@ The block probe (``measure_block_ratio``) and the X-norm product probe
 frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one
 tau cell, so they resolve the modulation scale at large N, where a dense
 grid cannot, and sample the operator norm from below.  The probes differ
-only in where they put (xi1, xi2).  Vanishing triples use coarse full-band
-("box") probes, which measure the lattice surrogate: support, not exponents.
+only in where they put (xi1, xi2).
 """
 from __future__ import annotations
 
@@ -83,17 +82,6 @@ class WavePacketField:
         wgt = dyadic_bump(n, self.xi) * dyadic_bump(l, self.modulation)
         return float(np.sqrt(np.sum(np.abs(wgt * self.amp) ** 2) * self.cell_weight))
 
-    def support_mass_fraction(self, n, l) -> float:
-        """Fraction of squared mass inside {|xi| in [n/2, 2n], |lam| in [l/2, 2l]}."""
-        (xlo, xhi), (llo, lhi) = _band(n, 0.0), _band(l, 0.0)
-        xi, lam = np.abs(self.xi), np.abs(self.modulation)
-        power = np.abs(self.amp) ** 2
-        total = np.sum(power)
-        if total == 0:
-            return 0.0
-        inside = (xi >= xlo) & (xi <= xhi) & (lam >= llo) & (lam <= lhi)
-        return float(np.sum(power[inside]) / total)
-
 
 def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
     """Pointwise product in physical space = coherent cloud convolution."""
@@ -128,34 +116,14 @@ def _lam_centers(l):
     return np.linspace(lo + DEFAULT_DTAU / 2, hi - DEFAULT_DTAU / 2, cells)
 
 
-def _cells(idx, lam, dxi):
-    """(xi index, tau) of the cells idx x lam, each at modulation lam (tau = lam + xi^3)."""
-    return np.repeat(idx, lam.size), (lam[None, :] + (idx * dxi)[:, None] ** 3).ravel()
-
-
-def _tube(xi_lo, width, lam_values, dxi, amp=1.0):
+def _tube(xi_lo, width, lam_values, dxi):
+    """Unit-amplitude cells on ``width / dxi`` lattice points from xi_lo, each at every
+    modulation in lam_values (tau = lam + xi^3)."""
     ni = int(round(width / dxi))  # 5 or 6 cells: every caller sets dxi from width
-    i0 = int(round(xi_lo / dxi))
-    xi_index, tau = _cells(i0 + np.arange(ni), lam_values, dxi)
-    a = np.full(tau.size, amp, dtype=complex)
-    return WavePacketField(xi_index, tau, a, dxi, DEFAULT_DTAU)
-
-
-def _box_dxi(n):
-    """Lattice spacing of a box probe: 48 cells across the band."""
-    lo, hi = _band(n, 0.0)
-    return (hi - lo) / 48
-
-
-def _box(n, l, rng, dxi):
-    """Random-amplitude cloud filling the (n band x l band) box on the dxi lattice."""
-    lo, hi = _band(n, 0.0)
-    cells = int(round((hi - lo) / dxi))
-    sign = rng.choice((-1, 1))
-    idx = sign * (int(round(lo / dxi)) + np.arange(cells))
-    xi_index, tau = _cells(idx, _lam_centers(l), dxi)
-    amp = rng.standard_normal(tau.size) + 1j * rng.standard_normal(tau.size)
-    return WavePacketField(xi_index, tau, amp, dxi, DEFAULT_DTAU)
+    idx = int(round(xi_lo / dxi)) + np.arange(ni)
+    tau = (lam_values[None, :] + (idx * dxi)[:, None] ** 3).ravel()
+    return WavePacketField(np.repeat(idx, lam_values.size), tau,
+                           np.ones(tau.size, dtype=complex), dxi, DEFAULT_DTAU)
 
 
 def _validate_bands(n, l):
@@ -167,26 +135,6 @@ def _validate_bands(n, l):
     if l > MAX_MODULATION:
         raise UnresolvableBandError(
             f"modulation band L = {l} exceeds the configured cap {MAX_MODULATION}")
-
-
-def make_localized(n, l, seed, geometry: str = "box") -> WavePacketField:
-    """Random-phase probe supported in the dyadic box (N band x L band).
-
-    geometry "box" fills the box on a capped lattice; "tube" concentrates on
-    a random thin frequency interval inside the band.  Deterministic per
-    seed; at least 99 % of the squared mass sits in the box by construction.
-    """
-    _validate_bands(n, l)
-    rng = np.random.default_rng(seed)
-    if geometry == "box":
-        return _box(n, l, rng, _box_dxi(n))
-    if geometry == "tube":
-        lo, hi = _band(n, 0.1)
-        width = (hi - lo) * 2.0 ** rng.uniform(-6.0, -2.0)
-        pos = rng.uniform(lo, hi - width) * rng.choice((-1.0, 1.0))
-        return _tube(pos, width, _lam_centers(l), width / 6.0,
-                     amp=np.exp(1j * rng.uniform(0, TWO_PI)))
-    raise ValueError(f"unknown geometry {geometry!r}")
 
 
 @dataclass(frozen=True)
@@ -272,7 +220,7 @@ class RatioRecord:
 
     ``trials`` is the number of admissible trials performed, always the number
     requested; ``attempts`` counts the parameter draws spent on them, the
-    inadmissible draws included (equal to ``trials`` for box probes).
+    inadmissible draws included.
     """
 
     triple: DyadicTriple
@@ -503,34 +451,21 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
     max over trials a smooth function of N.  See ``_targeted_tube_pair`` for
     where the output is aimed.
 
-    For configurations violating the support conditions the product block is
-    identically zero and the record carries measured_lhs = 0 with the raw
-    ratio (predicted_c set to nan); those use box probes on one common
-    lattice.
+    A triple that fails the support conditions raises VanishingConfigurationError
+    (from ``predicted_block_constant``): the paper's block vanishes there, and no
+    constant is predicted to measure against.
     """
     for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2),
                  (triple.n3, triple.l3)):
         _validate_bands(n, l)
-    vanishing = not triple.satisfies_support_conditions()
-    if vanishing:
-        dxi = min(_box_dxi(triple.n1), _box_dxi(triple.n2))
-
-        def draw(rng):
-            return tuple(_box(n, l, np.random.default_rng(rng.integers(2 ** 31)), dxi)
-                         for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2)))
-    else:
-        targets = _tube_targets(triple)
-
-        def draw(rng):
-            return _targeted_tube_pair(targets, *rng.random(2))
+    c = predicted_block_constant(triple)
+    targets = _tube_targets(triple)
 
     def ratio(u, v):
         return product(u, v).band_l2_norm(triple.n3, triple.l3) / (u.l2_norm() * v.l2_norm())
 
-    best, attempts = _max_ratio(draw, ratio, trials, seed, triple)
-    if vanishing:
-        return RatioRecord(triple, best, float("nan"), best, trials, attempts)
-    c = predicted_block_constant(triple)
+    best, attempts = _max_ratio(lambda rng: _targeted_tube_pair(targets, *rng.random(2)),
+                                ratio, trials, seed, triple)
     return RatioRecord(triple, best, c, best / c, trials, attempts)
 
 

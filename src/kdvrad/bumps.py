@@ -40,9 +40,9 @@ def is_dyadic(value) -> bool:
     return m == 0.5
 
 
-def validate_dyadic(value, name="index", minimum=1):
-    if not is_dyadic(value) or value < minimum:
-        raise ValueError(f"{name} must be a power of two >= {minimum}, got {value}")
+def validate_dyadic(value, name="index"):
+    if not is_dyadic(value) or value < 1:
+        raise ValueError(f"{name} must be a power of two >= 1, got {value}")
 
 
 def dyadic_bump(n, s):

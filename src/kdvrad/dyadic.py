@@ -128,13 +128,13 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
 
 
 def free_evolution_norm_ratio(f: SpectralField, s: float,
-                              window=(-2.0, 2.0), num_time_samples: int = 160) -> float:
-    """||chi(t) S(t) f||_{xbar^s} / ||f||_{H^s} on the discrete window.
+                              num_time_samples: int = 160) -> float:
+    """||chi(t) S(t) f||_{xbar^s} / ||f||_{H^s} on the discrete time window [-2, 2].
 
     Measures the empirical constant of the free-evolution energy estimate.
     """
     denom = hs_norm(f, s)
     if denom == 0.0:
         raise ValueError("field must be nonzero")
-    st = airy_spacetime(f, window[0], window[1], num_time_samples)
+    st = airy_spacetime(f, -2.0, 2.0, num_time_samples)
     return xbar_norm(st, s).xbar_s / denom

@@ -228,11 +228,10 @@ def dealias_mask(grid: GridSpec, fraction: float = 2.0 / 3.0) -> np.ndarray:
     return grid._mask if fraction == 2.0 / 3.0 else _keep_mask(grid.k_index, fraction)
 
 
-def dealiased_product(f: SpectralField, g: SpectralField,
-                      fraction: float = 2.0 / 3.0) -> SpectralField:
+def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product f*g of two real fields with the classical 2/3-rule truncation.
 
-    Both factors are truncated to |k| <= fraction*Nyquist before the physical
+    Both factors are truncated to |k| <= (2/3) Nyquist (the grid's mask) before the physical
     multiplication and the result is truncated again, which removes every
     aliased mode of the quadratic product from the retained band.  The
     factors must be real: the product is taken on their half-spectra.
@@ -240,7 +239,7 @@ def dealiased_product(f: SpectralField, g: SpectralField,
     if f.grid != g.grid:
         raise ValueError("grids differ")
     grid = f.grid
-    mask = dealias_mask(grid, fraction)[:grid.num_points // 2 + 1]
+    mask = dealias_mask(grid)[:grid.num_points // 2 + 1]
     u = grid.half_to_values(f.half * mask)
     v = u if g is f else grid.half_to_values(g.half * mask)
     return SpectralField(grid, grid.to_half(u * v) * mask)
@@ -252,18 +251,17 @@ def require_one_field(field: SpectralField, what: str) -> None:
         raise ValueError(f"{what} takes one field, not a stack of shape {field.half.shape}")
 
 
-def check_boundary_smallness(field: SpectralField, time: float | None = None,
-                             tol: float = BOUNDARY_TOLERANCE) -> None:
+def check_boundary_smallness(field: SpectralField, time: float | None = None) -> None:
     """Raise DomainTooSmallError when max |u| over the cells adjacent to the
-    periodic seam x = +-half_length exceeds tol * max |u|."""
+    periodic seam x = +-half_length exceeds BOUNDARY_TOLERANCE * max |u|."""
     require_one_field(field, "check_boundary_smallness")
     v = np.abs(field.values())
     peak = float(np.max(v))
     edge = float(np.max(v[[0, 1, -1]]))
-    if edge > tol * peak:
+    if edge > BOUNDARY_TOLERANCE * peak:
         when = "" if time is None else f" at t = {time:.6g}"
         raise DomainTooSmallError(
             f"domain too small: |u| = {edge:.3e} at the domain edge{when} "
-            f"exceeds {tol:.0e} of max |u| = {peak:.3e}",
+            f"exceeds {BOUNDARY_TOLERANCE:.0e} of max |u| = {peak:.3e}",
             time=time,
         )

@@ -1,14 +1,68 @@
 """Dyadic bilinear block constants: regimes, support conditions, exponents."""
+import itertools
+
 import numpy as np
 import pytest
 
 from kdvrad import bilinear
 from kdvrad.bilinear import (DyadicTriple, WavePacketField, fit_exponent,
-                             make_localized, measure_block_ratio,
-                             predicted_block_constant, product,
-                             xnorm_product_ratio)
+                             measure_block_ratio, predicted_block_constant,
+                             product, xnorm_product_ratio)
 from kdvrad.bumps import dyadic_bump
 from kdvrad.errors import UnresolvableBandError, VanishingConfigurationError
+
+
+def support(n):
+    """|s| range of supp beta_n: [n/2, 2n], or [0, 2] for n = 1; beta_n > 0 inside."""
+    return (0.0, 2.0) if n == 1 else (n / 2.0, 2.0 * n)
+
+
+def output_reachable(t, points=801):
+    """Brute force of the support lemma, independent of ``satisfies_support_conditions``.
+
+    Does some input pair with |xi_k| in supp beta_Nk and |lam_k| in supp beta_Lk
+    (k = 1, 2) put xi3 = xi1 + xi2 and lam3 = lam1 + lam2 - 3 xi1 xi2 xi3 where
+    beta_N3(xi3) beta_L3(lam3) > 0, i.e. inside the open supports?  xi1 and xi2 run
+    over ``points`` values per sign; lam1 + lam2 over each sign choice is an exact interval.
+    """
+    (c3, d3), (c, d) = support(t.n3), support(t.l3)
+    signs = list(itertools.product((-1.0, 1.0), repeat=2))
+    lam_sums = []
+    for s1, s2 in signs:
+        (p1, q1), (p2, q2) = (sorted((s * lo, s * hi)) for s, (lo, hi)
+                              in ((s1, support(t.l1)), (s2, support(t.l2))))
+        lam_sums.append((p1 + p2, q1 + q2))
+    for s1, s2 in signs:
+        xi1 = s1 * np.linspace(*support(t.n1), points)[:, None]
+        xi2 = s2 * np.linspace(*support(t.n2), points)[None, :]
+        xi3 = xi1 + xi2
+        h = 3.0 * xi1 * xi2 * xi3
+        in_n3 = (np.abs(xi3) > c3) & (np.abs(xi3) < d3)
+        for p, q in lam_sums:  # lam3 in [p - h, q - h] meets +-(c, d)
+            if np.any(in_n3 & (((p - h < d) & (q - h > c)) | ((p - h < -c) & (q - h > -d)))):
+                return True
+    return False
+
+
+def assert_vanishes(t):
+    """The block is identically zero: no output reaches the N3 x L3 supports, the
+    support conditions fail, and the measurement refuses the triple."""
+    assert not output_reachable(t)
+    assert not t.satisfies_support_conditions()
+    with pytest.raises(VanishingConfigurationError):
+        measure_block_ratio(t, trials=4, seed=1)
+
+
+def lattice_cloud(n, l, seed):
+    """Random-amplitude cloud on 48 consecutive lattice points across supp beta_n, each at
+    16 modulations across supp beta_l; the spacing depends on n alone."""
+    rng = np.random.default_rng(seed)
+    lo, hi = support(n)
+    dxi = (hi - lo) / 48
+    idx = np.repeat(int(round(lo / dxi)) + np.arange(48), 16)
+    lam = np.tile(np.linspace(*support(l), 16), 48)
+    amp = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+    return WavePacketField(idx, lam + (idx * dxi) ** 3, amp, dxi, 0.5)
 
 
 class TestDyadicTriple:
@@ -57,54 +111,24 @@ class TestPredictedConstant:
                                   rel=1e-12)
 
 
-class TestMakeLocalized:
-    def test_support_fraction(self):
-        f = make_localized(4, 1, seed=3)
-        assert f.support_mass_fraction(4, 1) >= 0.99
-
-    @pytest.mark.parametrize("n", [1, 4, 16])
-    def test_box_cells_on_consecutive_lattice_points(self, n):
-        f = make_localized(n, 1, seed=3)
-        idx = np.unique(f.xi_index)
-        assert idx.size == 48
-        assert np.all(np.diff(idx) == 1)
-
-    def test_deterministic(self):
-        a = make_localized(8, 2, seed=11)
-        b = make_localized(8, 2, seed=11)
-        assert np.array_equal(a.amp, b.amp)
-        assert np.array_equal(a.tau, b.tau)
-
-    def test_band_beyond_cap_rejected(self):
-        with pytest.raises(UnresolvableBandError):
-            make_localized(2 ** 13, 1, seed=0)
-        with pytest.raises(UnresolvableBandError):
-            make_localized(4, 2 ** 27, seed=0)
-
-    def test_tube_geometry_in_band(self):
-        f = make_localized(16, 1, seed=5, geometry="tube")
-        assert f.support_mass_fraction(16, 1) >= 0.99
-
-
 class TestMeasureBlockRatio:
     def test_vanishing_configuration_is_numerically_zero(self):
-        t = DyadicTriple(2, 2, 64, 1, 1, 1024)
-        rec = measure_block_ratio(t, trials=8, seed=1)
-        assert rec.measured_lhs < 1e-10
+        # |xi1 + xi2| <= 8 never reaches the N3 = 64 band: the block is exactly zero
+        assert_vanishes(DyadicTriple(2, 2, 64, 1, 1, 1024))
 
     def test_modulation_separated_configuration_vanishes(self):
         # L3 far above both the resonance size and the other modulations
-        t = DyadicTriple(2, 2, 4, 1, 1, 2 ** 16)
-        rec = measure_block_ratio(t, trials=8, seed=1)
-        assert rec.measured_lhs < 1e-10
+        assert_vanishes(DyadicTriple(2, 2, 4, 1, 1, 2 ** 16))
 
     def test_vanishing_configuration_with_unequal_input_bands(self):
-        # L3 far below the resonance N1 N3^2; the box operands differ in band
-        t = DyadicTriple(2, 16, 16, 1, 1, 16)
-        rec = measure_block_ratio(t, trials=4, seed=1)
-        assert rec.measured_lhs < 1e-10
-        assert np.isnan(rec.predicted_c)
-        assert rec.trials == rec.attempts == 4
+        # L3 far below the resonance N1 N3^2, with input bands that differ
+        assert_vanishes(DyadicTriple(2, 16, 16, 1, 1, 16))
+
+    def test_band_beyond_cap_rejected(self):
+        for t in (DyadicTriple(2 ** 13, 2 ** 13, 2 ** 13, 1, 1, 1),
+                  DyadicTriple(4, 4, 4, 1, 1, 2 ** 27)):
+            with pytest.raises(UnresolvableBandError, match="exceeds the configured cap"):
+                measure_block_ratio(t, trials=1)
 
     def test_unresolvable_triple_reports_counts(self):
         # |3 xi1 xi2 xi3| <= 6 at |xi| <= 2 cannot take lam1 + lam2 ~ 21 into
@@ -122,6 +146,7 @@ class TestMeasureBlockRatio:
         triples += [DyadicTriple(1, 16, 16, 256, 1, 4), DyadicTriple(1, 1, 1, 1, 1, 1),
                     DyadicTriple(8, 8, 8, 1, 4, 512)]
         for t in triples:
+            assert output_reachable(t)
             rec = measure_block_ratio(t, trials=32, seed=7)
             assert rec.trials == 32
             assert rec.attempts >= rec.trials
@@ -171,9 +196,8 @@ class TestXnormProductRatio:
             return float(total)
 
         rng = np.random.default_rng(11)
-        clouds = [make_localized(n, l, seed=n + l, geometry=g)
-                  for n, l, g in ((4, 1, "box"), (16, 64, "box"), (32, 8, "tube"))]
-        clouds.append(product(clouds[0], make_localized(4, 2, seed=5)))
+        clouds = [lattice_cloud(n, l, seed=n + l) for n, l in ((4, 1), (16, 64), (32, 8))]
+        clouds.append(product(clouds[0], lattice_cloud(4, 2, seed=5)))
         for size, scale in ((40, 1.0), (300, 50.0), (7, 1e4)):
             clouds.append(WavePacketField(
                 rng.integers(-200, 200, size), rng.uniform(-scale, scale, size),
@@ -228,12 +252,12 @@ class TestProductBookkeeping:
         assert w.xi[0] == pytest.approx(4.0)
 
     def test_box_probes_share_lattice(self):
-        # same-band box probes live on a common lattice, so products work
-        a = make_localized(4, 1, seed=1)
-        b = make_localized(4, 1, seed=2)
+        # same-band clouds live on a common lattice, so products work
+        a = lattice_cloud(4, 1, seed=1)
+        b = lattice_cloud(4, 1, seed=2)
         w = product(a, b)
         assert w.l2_norm() > 0
         # mixed lattices are rejected
-        c = make_localized(8, 1, seed=3)
+        c = lattice_cloud(8, 1, seed=3)
         with pytest.raises(ValueError, match="lattice"):
             product(a, c)

@@ -1,6 +1,7 @@
 """Every top-level import of the package and of the tests is read, the
-package and the tests import only at module level, and the package never
-reads the derived full coefficient array."""
+package and the tests import only at module level, the package never
+reads the derived full coefficient array, and every defaulted parameter of
+a public function is set by some call."""
 import ast
 from pathlib import Path
 
@@ -49,3 +50,54 @@ def test_package_never_reads_the_full_coefficient_array():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
     assert not reads, f".coeffs read inside the package: {reads}"
+
+
+def defaulted_parameters(fn, is_method):
+    """(name, positional index or None) of each parameter of ``fn`` with a default;
+    a method's index counts from the parameter after self."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if is_method else 0:]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def public_functions(tree):
+    """(name, def, is_method) of the public module functions and public class methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield item.name, item, not static
+
+
+def sets_parameter(call, name, index):
+    """True if ``call`` passes ``name`` by keyword or position, or may through * or **."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # an option that no call sets is a constant with a name: inline it
+    calls = {}
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    unset = [f"{path.stem}.{name}({param})"
+             for path in sorted((ROOT / "src" / "kdvrad").glob("*.py"))
+             for name, fn, is_method in public_functions(ast.parse(path.read_text()))
+             for param, index in defaulted_parameters(fn, is_method)
+             if not any(sets_parameter(c, param, index) for c in calls.get(name, []))]
+    assert not unset, f"defaulted parameters that no call sets: {unset}"
