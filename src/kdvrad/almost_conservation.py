@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import KdvradError
 from .gevrey import GevreyParams, gevrey_norm, smooth
-from .grid import SpectralField, dealias_mask, dealiased_product, derivative
+from .grid import SpectralField, dealiased_product, derivative
 from .scheduler import local_existence_time
 from .solver import SolverConfig, Trajectory, evolve
 
@@ -48,7 +48,7 @@ def commutator_term(w: SpectralField, sigma: float,
     if sigma == 0.0:
         return SpectralField(w.grid, np.zeros_like(w.half))
     g, n = w.grid, w.grid.num_points
-    m = int(np.count_nonzero(dealias_mask(g, dealias)[:n // 2 + 1]))
+    m = g.band_size(dealias)
     xi, wh = g.xi[:m], w.half[..., :m]
     awh = -np.expm1(-2.0 * sigma * xi) * wh
     a, b, c, d = np.fft.irfft(np.stack((wh, -1j * wh, awh, -1j * awh)), n)
@@ -114,7 +114,7 @@ def measure_conservation(u_trajectory: Trajectory, sigma: float) -> Conservation
         raise KdvradError("need at least 3 snapshots for the quadrature")
     u, g = u_trajectory.field, u_trajectory.grid
     energy, flux, floor = np.empty(len(u_trajectory)), np.empty(len(u_trajectory)), 0.0
-    m = int(np.count_nonzero(dealias_mask(g)[:g.num_points // 2 + 1]))  # the band k < m
+    m = g.band
     roundoff = np.finfo(float).eps * np.exp(sigma * g.xi[m - 1])
     for rows in (slice(lo, lo + _BLOCK) for lo in range(0, len(u_trajectory), _BLOCK)):
         block = u[rows]
@@ -151,7 +151,7 @@ def prepare_acl_trajectory(f: SpectralField, sigma0: float, num_snapshots: int =
                            steps_per_snapshot: int = 10) -> Trajectory:
     """Evolve f over one local-existence interval with dense snapshots.
 
-    The interval is t0 = 0.01 * ||f||_{G^sigma0}^(-2) (``local_existence_time``);
+    The interval is t0 = C_LWP * ||f||_{G^sigma0}^(-2) (``local_existence_time``);
     the step size is tied to the snapshot density so the work-integral quadrature
     error sits well below the identity-check tolerance.
     """

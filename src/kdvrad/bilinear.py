@@ -12,7 +12,7 @@ The block probe (``measure_block_ratio``) and the X-norm product probe
 frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one
 tau cell, so they resolve the modulation scale at large N, where a dense
 grid cannot, and sample the operator norm from below.  The probes differ
-only in where they put (xi1, xi2).
+only in where they put (xi1, xi2).  ``WavePacketField.x_norm`` is dyadic's X norm of a cloud.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import dyadic_bump, is_dyadic, validate_dyadic
-from .dyadic import modulation_norms
+from .dyadic import modulation_masses, x_sum
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
 TWO_PI = 2.0 * np.pi
@@ -74,8 +74,8 @@ class WavePacketField:
 
     def x_norm(self) -> float:
         """sum_L L^(1/2) ||Q_L .|| over all bands carrying amplitude."""
-        norms = modulation_norms(self.modulation, np.abs(self.amp) ** 2, self.cell_weight)
-        return float(sum(np.sqrt(l) * v for l, v in norms.items()))
+        return float(x_sum(*modulation_masses(self.modulation, np.abs(self.amp) ** 2),
+                           self.cell_weight))
 
     def band_l2_norm(self, n, l) -> float:
         """||P_n Q_l .|| with the smooth bumps."""

@@ -6,10 +6,10 @@ modulation band |tau - xi^3| ~ L.  The X norm is the l1-over-modulation,
 L2-in-spacetime combination sum_L L^(1/2) ||Q_L v||, and the xbar^s norm
 replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
 
-Band sums telescope beta_L = chi(lam/L) - chi(lam/(L/2)), one chi per scale, bitwise equal
-to ``dyadic_bump`` as L/2 is a power of two.  Sums run over the xi >= 0 half plane, each
-column with its multiplicity (``SpacetimeSpectrum.power``).  ``xbar_norm`` reduces M[L, xi] =
-sum_tau beta_L^2 |v|^2 once; block N is sum_L L^(1/2) (M beta_N^2 weight)^(1/2).
+One reduction serves every X norm: ``modulation_masses`` sums M_L = beta_L(lam)^2 power over
+the first axis (tau, each xi >= 0 column with its multiplicity, or a whole cloud), and ``x_sum``
+adds L^(1/2) (M_L weight)^(1/2) in order of L.  The N = 1 block of ``xbar_norm`` is a multiplier
+in xi alone, applied to the x-transformed samples: no tau round trip.
 """
 from __future__ import annotations
 
@@ -42,15 +42,6 @@ def _check_dtau(spec: SpacetimeSpectrum):
         )
 
 
-def _covering_modulations(lam):
-    return covering_indices(float(np.max(np.abs(lam), initial=1.0)))
-
-
-def modulation_blocks(spec: SpacetimeSpectrum):
-    """Dyadic L indices covering every |tau - xi^3| present on the grid."""
-    return _covering_modulations(spec.modulation())
-
-
 def project_ql(field: SpacetimeField, l) -> SpacetimeField:
     """Modulation block Q_l of the tapered field."""
     validate_dyadic(l, "modulation band")
@@ -60,25 +51,30 @@ def project_ql(field: SpacetimeField, l) -> SpacetimeField:
         replace(spec, values=spec.values * dyadic_bump(l, spec.modulation())))
 
 
-def modulation_norms(lam, power, weight) -> dict:
-    """||Q_l .|| per band l from cell powers and weight, for every band covering
-    max|lam| except those with 2l <= min|lam|, where beta_l is exactly 0."""
+def modulation_masses(lam, power):
+    """(bands, M): M_L = sum over the first axis of beta_L(lam)^2 power, for the bands L
+    covering max|lam| except those with 2L <= min|lam|, where beta_L is exactly 0."""
     lam_min = float(np.min(np.abs(lam), initial=np.inf))
-    l_list = [l for l in _covering_modulations(lam) if 2 * l > lam_min]
-    return {l: float(np.sqrt(np.sum(wgt * wgt * power) * weight))
-            for l, wgt in dyadic_bands(l_list, lam)}
+    l_list = [l for l in covering_indices(float(np.max(np.abs(lam), initial=1.0)))
+              if 2 * l > lam_min]
+    return l_list, np.array([np.sum(wgt * wgt * power, axis=0)
+                             for _, wgt in dyadic_bands(l_list, lam)])
 
 
-def block_l2_norms(spec: SpacetimeSpectrum) -> dict:
-    """||Q_l u|| for each modulation band, computed spectrally."""
-    _check_dtau(spec)
-    return modulation_norms(spec.modulation(), spec.power(), spec.weight)
+def x_sum(l_list, masses, weight):
+    """sum_L L^(1/2) (M_L weight)^(1/2), added in order of L; one value per column of M."""
+    total = 0.0
+    for l, m in zip(l_list, masses):
+        total = total + np.sqrt(l) * np.sqrt(m * weight)
+    return total
 
 
 def x_norm(field: SpacetimeField) -> float:
     """sum_L L^(1/2) ||Q_L field|| over every band present on the grid."""
-    norms = block_l2_norms(spacetime_transform(field))
-    return float(sum(np.sqrt(l) * v for l, v in norms.items()))
+    spec = spacetime_transform(field)
+    _check_dtau(spec)
+    l_list, masses = modulation_masses(spec.modulation(), spec.power())
+    return float(x_sum(l_list, np.sum(masses, axis=1), spec.weight))
 
 
 @dataclass
@@ -102,22 +98,15 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     """xbar^s norm: maximal-in-time low block plus N^s-weighted X blocks."""
     spec = spacetime_transform(field)
     _check_dtau(spec)
-    lam = spec.modulation()
-    l_list = _covering_modulations(lam)
-    power = spec.power()
-    m = np.array([np.sum(wgt * wgt * power, axis=0) for _, wgt in dyadic_bands(l_list, lam)])
-    sqrt_l = np.sqrt(l_list)
-    x_per_n = {}
-    low = 0.0
-    for n, band in dyadic_bands(covering_indices(field.grid.nyquist_xi), spec.xi):
-        if n == 1:
-            # L_x^2 L_t^inf of the low block, evaluated in physical space
-            u1 = inverse_spacetime_transform(replace(spec, values=spec.values * band)).values
-            sup_t = np.max(np.abs(u1), axis=0)
-            low = float(np.sqrt(np.sum(sup_t ** 2) * field.grid.dx))
-            x_per_n[1] = low
-            continue
-        x_per_n[n] = float(sqrt_l @ np.sqrt(m @ (band * band) * spec.weight))
+    g = field.grid
+    l_list, masses = modulation_masses(spec.modulation(), spec.power())
+    n_list = covering_indices(g.nyquist_xi)
+    betas = np.array([beta for _, beta in dyadic_bands(n_list, spec.xi)])
+    # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the x-transformed samples
+    u1 = g.half_to_values(g.to_half(field.tapered_values()) * betas[0])
+    low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
+    x_high = x_sum(l_list, masses @ (betas[1:] * betas[1:]).T, spec.weight)
+    x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2
                                   for n, v in x_per_n.items() if n > 1))
     # bands reaching past max|tau| are cut off by the tau grid

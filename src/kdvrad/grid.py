@@ -10,7 +10,7 @@ continuous-transform normalization
 
 so closed-form transforms (sech, sech^2, Gaussians) are directly comparable.
 Frequencies are xi_k = pi k / half_length in FFT (wrap-around) order, the
-quadratic nonlinearity is dealiased by the 2/3 rule (``dealias_mask``) and
+quadratic nonlinearity is dealiased by the 2/3 rule (the band k < ``GridSpec.band``) and
 the free (Airy) flow multiplies by ``airy_phase``.
 Every field is real, so its k = 0..n/2 half-spectrum holds all of it: ``SpectralField``
 stores it, ``to_half`` / ``half_to_values`` are real FFTs along the last axis, multipliers
@@ -39,8 +39,8 @@ def _is_power_of_two(n: int) -> bool:
 class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
 
-    The mode numbers, the frequencies, the (-1)^k phase, the 2/3 dealias mask and
-    ``half_weight`` are computed once, as read-only arrays.
+    The mode numbers, the frequencies, the (-1)^k phase and ``half_weight`` are computed
+    once, as read-only arrays, and so is ``band``: the 2/3 band is k < band.
     """
 
     num_points: int
@@ -57,10 +57,10 @@ class GridSpec:
         # _sign = exp(i pi k): offset of the first grid node from x = 0; half_weight:
         # multiplicity of each k = 0..n/2 entry in Parseval sums, 2 where it stands for +-k
         for name, a in (("_k", k), ("_xi", np.pi * k / self.half_length),
-                        ("_sign", np.where(k % 2 == 0, 1.0, -1.0)),
-                        ("_mask", _keep_mask(k, 2.0 / 3.0)), ("half_weight", weight)):
+                        ("_sign", np.where(k % 2 == 0, 1.0, -1.0)), ("half_weight", weight)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "band", self.band_size(2.0 / 3.0))
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the read-only arrays, not restore writable copies
@@ -96,6 +96,11 @@ class GridSpec:
     def spectral_weight(self) -> float:
         """Weight per coefficient in Parseval sums: dxi / (2 pi)."""
         return 1.0 / (2.0 * self.half_length)
+
+    def band_size(self, fraction: float) -> int:
+        """m such that k < m keeps |k| <= fraction * Nyquist, the Nyquist mode dropped."""
+        nyquist = self.num_points // 2
+        return min(max(int(np.floor(fraction * nyquist)) + 1, 0), nyquist)
 
     def inner(self, a, b=None):
         """int u v dx of real fields from their half-spectra a, b (last axis); ||u||^2 by |a|^2."""
@@ -218,31 +223,22 @@ def derivative(field: SpectralField, order: int = 1) -> SpectralField:
     return apply_multiplier(field, lambda xi: (1j * xi) ** order)
 
 
-def _keep_mask(k: np.ndarray, fraction: float) -> np.ndarray:
-    nyquist = k.size // 2
-    return (np.abs(k) <= int(np.floor(fraction * nyquist))) & (np.abs(k) != nyquist)
-
-
-def dealias_mask(grid: GridSpec, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Keep-mask for |k| <= fraction * Nyquist, Nyquist dropped; the 2/3 default is the grid's."""
-    return grid._mask if fraction == 2.0 / 3.0 else _keep_mask(grid.k_index, fraction)
-
-
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product f*g of two real fields with the classical 2/3-rule truncation.
 
-    Both factors are truncated to |k| <= (2/3) Nyquist (the grid's mask) before the physical
-    multiplication and the result is truncated again, which removes every
+    Both factors are truncated to the band k < ``grid.band`` before the physical
+    multiplication and the result is truncated again, the rest zero-filled, which removes every
     aliased mode of the quadratic product from the retained band.  The
     factors must be real: the product is taken on their half-spectra.
     """
     if f.grid != g.grid:
         raise ValueError("grids differ")
-    grid = f.grid
-    mask = dealias_mask(grid)[:grid.num_points // 2 + 1]
-    u = grid.half_to_values(f.half * mask)
-    v = u if g is f else grid.half_to_values(g.half * mask)
-    return SpectralField(grid, grid.to_half(u * v) * mask)
+    grid, m = f.grid, f.grid.band
+    u = grid.half_to_values(f.half[..., :m])
+    v = u if g is f else grid.half_to_values(g.half[..., :m])
+    half = grid.to_half(u * v)
+    half[..., m:] = 0.0
+    return SpectralField(grid, half, copy=False)
 
 
 def require_one_field(field: SpectralField, what: str) -> None:

@@ -12,7 +12,7 @@ stays constant for short times).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,21 +20,26 @@ from .gevrey import GevreyParams, estimate_radius, gevrey_norm
 from .grid import SpectralField
 from .solver import SolverConfig, Trajectory, evolve
 
+#: placeholder local-existence time constant c in t0 = c Gamma^(-6/(3+2s))
+C_LWP = 0.01
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
     sigma0: float          # initial strip half-width
     gamma0: float          # data norm at sigma0
-    c_lwp: float = 0.01    # local-existence time constant
+    c_lwp: float = C_LWP   # local-existence time constant
     c_acl: float = 1.0     # almost-conservation constant
     s: float = 0.0
+    t0: float = field(init=False)  # one local-existence step at gamma0
 
     def __post_init__(self):
         if min(self.sigma0, self.gamma0, self.c_lwp, self.c_acl) <= 0:
             raise ValueError("all schedule constants must be strictly positive")
+        object.__setattr__(self, "t0", local_existence_time(self.gamma0, self.s, self.c_lwp))
 
 
-def local_existence_time(gamma: float, s: float = 0.0, c: float = 0.01) -> float:
+def local_existence_time(gamma: float, s: float = 0.0, c: float = C_LWP) -> float:
     """t0 = c * gamma^(-6/(3+2s)); requires 3 + 2s > 0."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -52,16 +57,14 @@ def sigma_for_horizon(params: ScheduleParams, horizon: float) -> float:
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
-    c0 = (t0 / (2.0 ** 2.5 * params.c_acl * params.gamma0)) ** (4.0 / 3.0)
+    c0 = (params.t0 / (2.0 ** 2.5 * params.c_acl * params.gamma0)) ** (4.0 / 3.0)
     return min(params.sigma0, c0 * horizon ** (-4.0 / 3.0))
 
 
 def doubling_condition_value(params: ScheduleParams, horizon: float,
                              sigma: float) -> float:
     """(2T/t0) 2^(3/2) C sigma^(3/4) Gamma; equals 1 at the unclamped schedule."""
-    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
-    return (2.0 * horizon / t0) * 2.0 ** 1.5 * params.c_acl \
+    return (2.0 * horizon / params.t0) * 2.0 ** 1.5 * params.c_acl \
         * sigma ** 0.75 * params.gamma0
 
 
@@ -79,8 +82,7 @@ def final_induction_state(params: ScheduleParams, horizon: float) -> ScheduleSta
     The squared-norm bound grows by 2^(3/2) C sigma^(3/4) gamma0^3 per step,
     affine in k, so the last step carries the largest bound.
     """
-    sigma = sigma_for_horizon(params, horizon)
-    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
+    sigma, t0 = sigma_for_horizon(params, horizon), params.t0
     k = int(np.floor(horizon / t0)) + 1
     increment = 2.0 ** 1.5 * params.c_acl * sigma ** 0.75 * params.gamma0 ** 3
     base = params.gamma0 ** 2
@@ -120,8 +122,7 @@ def empirical_schedule(f: SpectralField, params: ScheduleParams, horizon: float,
     metadata in ``violations`` rather than silently dropped.
     """
     traj = trajectory if trajectory is not None else evolve(f, horizon, config)
-    t0 = local_existence_time(params.gamma0, params.s, params.c_lwp)
-    times = traj.times
+    t0, times = params.t0, traj.times
     cert = np.empty(len(times))
     hat = np.empty(len(times))
     gam = np.empty(len(times))

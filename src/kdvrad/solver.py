@@ -2,13 +2,13 @@
 
 The linear part is handled exactly through the Airy phase exp(i t xi^3); the
 quadratic nonlinearity -(1/2) d_x(u^2) is evaluated in physical space with
-2/3-rule dealiasing.  The frequencies, the dealias mask and the phase come
+2/3-rule dealiasing.  The frequencies, the dealias band and the phase come
 from ``grid``.  The state is the grid's k = 0..n/2 half-spectrum dx (-1)^k rfft(u)
 (``GridSpec.to_half``), which is also what a ``SpectralField`` snapshot stores.  Squaring needs
 no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
 which commutes with squaring, so only the 1/dx is left, in the derivative factor.
-Only the 2/3 band k < m, all the nonlinear term reads or writes, runs the RK stages; the
-tail k >= m just rotates by the scheme's phase, and ``irfft`` zero-pads: no mask multiply.
+Only the 2/3 band k < ``grid.band``, all the nonlinear term reads or writes, runs the RK
+stages; the tail just rotates by the scheme's phase, and ``irfft`` zero-pads: no mask multiply.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BlowupError, ConfigError
 from .grid import (GridSpec, SpectralField, airy_phase, check_boundary_smallness,
-                   dealias_mask, forward_transform)
+                   forward_transform)
 
 SCHEMES = ("ifrk4", "etdrk4")
 
@@ -144,9 +144,8 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
 
     half = grid.num_points // 2 + 1
     xi = np.abs(grid.xi[:half])  # Nyquist taken positive
-    mask = dealias_mask(grid)[:half]
-    m = int(np.count_nonzero(mask))  # the band is k < m
-    dfactor = (-0.5j * xi * mask / grid.dx)[:m]
+    m = grid.band
+    dfactor = -0.5j * xi[:m] / grid.dx
     u, buf = np.empty(grid.num_points), np.empty(half, dtype=complex)
 
     def nonlinear(band):

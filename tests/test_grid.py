@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from kdvrad.errors import DomainTooSmallError, KdvradError
 from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier,
-                         check_boundary_smallness, dealias_mask,
-                         dealiased_product, derivative, forward_transform)
+                         check_boundary_smallness, dealiased_product, derivative,
+                         forward_transform)
 
 from conftest import (complex_dealiased_product, hermitian_defect, keep_mask_formula,
                       random_band_field, sign_formula)
@@ -52,21 +52,24 @@ class TestGridSpec:
         assert g.k_index.tobytes() == k.tobytes()
         assert g.xi.tobytes() == (np.pi * k / 30.0).tobytes()
         assert g._sign.tobytes() == np.where(k % 2 == 0, 1.0, -1.0).tobytes()
-        assert g._mask.tobytes() == keep_mask_formula(g).tobytes()
+        # the band k < m is the k >= 0 half of the keep-mask, at 2/3 and at other fractions
+        for fraction, band in ((2.0 / 3.0, g.band), (0.5, g.band_size(0.5)),
+                               (1.0, g.band_size(1.0))):
+            assert (np.arange(257) < band).tobytes() \
+                == keep_mask_formula(g, fraction)[:257].tobytes()
         weight = np.full(257, 2.0)
         weight[[0, -1]] = 1.0
         assert g.half_weight.tobytes() == weight.tobytes()
-        for a in (g.k_index, g.xi, g._sign, g._mask, g.half_weight):
+        for a in (g.k_index, g.xi, g._sign, g.half_weight):
             with pytest.raises(ValueError):
                 a[1] = 0
         # computed once: every read returns the same array
         assert g.xi is g.xi and g.k_index is g.k_index
-        assert dealias_mask(g) is g._mask
         # copies rebuild the arrays read-only
         for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert h == g and h.xi.tobytes() == g.xi.tobytes()
-            assert h._mask.tobytes() == g._mask.tobytes()
-            for a in (h.k_index, h.xi, h._sign, h._mask, h.half_weight):
+            assert h.band == g.band
+            for a in (h.k_index, h.xi, h._sign, h.half_weight):
                 with pytest.raises(ValueError):
                     a[1] = 0
 

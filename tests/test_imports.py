@@ -1,7 +1,7 @@
 """Every top-level import of the package and of the tests is read, the
 package and the tests import only at module level, the package never
-reads the derived full coefficient array, and every defaulted parameter of
-a public function is set by some call."""
+reads the derived full coefficient array, every defaulted parameter of
+a public function is set by some call, and every public function is used."""
 import ast
 from pathlib import Path
 
@@ -101,3 +101,36 @@ def test_every_defaulted_parameter_is_set_by_some_call():
              for param, index in defaulted_parameters(fn, is_method)
              if not any(sets_parameter(c, param, index) for c in calls.get(name, []))]
     assert not unset, f"defaulted parameters that no call sets: {unset}"
+
+
+#: public functions that nothing in src/ or perfbench/ calls, each kept for what it serves
+ORACLE_EXPORTS = {
+    "airy_propagate": "the linear-limit oracle and the airy_spacetime oracle",
+    "project_pn": "physical-side frequency-block oracle",
+    "project_ql": "physical-side modulation-block oracle",
+    "free_evolution_norm_ratio": "the tier-1 free-evolution claim",
+    "modified_residual": "the smoothed-flow equation oracle",
+    "smoothing_multiplier_bounds": "the theta = 3/4 symbol chain of a worst-case ACL probe",
+    "doubling_condition_value": "closed-form oracle of the schedule's doubling check",
+}
+
+
+def test_no_dead_exports():
+    # a public function read by no program code and serving no listed purpose is dead
+    referenced = set()
+    for folder in ("src", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name == "__init__.py":  # a re-export is not a use
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    public = {node.name: path.stem for path in sorted((ROOT / "src" / "kdvrad").glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    dead = [f"{module}.{name}" for name, module in public.items()
+            if name not in referenced and name not in ORACLE_EXPORTS]
+    assert not dead, f"public functions nothing uses: {dead}"
+    assert set(ORACLE_EXPORTS) <= public.keys() - referenced, "listed but used or gone"
