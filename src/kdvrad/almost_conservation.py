@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as _grid
 from .errors import KdvradError
 from .gevrey import GevreyParams, gevrey_norm, smooth
 from .grid import SpectralField, dealiased_product, derivative
@@ -51,8 +52,8 @@ def commutator_term(w: SpectralField, sigma: float,
     m = g.band_size(dealias)
     xi, wh = g.xi[:m], w.half[..., :m]
     awh = -np.expm1(-2.0 * sigma * xi) * wh
-    a, b, c, d = np.fft.irfft(np.stack((wh, -1j * wh, awh, -1j * awh)), n)
-    re, im = np.fft.rfft(np.stack((a * c + b * d, b * c - a * d)))[..., :m]
+    a, b, c, d = _grid.irfft(np.stack((wh, -1j * wh, awh, -1j * awh)), n)
+    re, im = _grid.rfft(np.stack((a * c + b * d, b * c - a * d)))[..., :m]
     half = np.zeros(w.half.shape, dtype=complex)
     half[..., :m] = (0.25j / g.dx) * xi * (re + 1j * im)
     return SpectralField(g, half)

@@ -165,12 +165,19 @@ class DyadicTriple:
     def _comparable(self, a, b):
         return max(a, b) <= COMPARABLE_FACTOR * min(a, b)
 
-    def satisfies_support_conditions(self) -> bool:
+    def _failed_support_condition(self) -> str | None:
+        """The factor-4 "~" condition the triple fails, or None."""
         n_min, n_med, n_max = self.n_sorted
         l_min, l_med, l_max = self.l_sorted
+        top = max(n_min * n_max ** 2, l_med)
         if not self._comparable(n_max, n_med):
-            return False
-        return self._comparable(l_max, max(n_min * n_max ** 2, l_med))
+            return f"N_max = {n_max:g} is not ~ N_med = {n_med:g}"
+        if not self._comparable(l_max, top):
+            return f"L_max = {l_max:g} is not ~ max(N_min N_max^2, L_med) = {top:g}"
+        return None
+
+    def satisfies_support_conditions(self) -> bool:
+        return self._failed_support_condition() is None
 
     @property
     def regime(self) -> str:
@@ -181,9 +188,10 @@ class DyadicTriple:
         separated and its own modulation carries the dominant resonance-size
         band.  "generic": every other admissible configuration.
         """
-        if not self.satisfies_support_conditions():
+        if failed := self._failed_support_condition():
             raise VanishingConfigurationError(
-                f"support conditions fail for {self}: the block vanishes")
+                f"support condition fails for {self}: {failed} (\"~\" within a factor "
+                f"{COMPARABLE_FACTOR:g}), so no block constant is predicted")
         n_min, n_med, n_max = self.n_sorted
         l_min, l_med, l_max = self.l_sorted
         resonance = n_min * n_max ** 2
@@ -203,7 +211,7 @@ class DyadicTriple:
 
 def predicted_block_constant(triple: DyadicTriple) -> float:
     """Block-constant formula for the triple's regime (normalization 1)."""
-    regime = triple.regime  # raises on vanishing configurations
+    regime = triple.regime  # raises where the support conditions fail
     n_min, n_med, n_max = triple.n_sorted
     l_min, l_med, l_max = triple.l_sorted
     if regime == "balanced":
@@ -451,9 +459,9 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
     max over trials a smooth function of N.  See ``_targeted_tube_pair`` for
     where the output is aimed.
 
-    A triple that fails the support conditions raises VanishingConfigurationError
-    (from ``predicted_block_constant``): the paper's block vanishes there, and no
-    constant is predicted to measure against.
+    A triple that fails a factor-4 "~" support condition raises VanishingConfigurationError
+    (from ``predicted_block_constant``), naming the condition: no constant is predicted to
+    measure against.  The block need not vanish there: "~" is tighter than the bump supports.
     """
     for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2),
                  (triple.n3, triple.l3)):

@@ -46,7 +46,7 @@ class UnresolvableBandError(KdvradError):
 
 
 class VanishingConfigurationError(KdvradError):
-    """Dyadic triple violates the support conditions; the bilinear block is zero."""
+    """Dyadic triple fails a support condition; no block constant is predicted for it."""
 
 
 class BlowupError(KdvradError):

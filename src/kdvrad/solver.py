@@ -8,7 +8,8 @@ from ``grid``.  The state is the grid's k = 0..n/2 half-spectrum dx (-1)^k rfft(
 no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
 which commutes with squaring, so only the 1/dx is left, in the derivative factor.
 Only the 2/3 band k < ``grid.band``, all the nonlinear term reads or writes, runs the RK
-stages; the tail just rotates by the scheme's phase, and ``irfft`` zero-pads: no mask multiply.
+stages; the tail just rotates by the scheme's phase, and ``grid.irfft`` zero-pads: no mask
+multiply.  ``grid.irfft`` / ``rfft`` skip numpy's FFT wrapper, 3-5 us of each of a step's 8 calls.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as _grid
 from .errors import BlowupError, ConfigError
 from .grid import (GridSpec, SpectralField, airy_phase, check_boundary_smallness,
                    forward_transform)
@@ -149,9 +151,9 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     u, buf = np.empty(grid.num_points), np.empty(half, dtype=complex)
 
     def nonlinear(band):
-        np.fft.irfft(band, u.size, out=u)
+        _grid.irfft(band, u.size, out=u)
         np.multiply(u, u, out=u)
-        return dfactor * np.fft.rfft(u, out=buf)[:m]
+        return dfactor * _grid.rfft(u, out=buf)[:m]
 
     band, tail = f.half[:m], f.half[m:]
     num_steps = max(1, int(round(T / config.dt)))

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from kdvrad import almost_conservation
+from kdvrad import almost_conservation, grid
 from kdvrad.almost_conservation import (commutator_term, measure_conservation,
                                         modified_residual, pairing, prepare_acl_trajectory,
                                         smoothing_multiplier_bounds)
@@ -109,14 +109,14 @@ def without_floor(report):
 
 
 def count_real_ffts(monkeypatch):
-    """Count np.fft.rfft / irfft calls into the returned dict."""
+    """Count kdvrad.grid.rfft / irfft calls into the returned dict."""
     calls = {"rfft": 0, "irfft": 0}
     for name in calls:
-        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+        def counted(*args, _name=name, _fft=getattr(grid, name), **kwargs):
             calls[_name] += 1
             return _fft(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(grid, name, counted)
     return calls
 
 

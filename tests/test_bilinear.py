@@ -124,6 +124,20 @@ class TestMeasureBlockRatio:
         # L3 far below the resonance N1 N3^2, with input bands that differ
         assert_vanishes(DyadicTriple(2, 16, 16, 1, 1, 16))
 
+    def test_refusal_names_the_failed_condition(self):
+        # the outputs reach the supports (xi1 = xi2 = 1.9: |3 xi1 xi2 xi3| = 41 > 32), but
+        # L3 = 64 is not within a factor 4 of the resonance size N_min N_max^2 = 8
+        t = DyadicTriple(2, 2, 2, 1, 1, 64)
+        assert output_reachable(t) and not t.satisfies_support_conditions()
+        for triple, condition in ((t, "L_max = 64 is not ~ max(N_min N_max^2, L_med) = 8"),
+                                  (DyadicTriple(2, 2, 32, 1, 1, 2048),
+                                   "N_max = 32 is not ~ N_med = 2")):
+            with pytest.raises(VanishingConfigurationError) as refused:
+                measure_block_ratio(triple, trials=4, seed=1)
+            message = str(refused.value)
+            assert condition in message and "no block constant is predicted" in message
+            assert "vanish" not in message
+
     def test_band_beyond_cap_rejected(self):
         for t in (DyadicTriple(2 ** 13, 2 ** 13, 2 ** 13, 1, 1, 1),
                   DyadicTriple(4, 4, 4, 1, 1, 2 ** 27)):

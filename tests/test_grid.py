@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kdvrad.errors import DomainTooSmallError, KdvradError
 from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier,
                          check_boundary_smallness, dealiased_product, derivative,
-                         forward_transform)
+                         forward_transform, irfft, rfft)
 
 from conftest import (complex_dealiased_product, hermitian_defect, keep_mask_formula,
                       random_band_field, sign_formula)
@@ -150,6 +150,37 @@ class TestGridSpec:
             row[0]
         # stored C-ordered whatever the input's layout, so each row sums as it would alone
         assert SpectralField(small_grid, np.asfortranarray(stack.half)).half.flags.c_contiguous
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRealTransforms:
+    """``rfft`` / ``irfft`` call numpy's kernels directly and equal np.fft's bit for bit."""
+
+    @pytest.mark.parametrize("n", [16, 512, 1024, 2048, 4096])
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_equal_numpy_bitwise(self, n, rows, rng):
+        x = rng.standard_normal(rows + (n,))
+        assert same_bits(rfft(x), np.fft.rfft(x))
+        # random imaginary parts at k = 0 and Nyquist too, which both read as zero
+        half = rng.standard_normal(rows + (n // 2 + 1, 2)) @ np.array([1.0, 1j])
+        assert same_bits(irfft(half, n), np.fft.irfft(half, n))
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_irfft_zero_pads_a_truncated_band(self, rows, rng):
+        # 342 of 513 entries, a strided view for a stack, as the 2/3 band is read
+        half = np.fft.rfft(rng.standard_normal(rows + (1024,)))[..., :342]
+        assert same_bits(irfft(half, 1024), np.fft.irfft(half, 1024))
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_out_is_the_result(self, rows, rng):
+        x = rng.standard_normal(rows + (1024,))
+        buf, u = np.empty(rows + (513,), dtype=complex), np.empty(rows + (1024,))
+        assert rfft(x, out=buf) is buf and same_bits(buf, np.fft.rfft(x))
+        assert irfft(buf[..., :342], 1024, out=u) is u
+        assert same_bits(u, np.fft.irfft(buf[..., :342], 1024))
 
 
 class TestForwardTransform:

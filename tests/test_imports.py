@@ -1,7 +1,8 @@
 """Every top-level import of the package and of the tests is read, the
 package and the tests import only at module level, the package never
 reads the derived full coefficient array, every defaulted parameter of
-a public function is set by some call, and every public function is used."""
+a public function is set by some call, every public function is used,
+and every real FFT goes through grid's two pocketfft helpers."""
 import ast
 from pathlib import Path
 
@@ -134,3 +135,30 @@ def test_no_dead_exports():
             if name not in referenced and name not in ORACLE_EXPORTS]
     assert not dead, f"public functions nothing uses: {dead}"
     assert set(ORACLE_EXPORTS) <= public.keys() - referenced, "listed but used or gone"
+
+
+def test_real_ffts_go_through_the_grid_helpers_only():
+    # only grid.py reaches numpy's private FFT kernels, as np.fft._pocketfft_umath.<kernel> (no
+    # import), and only the two real ones: a complex kernel would get past the np.fft hooks of
+    # the complex-FFT tests; and no np.fft.rfft / irfft is left for the FFT counters to miss
+    reached, kernels, numpy_real = set(), set(), []
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        parent_attr = {id(n.value): n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                if any("_pocketfft_umath" in f"{module}.{a.name}" for a in node.names):
+                    reached.add(f"{path.name}:{node.lineno} (import)")
+                if module == "numpy.fft":
+                    numpy_real += [f"{path.name}:{node.lineno}" for a in node.names
+                                   if a.name in ("rfft", "irfft")]
+            elif isinstance(node, ast.Attribute):
+                if node.attr == "_pocketfft_umath":
+                    reached.add(path.name)
+                    kernels.add(parent_attr.get(id(node)))  # None where it is not read from
+                if node.attr in ("rfft", "irfft") and getattr(node.value, "attr", None) == "fft":
+                    numpy_real.append(f"{path.name}:{node.lineno}")
+    assert reached == {"grid.py"}, f"_pocketfft_umath reached from {sorted(reached)}"
+    assert kernels == {"rfft_n_even", "irfft"}, f"pocketfft kernels read: {kernels}"
+    assert not numpy_real, f"np.fft.rfft / irfft calls left: {numpy_real}"
