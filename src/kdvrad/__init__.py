@@ -7,8 +7,7 @@ from .errors import (BlowupError, ConfigError, DomainTooSmallError,
                      UnresolvableBandError, VanishingConfigurationError)
 from .gevrey import (GevreyParams, RadiusEstimate, estimate_radius, gevrey_norm,
                      hs_norm, smooth)
-from .grid import (GridSpec, SpectralField, apply_multiplier,
-                   check_boundary_smallness, dealiased_product, derivative,
+from .grid import (GridSpec, SpectralField, check_boundary_smallness,
                    forward_transform)
 from .solver import (SolverConfig, Trajectory, airy_propagate,
                      classical_invariants, evolve, soliton)
@@ -16,6 +15,6 @@ from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
                         inverse_spacetime_transform, spacetime_transform,
                         temporal_taper)
 from .dyadic import (NormReport, free_evolution_norm_ratio, project_pn,
-                     project_ql, x_norm, xbar_norm)
+                     project_ql, xbar_norm)
 
 __version__ = "0.1.0"

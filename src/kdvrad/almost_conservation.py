@@ -19,8 +19,7 @@ by up to exp(sigma|xi|) in the formula above computed as written.
 
 ``measure_conservation`` takes the snapshot stack ``_BLOCK`` rows at a time: one ``smooth``,
 one ``commutator_term`` and row-wise Parseval sums per block, bitwise equal to one snapshot
-at a time; ``modified_residual`` takes the same blocks, each with one more row on either side
-for its centred difference.
+at a time.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ import numpy as np
 from . import grid as _grid
 from .errors import KdvradError
 from .gevrey import GevreyParams, gevrey_norm, smooth
-from .grid import SpectralField, dealiased_product, derivative
+from .grid import SpectralField
 from .scheduler import local_existence_time
 from .solver import SolverConfig, Trajectory, evolve
 
@@ -57,32 +56,6 @@ def commutator_term(w: SpectralField, sigma: float,
     half = np.zeros(w.half.shape, dtype=complex)
     half[..., :m] = (0.25j / g.dx) * xi * (re + 1j * im)
     return SpectralField(g, half)
-
-
-def pairing(f: SpectralField, g: SpectralField):
-    """Real L2 pairing int f g dx via the weighted half-spectrum sum, row by row."""
-    return f.grid.inner(f.half, g.half)
-
-
-def modified_residual(u_trajectory: Trajectory, sigma: float) -> float:
-    """Consistency check of the smoothed-flow equation.
-
-    Smooths the recorded snapshots and returns the max over interior times of
-    || w_t + w_xxx + w w_x - f(w) ||_L2 with w_t from centered differences.
-    A small value certifies that the implemented f(w) is the true commutator.
-    """
-    if len(u_trajectory) < 3:
-        raise KdvradError("need at least 3 snapshots for a centered difference")
-    u, t, worst = u_trajectory.field, u_trajectory.times, 0.0
-    for lo in range(1, len(u_trajectory) - 1, _BLOCK):  # centres lo..hi - 1, one row each side
-        hi = min(lo + _BLOCK, len(u_trajectory) - 1)
-        w = smooth(u[lo - 1:hi + 1], sigma)
-        mid = w[1:-1]
-        w_t = (w[2:] - w[:-2]) * (1.0 / (t[lo + 1:hi + 1] - t[lo - 1:hi - 1]))[:, None]
-        w_wx = derivative(dealiased_product(mid, mid)) * 0.5
-        resid = w_t + derivative(mid, 3) + w_wx - commutator_term(mid, sigma)
-        worst = max(worst, float(np.max(resid.l2_norm())))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -126,7 +99,7 @@ def measure_conservation(u_trajectory: Trajectory, sigma: float) -> Conservation
         if overflowed.size:  # raise as one snapshot at a time: every lift first, then energy
             smooth(u[rows.stop:], sigma)
             gevrey_norm(u[rows.start + overflowed[0]], GevreyParams(sigma))
-        flux[rows] = 2.0 * pairing(w, commutator_term(w, sigma))
+        flux[rows] = 2.0 * g.inner(w.half, commutator_term(w, sigma).half)
         peaks = np.max(np.abs(block.half[..., :m]), -1) / np.max(np.abs(w.half[..., :m]), -1)
         floor = max(floor, float(roundoff * np.max(peaks)))
     times = u_trajectory.times

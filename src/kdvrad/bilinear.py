@@ -12,7 +12,7 @@ The block probe (``measure_block_ratio``) and the X-norm product probe
 frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one
 tau cell, so they resolve the modulation scale at large N, where a dense
 grid cannot, and sample the operator norm from below.  The probes differ
-only in where they put (xi1, xi2).  ``WavePacketField.x_norm`` is dyadic's X norm of a cloud.
+only in where they put (xi1, xi2).  ``WavePacketField.x_norm`` is the X norm of a cloud.
 """
 from __future__ import annotations
 

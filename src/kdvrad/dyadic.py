@@ -20,7 +20,7 @@ import numpy as np
 from .bumps import covering_indices, dyadic_bands, dyadic_bump, validate_dyadic
 from .errors import TimeWindowTooShortError
 from .gevrey import hs_norm
-from .grid import SpectralField, apply_multiplier
+from .grid import SpectralField
 from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
                         inverse_spacetime_transform, spacetime_transform)
 
@@ -31,7 +31,8 @@ MAX_DTAU = 2.0
 def project_pn(field: SpectralField, n) -> SpectralField:
     """Frequency block P_n: multiply the coefficients by beta_n(xi)."""
     validate_dyadic(n, "frequency band")
-    return apply_multiplier(field, lambda xi: dyadic_bump(n, xi))
+    xi = field.grid.xi[:field.half.shape[-1]]
+    return SpectralField(field.grid, field.half * dyadic_bump(n, xi))
 
 
 def _check_dtau(spec: SpacetimeSpectrum):
@@ -67,14 +68,6 @@ def x_sum(l_list, masses, weight):
     for l, m in zip(l_list, masses):
         total = total + np.sqrt(l) * np.sqrt(m * weight)
     return total
-
-
-def x_norm(field: SpacetimeField) -> float:
-    """sum_L L^(1/2) ||Q_L field|| over every band present on the grid."""
-    spec = spacetime_transform(field)
-    _check_dtau(spec)
-    l_list, masses = modulation_masses(spec.modulation(), spec.power())
-    return float(x_sum(l_list, np.sum(masses, axis=1), spec.weight))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Periodic spatial grid, Fourier transforms and multiplier calculus.
+"""Periodic spatial grid and its Fourier transforms.
 
 This module is the only place that defines the spectral convention; the
 solver, the space-time transforms and every diagnostic use it through
@@ -16,8 +16,8 @@ Every field is real, so its k = 0..n/2 half-spectrum holds all of it: ``Spectral
 stores it, ``to_half`` / ``half_to_values`` are real FFTs along the last axis, multipliers
 act on ``xi[:n/2 + 1]`` (Nyquist keeps its negative FFT-order frequency) and the one Parseval
 sum, ``GridSpec.inner``, weights the entries by ``half_weight``.  A field may be a stack of
-snapshots, (..., n/2 + 1): its methods, the multipliers and ``dealiased_product`` act row by
-row, bitwise as on each row alone.
+snapshots, (..., n/2 + 1): its methods and the multipliers act row by row, bitwise as on each
+row alone.
 Every real FFT is ``rfft`` / ``irfft`` below, bitwise ``np.fft``'s: its pocketfft kernels without
 its per-call wrapper, 3-5 us of a 13-16 us call at n = 1024 (2-vCPU x86_64 VM, numpy 2.4).  They
 are looked up per call, not imported: importing numpy.fft with kdvrad raised peak RSS 0.4 MiB.
@@ -193,20 +193,9 @@ class SpectralField:
     def l2_norm(self):
         return np.sqrt(self.grid.inner(self.half))
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.grid != self.grid:
-            raise ValueError("grids differ")
-        return SpectralField(self.grid, self.half + other.half)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if other.grid != self.grid:
-            raise ValueError("grids differ")
-        return SpectralField(self.grid, self.half - other.half)
-
     def __mul__(self, scalar) -> "SpectralField":
+        # perfbench's self-test scales commutator_term's output through it
         return SpectralField(self.grid, self.half * scalar)
-
-    __rmul__ = __mul__
 
 
 def forward_transform(values, grid: GridSpec) -> SpectralField:
@@ -218,44 +207,6 @@ def forward_transform(values, grid: GridSpec) -> SpectralField:
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise KdvradError(f"non-finite input value at sample index {bad}")
     return SpectralField(grid, grid.to_half(values))
-
-
-def apply_multiplier(field: SpectralField, m) -> SpectralField:
-    """Apply a Fourier multiplier m(xi) to the field.
-
-    ``m`` may be a callable of the frequencies ``xi[:n/2 + 1]`` or an array.
-    Non-finite multiplier values are rejected, naming the frequency.
-    """
-    xi = field.grid.xi[:field.half.shape[-1]]
-    mv = m(xi) if callable(m) else np.asarray(m)
-    mv = np.broadcast_to(np.asarray(mv, dtype=np.complex128), xi.shape)
-    finite = np.isfinite(mv)
-    if not np.all(finite):
-        bad = xi[~finite][0]
-        raise KdvradError(f"multiplier is non-finite at frequency xi = {bad}")
-    return SpectralField(field.grid, field.half * mv)
-
-
-def derivative(field: SpectralField, order: int = 1) -> SpectralField:
-    return apply_multiplier(field, lambda xi: (1j * xi) ** order)
-
-
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product f*g of two real fields with the classical 2/3-rule truncation.
-
-    Both factors are truncated to the band k < ``grid.band`` before the physical
-    multiplication and the result is truncated again, the rest zero-filled, which removes every
-    aliased mode of the quadratic product from the retained band.  The
-    factors must be real: the product is taken on their half-spectra.
-    """
-    if f.grid != g.grid:
-        raise ValueError("grids differ")
-    grid, m = f.grid, f.grid.band
-    u = grid.half_to_values(f.half[..., :m])
-    v = u if g is f else grid.half_to_values(g.half[..., :m])
-    half = grid.to_half(u * v)
-    half[..., m:] = 0.0
-    return SpectralField(grid, half, copy=False)
 
 
 def require_one_field(field: SpectralField, what: str) -> None:

@@ -33,8 +33,8 @@ class SolverConfig:
     check_boundary: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.record_every < 1:
@@ -65,8 +65,9 @@ class Trajectory:
 
 
 def airy_propagate(field: SpectralField, t: float) -> SpectralField:
-    """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi)."""
-    return SpectralField(field.grid, field.half * airy_phase(field.grid.xi[:field.half.size], t))
+    """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi), row by row."""
+    return SpectralField(field.grid,
+                         field.half * airy_phase(field.grid.xi[:field.half.shape[-1]], t))
 
 
 def classical_invariants(field: SpectralField):
@@ -138,8 +139,8 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     Each record is a row of one preallocated stack, whose invariants are taken at the end.
     The datum must be negligible at the domain edge; that check is repeated at every record.
     """
-    if T <= 0:
-        raise ConfigError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ConfigError(f"T must be positive and finite, got {T}")
     grid = f.grid
     if config.check_boundary:
         check_boundary_smallness(f, time=0.0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bumps import chi
 from .errors import KdvradError
-from .grid import GridSpec, SpectralField, airy_phase
+from .grid import GridSpec, SpectralField, airy_phase, require_one_field
 
 #: zero-padding factor of the time axis before the tau transform
 PAD = 4
@@ -133,6 +133,7 @@ def inverse_spacetime_transform(spec: SpacetimeSpectrum) -> SpacetimeField:
 def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
                    num_time_samples: int = 160) -> SpacetimeField:
     """Sample the free (Airy) evolution of f on a uniform time window."""
+    require_one_field(f, "airy_spacetime")
     g = f.grid
     times = np.linspace(t_a, t_b, num_time_samples)
     vals = g.half_to_values(f.half * airy_phase(g.xi[:f.half.size], times[:, None]))

@@ -6,13 +6,11 @@ import pytest
 
 from kdvrad import almost_conservation, grid
 from kdvrad.almost_conservation import (commutator_term, measure_conservation,
-                                        modified_residual, pairing, prepare_acl_trajectory,
-                                        smoothing_multiplier_bounds)
+                                        prepare_acl_trajectory, smoothing_multiplier_bounds)
 from kdvrad.dyadic import project_pn, project_ql, xbar_norm
 from kdvrad.errors import KdvradError, SpectralOverflowError
 from kdvrad.gevrey import GevreyParams, gevrey_norm, smooth
-from kdvrad.grid import (GridSpec, SpectralField, dealiased_product, derivative,
-                         forward_transform)
+from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.scheduler import ScheduleParams, empirical_schedule
 from kdvrad.solver import (SolverConfig, Trajectory, airy_propagate, classical_invariants,
                            evolve, soliton)
@@ -69,7 +67,7 @@ def per_snapshot_report(traj, sigma):
     """The ``ConservationReport`` fields but ``floor_rel``, one snapshot at a time."""
     w = [smooth(s, sigma) for s in traj.snapshots]
     energy = [wi.l2_norm() ** 2 for wi in w]
-    flux = [2.0 * pairing(wi, commutator_term(wi, sigma)) for wi in w]
+    flux = [2.0 * traj.grid.inner(wi.half, commutator_term(wi, sigma).half) for wi in w]
     integral = float(np.trapezoid(flux, traj.times))
     identity_abs = float(abs(energy[-1] - energy[0] - integral))
     lhs, base = float(max(energy)), float(energy[0])
@@ -92,13 +90,17 @@ def per_snapshot_overflow(traj, sigma):
 
 
 def per_snapshot_residual(traj, sigma):
-    """``modified_residual`` one centred difference at a time."""
-    w, t, worst = [smooth(s, sigma) for s in traj.snapshots], traj.times, 0.0
+    """The smoothed-flow equation oracle: max over interior snapshots of
+    ||w_t + w_xxx + w w_x - f(w)||_L2, w = exp(sigma|D|) u, w_t by centred differences.
+    A small value certifies that ``commutator_term`` is the true f(w)."""
+    g, t, worst = traj.grid, traj.times, 0.0
+    ixi = 1j * g.xi[:g.num_points // 2 + 1]
+    w = [smooth(s, sigma) for s in traj.snapshots]
     for i in range(1, len(w) - 1):
-        w_t = (w[i + 1] - w[i - 1]) * (1.0 / (t[i + 1] - t[i - 1]))
-        w_wx = derivative(dealiased_product(w[i], w[i])) * 0.5
-        resid = w_t + derivative(w[i], 3) + w_wx - commutator_term(w[i], sigma)
-        worst = max(worst, float(resid.l2_norm()))
+        w_t = (w[i + 1].half - w[i - 1].half) * (1.0 / (t[i + 1] - t[i - 1]))
+        w_wx = ixi * complex_dealiased_product(w[i], w[i]).half * 0.5
+        resid = w_t + ixi ** 3 * w[i].half + w_wx - commutator_term(w[i], sigma).half
+        worst = max(worst, float(SpectralField(g, resid).l2_norm()))
     return worst
 
 
@@ -195,7 +197,7 @@ class TestCommutatorTerm:
         for sigma in (0.025, 0.1, 0.4):
             wm = smooth(w, -sigma)
             lifted = smooth(complex_dealiased_product(wm, wm), sigma)
-            ref = (complex_dealiased_product(w, w) - lifted).coeffs * (0.5j * g.xi)
+            ref = g.from_half(complex_dealiased_product(w, w).half - lifted.half) * (0.5j * g.xi)
             got = commutator_term(w, sigma).coeffs
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -251,19 +253,22 @@ class TestStackedField:
 
 
 class TestModifiedResidual:
+    """The residual of the smoothed (modified) flow equation, ``per_snapshot_residual``."""
+
     def test_sigma_zero_is_solver_residual(self, packet_trajectory):
-        assert modified_residual(packet_trajectory, 0.0) < 1e-6
+        assert per_snapshot_residual(packet_trajectory, 0.0) < 1e-6
 
     def test_linear_flow_residual(self, acl_grid):
         f = wavepacket(acl_grid, 5)
         # 21 snapshots of the free (Airy) flow, 2e-6 apart: check consistency
         # of the centred time derivative with the linear generator directly
         t = np.arange(21) * (4e-5 / 20)
-        w = [airy_propagate(f, ti) for ti in t]
+        w = [airy_propagate(f, ti).half for ti in t]
+        ixi = 1j * acl_grid.xi[:w[0].size]
         worst = 0.0
         for i in range(1, len(w) - 1):
             w_t = (w[i + 1] - w[i - 1]) * (1.0 / (t[i + 1] - t[i - 1]))
-            resid = (w_t + derivative(w[i], 3)).l2_norm()
+            resid = SpectralField(acl_grid, w_t + ixi ** 3 * w[i]).l2_norm()
             worst = max(worst, resid)
         assert worst < 1e-8
 
@@ -273,15 +278,9 @@ class TestModifiedResidual:
         coarse = type(fine)(times=fine.times[::2], field=fine.field[::2],
                             mass=fine.mass[::2], momentum=fine.momentum[::2],
                             hamiltonian=fine.hamiltonian[::2])
-        r_fine = modified_residual(fine, 0.2)
-        r_coarse = modified_residual(coarse, 0.2)
+        r_fine = per_snapshot_residual(fine, 0.2)
+        r_coarse = per_snapshot_residual(coarse, 0.2)
         assert r_coarse / r_fine >= 3.5
-
-    @pytest.mark.parametrize("sigma", [0.0, 0.2])
-    def test_blocks_equal_the_per_snapshot_loop(self, packet_trajectory, sigma):
-        # 65 snapshots: 63 centred differences in blocks of 16, 16, 16 and 15
-        assert modified_residual(packet_trajectory, sigma) \
-            == per_snapshot_residual(packet_trajectory, sigma)
 
     def test_needs_three_snapshots(self, acl_grid):
         f = wavepacket(acl_grid, 5)
@@ -289,8 +288,9 @@ class TestModifiedResidual:
         short = type(traj)(times=traj.times[:2], field=traj.field[:2],
                            mass=traj.mass[:2], momentum=traj.momentum[:2],
                            hamiltonian=traj.hamiltonian[:2])
-        with pytest.raises(KdvradError):
-            modified_residual(short, 0.1)
+        # the work-integral quadrature, like the centred difference, needs three
+        with pytest.raises(KdvradError, match="3 snapshots"):
+            measure_conservation(short, 0.1)
 
 
 class TestConservationDefect:

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from kdvrad.errors import InsufficientSpectralRangeError, SpectralOverflowError
 from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, hs_norm, smooth
-from kdvrad.grid import (GridSpec, SpectralField, apply_multiplier, check_boundary_smallness,
-                         dealiased_product, forward_transform)
+from kdvrad.grid import GridSpec, SpectralField, check_boundary_smallness, forward_transform
 from kdvrad.solver import airy_propagate, soliton
 
-from conftest import random_band_field
+from conftest import complex_dealiased_product, random_band_field
 
 
 def exponential_tail_field(grid, a):
@@ -91,7 +90,7 @@ class TestSmooth:
         # reduces the tail slope by exactly sigma.  Band-limit first: past the
         # roundoff floor exp(sigma*|xi|) amplifies noise into a rising tail.
         f = forward_transform(1.0 / np.cosh(default_grid.x), default_grid)
-        f = apply_multiplier(f, lambda xi: (np.abs(xi) <= 18.0).astype(float))
+        f = SpectralField(f.grid, f.half * (np.abs(f.grid.xi[:f.half.size]) <= 18.0))
         sm = smooth(f, 1.0)
         assert np.all(np.isfinite(sm.coeffs))
         est = estimate_radius(sm)
@@ -117,7 +116,7 @@ class TestSmooth:
 
     def test_zero_coefficients_stay_zero_where_the_weight_overflows(self, default_grid):
         # the product is zero past the 2/3 band, where exp(20|xi|) is inf
-        p = dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))
+        p = complex_dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))
         zero = p.coeffs == 0
         with np.errstate(over="ignore"):
             weight = np.exp(20.0 * np.abs(default_grid.xi))

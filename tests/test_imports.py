@@ -1,8 +1,9 @@
 """Every top-level import of the package and of the tests is read, the
 package and the tests import only at module level, the package never
 reads the derived full coefficient array, every defaulted parameter of
-a public function is set by some call, every public function is used,
-and every real FFT goes through grid's two pocketfft helpers."""
+a public function is set by some call, every public function is used and
+named unlike any class member, and every real FFT goes through grid's two
+pocketfft helpers."""
 import ast
 from pathlib import Path
 
@@ -110,7 +111,6 @@ ORACLE_EXPORTS = {
     "project_pn": "physical-side frequency-block oracle",
     "project_ql": "physical-side modulation-block oracle",
     "free_evolution_norm_ratio": "the tier-1 free-evolution claim",
-    "modified_residual": "the smoothed-flow equation oracle",
     "smoothing_multiplier_bounds": "the theta = 3/4 symbol chain of a worst-case ACL probe",
     "doubling_condition_value": "closed-form oracle of the schedule's doubling check",
 }
@@ -135,6 +135,33 @@ def test_no_dead_exports():
             if name not in referenced and name not in ORACLE_EXPORTS]
     assert not dead, f"public functions nothing uses: {dead}"
     assert set(ORACLE_EXPORTS) <= public.keys() - referenced, "listed but used or gone"
+
+
+def class_members(cls):
+    """Names of the public methods, properties and fields of a class definition."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            name = item.name
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            name = item.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
+
+
+def test_no_public_function_is_named_like_a_class_member():
+    # test_no_dead_exports matches bare names: a function named like a method, property or
+    # field passes as used wherever that member is read
+    functions, members = {}, set()
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions[node.name] = path.stem
+            elif isinstance(node, ast.ClassDef):
+                members.update(class_members(node))
+    shared = [f"{module}.{name}" for name, module in functions.items() if name in members]
+    assert not shared, f"public functions named like a class member: {shared}"
 
 
 def test_real_ffts_go_through_the_grid_helpers_only():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from kdvrad.errors import BlowupError, DomainTooSmallError
+from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
 from kdvrad.gevrey import estimate_radius
 from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants,
@@ -43,6 +43,14 @@ class TestAiryPropagate:
             <= 1e-14 * np.max(np.abs(f.coeffs))
         xi_n = small_grid.xi[small_grid.num_points // 2]
         assert g.half[-1] == f.half[-1] * airy_phase(xi_n, 5.0).real
+
+    def test_stack_rows_equal_one_row_calls(self, rng):
+        # a stack of two fields on a 64-point grid has shape (2, 33)
+        grid = GridSpec(64, 20.0)
+        fields = [random_band_field(grid, rng) for _ in range(2)]
+        stack = airy_propagate(SpectralField(grid, np.stack([f.half for f in fields])), 0.7)
+        for row, f in zip(stack.half, fields):
+            assert row.tobytes() == airy_propagate(f, 0.7).half.tobytes()
 
 
 def two_soliton_values(x, t, k, x0):
@@ -285,6 +293,13 @@ class TestEvolve:
         err = np.sqrt(np.sum((recovered.values() - f.values()) ** 2) * g.dx)
         assert err <= 2 * one_way + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dt_or_horizon_is_a_config_error(self, small_grid, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            SolverConfig(dt=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            evolve(soliton(small_grid, 1.0), bad, SolverConfig(dt=1e-3))
+
     def test_blowup_reports_last_valid_time(self, default_grid):
         g = default_grid
         f = soliton(g, 4.0, 0.0)
@@ -302,7 +317,7 @@ class TestEvolve:
         # IFRK4 written out with the frequencies, the 2/3 mask and the Airy
         # phase spelled as explicit formulas on a k = 0..n/2 half-spectrum
         g = default_grid
-        f = soliton(g, 1.0, -10.0) + soliton(g, 2.25, 5.0)
+        f = SpectralField(g, soliton(g, 1.0, -10.0).half + soliton(g, 2.25, 5.0).half)
         traj = evolve(f, 0.06, SolverConfig(dt=1e-3, record_every=20))
         n = g.num_points
         h = n // 2 + 1
@@ -370,7 +385,7 @@ class TestEvolve:
         g = default_grid
         n = g.num_points
         m = g.band
-        f = soliton(g, 1.0, -10.0) + soliton(g, 2.25, 5.0)
+        f = SpectralField(g, soliton(g, 1.0, -10.0).half + soliton(g, 2.25, 5.0).half)
         traj = evolve(f, 0.5, SolverConfig(dt=1e-3, scheme=scheme, record_every=100))
         # k = m..n/2 - 1; the Nyquist entry is read by its real part
         xi, c0 = g.xi[m:n // 2], f.coeffs[m:n // 2]

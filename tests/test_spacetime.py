@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from kdvrad.errors import KdvradError
-from kdvrad.grid import GridSpec, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import airy_propagate
 from kdvrad.spacetime import (SpacetimeField, airy_spacetime,
                               inverse_spacetime_transform, spacetime_transform,
@@ -138,3 +138,9 @@ class TestBuilders:
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=9)
         for t, row in zip(np.linspace(-1.0, 1.0, 9), st.values):
             assert row.tobytes() == airy_propagate(f0, t).values().tobytes()
+
+    def test_airy_spacetime_refuses_a_stack(self, st_grid):
+        f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
+        stack = SpectralField(st_grid, np.stack([f0.half, f0.half]))
+        with pytest.raises(ValueError, match="one field"):
+            airy_spacetime(stack, -1.0, 1.0, num_time_samples=9)
