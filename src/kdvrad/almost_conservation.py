@@ -43,8 +43,10 @@ def commutator_term(w: SpectralField, sigma: float,
     """Source term f(w) of the smoothed flow on the dealiased band, per row; zero at sigma = 0.
     One irfft of the stacked half-spectra of w, Hw, Aw and HAw, one rfft of Re and Im of
     w+ conj(A w+), band k < m only; no (-1)^k, as every factor is shifted alike."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
+    if not 0 < dealias <= 1:
+        raise ValueError("dealias must lie in (0, 1]")
     if sigma == 0.0:
         return SpectralField(w.grid, np.zeros_like(w.half))
     g, n = w.grid, w.grid.num_points

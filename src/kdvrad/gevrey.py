@@ -35,28 +35,29 @@ _STEEPENING = 0.25
 
 @dataclass(frozen=True)
 class GevreyParams:
-    """Strip half-width sigma >= 0 and Sobolev index s."""
+    """Finite strip half-width sigma >= 0 and finite Sobolev index s."""
 
     sigma: float
     s: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (0 <= self.sigma < np.inf and np.isfinite(self.s)):
+            raise ValueError("sigma must be nonnegative and finite, s finite")
 
 
 def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np.ndarray:
     xi = field.grid.xi[:field.half.shape[-1]]
     mag = np.abs(field.half)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+    logmag = np.where(mag == 0, -np.inf, np.log(np.where(mag == 0, 1.0, mag)))
     return sigma * np.abs(xi) + 0.5 * s * np.log1p(xi * xi) + logmag
 
 
 def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT) -> float:
     xi = np.abs(field.grid.xi[:field.half.shape[-1]])
     rest = _log_weighted_magnitudes(field, 0.0, s)
-    ok = (xi > 0) & np.isfinite(rest)
+    if not np.all(rest < np.inf):  # an inf or nan coefficient admits no sigma
+        return 0.0
+    ok = (xi > 0) & (rest > -np.inf)
     if not np.any(ok):
         return np.inf
     caps = (budget - rest[ok]) / xi[ok]
@@ -67,19 +68,20 @@ def gevrey_norm(field: SpectralField, params: GevreyParams) -> float:
     """Weighted l2 norm of the coefficients with continuous normalization.
 
     Raises SpectralOverflowError (carrying the largest admissible sigma for
-    this field) when the exponential weight would overflow.
+    this field) when the exponential weight would overflow or a coefficient
+    is not finite; zero coefficients carry no weight at any sigma.
     """
     require_one_field(field, "gevrey_norm")
     e = _log_weighted_magnitudes(field, params.sigma, params.s)
-    finite = np.isfinite(e)
-    if np.any(2.0 * e[finite] > _LOG_LIMIT):
+    nonzero = e != -np.inf
+    if not np.all(2.0 * e[nonzero] <= _LOG_LIMIT):
         cert = _certifiable_sigma(field, params.s)
         raise SpectralOverflowError(
-            f"exp({params.sigma}*|xi|) weight overflows for this field; "
+            f"exp({params.sigma}*|xi|)-weighted coefficients overflow or are not finite; "
             f"certifiable sigma = {cert:.6g}",
             certifiable_sigma=cert,
         )
-    total = np.sum(field.grid.half_weight[finite] * np.exp(2.0 * e[finite]))
+    total = np.sum(field.grid.half_weight[nonzero] * np.exp(2.0 * e[nonzero]))
     return float(np.sqrt(total * field.grid.spectral_weight))
 
 
@@ -94,6 +96,8 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
     exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.  A stack is
     smoothed row by row.
     """
+    if not np.isfinite(sigma):
+        raise ValueError("sigma must be finite")
     if sigma == 0.0:
         return SpectralField(field.grid, field.half)
     with np.errstate(over="ignore"):

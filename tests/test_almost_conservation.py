@@ -144,6 +144,17 @@ class TestCommutatorTerm:
         out = commutator_term(w, 0.0)
         assert np.max(np.abs(out.coeffs)) <= 1e-13
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_refuses_non_finite_sigma(self, acl_grid, rng, sigma):
+        with pytest.raises(ValueError):
+            commutator_term(random_band_field(acl_grid, rng), sigma)
+
+    @pytest.mark.parametrize("dealias", [0.0, -0.5, 1.5])
+    def test_refuses_dealias_outside_the_unit_interval(self, acl_grid, rng, dealias):
+        # dealias <= 0 would return a zero flux, > 1 keep the aliased part of the product
+        with pytest.raises(ValueError):
+            commutator_term(random_band_field(acl_grid, rng), 0.3, dealias)
+
     def test_sigma_zero_computes_no_product(self, acl_grid, rng, monkeypatch):
         # FFT budget: none at sigma = 0, one batched irfft and one rfft otherwise
         w = random_band_field(acl_grid, rng)

@@ -67,6 +67,19 @@ class TestGevreyNorm:
         assert 0.0 < cert < 40.0
         gevrey_norm(f, GevreyParams(0.95 * cert, 0.0))  # certified value works
 
+    @pytest.mark.parametrize("sigma, s", [(np.inf, 0.0), (np.nan, 0.0), (0.1, np.inf)])
+    def test_refuses_non_finite_params(self, sigma, s):
+        with pytest.raises(ValueError):
+            GevreyParams(sigma, s)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coefficient_raises_with_no_certifiable_sigma(self, small_grid, bad):
+        half = soliton(small_grid, 1.0).half.copy()
+        half[5] = bad
+        with pytest.raises(SpectralOverflowError) as exc:
+            gevrey_norm(SpectralField(small_grid, half), GevreyParams(0.5))
+        assert exc.value.certifiable_sigma == 0.0
+
     def test_free_flow_preserves_every_gevrey_norm(self, small_grid, rng):
         f = random_band_field(small_grid, rng, max_mode=16)
         p = GevreyParams(0.3, -0.5)
@@ -100,6 +113,11 @@ class TestSmooth:
         f = exponential_tail_field(small_grid, 0.01)
         with pytest.raises(SpectralOverflowError):
             smooth(f, 80.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_sigma(self, small_grid, sigma):
+        with pytest.raises(ValueError):
+            smooth(soliton(small_grid, 1.0), sigma)
 
     def test_overflow_on_a_stack_certifies_its_first_overflowing_row(self, small_grid):
         # exp(70|xi|) is finite on this grid; rows 1 and 2 overflow, row 2 the more

@@ -5,6 +5,9 @@ self-test passes ``dealias`` positionally, and the workloads pass keywords;
 a change to any of these breaks the benchmark, not the package.
 """
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,11 @@ def test_workload_calls_bind():
     inspect.signature(bilinear.xnorm_product_ratio).bind(8, 8, 8, trials=32, seed=0)
     cfg = solver.SolverConfig(dt=1e-3, scheme="etdrk4", record_every=10)
     assert (cfg.dt, cfg.scheme, cfg.record_every) == (1e-3, "etdrk4", 10)
+
+
+def test_benchmark_selftest_passes():
+    # tiny traced and untraced runs of every workload, and each oracle against a perturbation
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
