@@ -8,8 +8,10 @@ dyadic bumps ``beta_N`` telescope into a partition of unity,
 
 with the zero frequency assigned to the N = 1 block.
 
-``dyadic_bands`` telescopes beta_n(s) = chi(s/n) - chi(s/(n/2)), one chi per scale; n/2
-and 2s are exact, so s/(n/2) == 2s/n and the weights equal ``dyadic_bump`` bit for bit.
+A point with 2^j <= |s| < 2^(j+1) lies in two bands only: beta_(2^j)(s) = chi(s/2^j) and
+beta_(2^(j+1))(s) = 1 - chi(s/2^j), the other cutoff being exactly 0 or 1 there; |s| < 1 lies
+in band 1 alone.  ``band_split`` takes j from ``frexp`` and c = chi(|s|/2^j) from one chi
+call; ``frexp`` and ``ldexp`` are exact, so the weights equal ``dyadic_bump`` bit for bit.
 """
 from __future__ import annotations
 
@@ -18,13 +20,11 @@ import numpy as np
 
 def smooth_step(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) glue between."""
-    t = np.asarray(t, dtype=float)
-    out = np.where(t >= 1.0, 1.0, np.where(np.isnan(t), np.nan, 0.0))
-    ramp = (t > 0.0) & (t < 1.0)
-    with np.errstate(over="ignore"):  # -1/t overflows to -inf for subnormal t
-        a, b = np.exp(-1.0 / t[ramp]), np.exp(-1.0 / (1.0 - t[ramp]))
-    out[ramp] = a / (a + b)
-    return out[()]
+    # clamped to [0, 1]; + 0.0 turns -0.0 into 0.0, whose -1/t would be +inf
+    t = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), 1.0) + 0.0
+    with np.errstate(divide="ignore", over="ignore"):  # exp(-1/t) = exp(-inf) = 0 at the ends
+        a, b = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+    return (a / (a + b))[()]
 
 
 def chi(s):
@@ -59,24 +59,26 @@ def dyadic_bump(n, s):
     return outer - inner
 
 
-def dyadic_bands(indices, s):
-    """Yield (n, beta_n(s)) for dyadic n; along n, 2n, ... chi(s/n) is reused as band 2n's floor."""
-    s = np.asarray(s, dtype=float)
-    prev_n = prev = None
-    for n in indices:
-        validate_dyadic(n, "band index")
-        cur = chi(s / n)
-        floor = prev if prev_n == n / 2 else (chi(s / (n / 2)) if n > 1 else 0.0)
-        yield n, cur - floor
-        prev_n, prev = n, cur
+def band_split(s):
+    """(j, c): s has weight c in band 2^j and 1 - c in band 2^(j+1), and none elsewhere."""
+    a = np.abs(np.asarray(s, dtype=float))
+    j = np.maximum(np.frexp(a)[1] - 1, 0)
+    return j, chi(np.ldexp(a, -j))
+
+
+def band_share(j, k, lower, upper):
+    """Band 2^k's share of a split: ``lower`` where j == k, ``upper`` where j == k - 1, else 0."""
+    return np.where(j == k, lower, np.where(j == k - 1, upper, 0.0))
 
 
 def covering_indices(max_abs):
     """Dyadic indices 1, 2, ..., N_top whose bumps cover all |s| <= max_abs exactly.
 
     The partial sum of bumps up to N_top equals 1 on |s| <= N_top, so
-    N_top is the first dyadic >= max_abs.
+    N_top is the first dyadic >= max_abs, which must be finite.
     """
+    if not np.isfinite(max_abs):
+        raise ValueError(f"no dyadic cover of a non-finite bound {max_abs}")
     out = [1]
     while out[-1] < max_abs:
         out.append(2 * out[-1])

@@ -8,8 +8,10 @@ replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
 
 One reduction serves every X norm: ``modulation_masses`` sums M_L = beta_L(lam)^2 power over
 the first axis (tau, each xi >= 0 column with its multiplicity, or a whole cloud), and ``x_sum``
-adds L^(1/2) (M_L weight)^(1/2) in order of L.  The N = 1 block of ``xbar_norm`` is a multiplier
-in xi alone, applied to the x-transformed samples: no tau round trip.
+adds L^(1/2) (M_L weight)^(1/2) in order of L.  Each cell lies in two dyadic bands, so one chi
+per cell (``bumps.band_split``) gives both of its weights, for the modulation and the frequency
+bands alike.  The N = 1 block of ``xbar_norm`` is a multiplier in xi alone, applied to the
+x-transformed samples: no tau round trip.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .bumps import covering_indices, dyadic_bands, dyadic_bump, validate_dyadic
+from .bumps import band_share, band_split, covering_indices, dyadic_bump, validate_dyadic
 from .errors import TimeWindowTooShortError
 from .gevrey import hs_norm
 from .grid import SpectralField
@@ -54,12 +56,15 @@ def project_ql(field: SpacetimeField, l) -> SpacetimeField:
 
 def modulation_masses(lam, power):
     """(bands, M): M_L = sum over the first axis of beta_L(lam)^2 power, for the bands L
-    covering max|lam| except those with 2L <= min|lam|, where beta_L is exactly 0."""
+    covering max|lam| except those with 2L <= min|lam|, where beta_L is exactly 0.  A
+    non-finite lam raises ValueError."""
     lam_min = float(np.min(np.abs(lam), initial=np.inf))
     l_list = [l for l in covering_indices(float(np.max(np.abs(lam), initial=1.0)))
               if 2 * l > lam_min]
-    return l_list, np.array([np.sum(wgt * wgt * power, axis=0)
-                             for _, wgt in dyadic_bands(l_list, lam)])
+    j, c = band_split(lam)
+    lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
+    return l_list, np.array([np.sum(band_share(j, l.bit_length() - 1, lower, upper), axis=0)
+                             for l in l_list])
 
 
 def x_sum(l_list, masses, weight):
@@ -94,7 +99,8 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     g = field.grid
     l_list, masses = modulation_masses(spec.modulation(), spec.power())
     n_list = covering_indices(g.nyquist_xi)
-    betas = np.array([beta for _, beta in dyadic_bands(n_list, spec.xi)])
+    j, c = band_split(spec.xi)
+    betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
     # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the x-transformed samples
     u1 = g.half_to_values(g.to_half(field.tapered_values()) * betas[0])
     low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))

@@ -92,9 +92,9 @@ def hs_norm(field: SpectralField, s: float = 0.0) -> float:
 def smooth(field: SpectralField, sigma: float) -> SpectralField:
     """Apply the multiplier exp(sigma*|xi|) (sigma may be negative).
 
-    Zero coefficients stay exactly zero at any sigma; a nonzero one weighted past
-    exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.  A stack is
-    smoothed row by row.
+    Zero coefficients stay exactly zero at any sigma; for sigma > 0 a nonzero one weighted
+    past exp(_LOG_LIMIT), or by an inf weight, and a nan one raise SpectralOverflowError.
+    A stack is smoothed row by row.
     """
     if not np.isfinite(sigma):
         raise ValueError("sigma must be finite")
@@ -104,7 +104,7 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
         lift = np.exp(sigma * np.abs(field.grid.xi[:field.half.shape[-1]]))
     if sigma > 0:
         mag = np.abs(field.half)
-        over = mag > _EXP_LIMIT / lift
+        over = ~(mag <= _EXP_LIMIT / lift)  # nan compares False: it is over too
         if np.any(over):  # certified on the first row that overflows, as on that row alone
             first = SpectralField(field.grid, field.half[tuple(np.argwhere(over)[0][:-1])])
             cert = _certifiable_sigma(first, 0.0, budget=_LOG_LIMIT)
@@ -131,10 +131,16 @@ def estimate_radius(field: SpectralField) -> RadiusEstimate:
 
     sigma_hat = -slope over the fit window set by the module constants above, on
     k = 1..n/2 - 1.  Entire-function (faster than exponential) decay is flagged
-    instead of reported as a single rate.
+    instead of reported as a single rate; an inf or nan coefficient raises
+    SpectralOverflowError naming its bin.
     """
     require_one_field(field, "estimate_radius")
     c = field.half
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        k = int(bad[0])
+        raise SpectralOverflowError(f"coefficient k = {k} (xi = {field.grid.xi[k]:.6g}) is not "
+                                    "finite; certifiable sigma = 0", certifiable_sigma=0.0)
     peak = float(np.max(np.abs(c)))
     if peak == 0.0:
         raise InsufficientSpectralRangeError("field is identically zero")

@@ -224,6 +224,10 @@ class TestXnormProductRatio:
             assert f.x_norm() == loop_x_norm(f)
         assert WavePacketField([], [], [], 0.1, 0.5).x_norm() == 0.0
 
+    def test_x_norm_refuses_a_nan_modulation(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            WavePacketField([0, 1], [np.nan, 1.0], [1, 1], 0.1, 0.5).x_norm()
+
     @pytest.mark.parametrize("n", [8, 64])
     def test_performs_every_requested_trial(self, n, monkeypatch):
         calls = []

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kdvrad.bumps import (chi, covering_indices, dyadic_bands, dyadic_bump,
+from kdvrad import bumps
+from kdvrad.bilinear import WavePacketField
+from kdvrad.bumps import (band_share, band_split, chi, covering_indices, dyadic_bump,
                           smooth_step)
 from kdvrad.dyadic import (free_evolution_norm_ratio, modulation_masses, project_pn,
                            project_ql, x_sum, xbar_norm)
@@ -45,14 +47,30 @@ class TestBumps:
 
     @pytest.mark.parametrize("indices", [covering_indices(3000), [4, 8, 16, 32],
                                          [2, 8, 16, 1, 64]])
-    def test_dyadic_bands_equal_dyadic_bump_bitwise(self, rng, indices):
-        # telescoped chi(s/n) - chi(s/(n/2)) versus chi(s/n) - chi(2s/n)
+    def test_band_split_equals_dyadic_bump_bitwise(self, rng, indices):
+        # c = chi(|s|/2^j) in band 2^j and 1 - c in band 2^(j+1) versus chi(s/n) - chi(2s/n)
         s = np.concatenate([rng.uniform(-3000.0, 3000.0, (64, 96)).ravel(),
                             2.0 ** np.arange(-3, 13), [0.0, 5e-324]])
-        bands = list(dyadic_bands(indices, s))
-        assert [n for n, _ in bands] == list(indices)
-        for n, wgt in bands:
-            assert np.array_equal(wgt, dyadic_bump(n, s))
+        j, c = band_split(s)
+        for n in indices:
+            assert np.array_equal(band_share(j, n.bit_length() - 1, c, 1.0 - c),
+                                  dyadic_bump(n, s))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_covering_indices_refuses_a_non_finite_bound(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            covering_indices(bad)
+
+
+def masked_smooth_step(t):
+    """The step evaluated on the open ramp only, with the ends and nan filled in by masks."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, np.where(np.isnan(t), np.nan, 0.0))
+    ramp = (t > 0.0) & (t < 1.0)
+    with np.errstate(over="ignore"):  # -1/t overflows to -inf for subnormal t
+        a, b = np.exp(-1.0 / t[ramp]), np.exp(-1.0 / (1.0 - t[ramp]))
+    out[ramp] = a / (a + b)
+    return out[()]
 
 
 def glue(t):
@@ -69,8 +87,8 @@ def glue(t):
 
 
 class TestSmoothStep:
-    EDGES = [-np.inf, -1.0, 0.0, 5e-324, 1e-3, 0.5, 1.0 - 1e-16, 1.0, 2.0,
-             np.inf, np.nan]
+    EDGES = [-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-3, 0.5, 1.0 - 1e-16,
+             np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0, np.inf, np.nan]
 
     def test_scalar_edge_values(self):
         with warnings.catch_warnings():
@@ -96,6 +114,13 @@ class TestSmoothStep:
         t = np.linspace(0.01, 0.99, 99)
         want = np.array([glue(v) for v in t])
         np.testing.assert_allclose(smooth_step(t), want, rtol=1e-14, atol=0.0)
+
+    def test_equals_the_masked_step_bitwise(self, rng):
+        for t in (rng.uniform(-0.5, 1.5, 1000), rng.uniform(-0.5, 1.5, (384, 129)).T,
+                  rng.uniform(0.0, 1.0, (7, 3, 5))[..., ::2], np.array(self.EDGES)):
+            assert np.array_equal(smooth_step(t), masked_smooth_step(t), equal_nan=True)
+        for v in rng.uniform(0.0, 1.0, 50):
+            assert smooth_step(v) == masked_smooth_step(v)
 
 
 class TestProjectPN:
@@ -221,6 +246,68 @@ def plane_x_norm(field):
     spec = spacetime_transform(field)
     l_list, masses = modulation_masses(spec.modulation(), spec.power())
     return float(x_sum(l_list, masses.sum(axis=1), spec.weight))
+
+
+def per_band_masses(lam, power):
+    """{L: M_L} for every band covering max|lam|, with one dyadic_bump per band."""
+    masses = {}
+    for l in covering_indices(np.max(np.abs(lam), initial=1.0)):
+        wgt = dyadic_bump(l, lam)
+        masses[l] = np.sum(wgt * wgt * power, axis=0)
+    return masses
+
+
+class TestModulationMasses:
+    @staticmethod
+    def check(lam, power):
+        l_list, masses = modulation_masses(lam, power)
+        want = per_band_masses(lam, power)
+        skipped = list(want)[:len(want) - len(l_list)]
+        # the skipped bands lie below min|lam| and hold exactly nothing
+        assert l_list == list(want)[len(skipped):]
+        assert not any(np.any(want[l]) for l in skipped)
+        assert masses.shape == (len(l_list),) + np.shape(power)[1:]
+        for l, m in zip(l_list, masses):
+            assert np.array_equal(m, want[l])
+
+    @pytest.mark.parametrize("n, nt", [(256, 96), (64, 16)])
+    def test_planes_equal_the_per_band_loop_bitwise(self, n, nt):
+        rng = np.random.default_rng(n + nt)
+        field = random_band_field(GridSpec(n, 40.0), rng, max_mode=n // 10)
+        spec = spacetime_transform(airy_spacetime(field, -2.0, 2.0, nt))
+        self.check(spec.modulation(), spec.power())
+
+    def test_clouds_equal_the_per_band_loop_bitwise(self, rng):
+        # |lam| = 2^j exactly, |lam| < 1, 0 and the smallest subnormal
+        edges = np.array([4.0, -8.0, 2.0 ** 20, 1.0, -1.0, 0.75, -0.5, 0.0, 5e-324, -5e-324])
+        lam = np.concatenate([edges, rng.uniform(-300.0, 300.0, 200)])
+        power = rng.uniform(0.0, 2.0, lam.size)
+        self.check(lam, power)
+        self.check(edges, power[:edges.size])
+        self.check(rng.uniform(8.0, 64.0, 30), power[:30])  # bands below 4 skipped
+        for cell in (-64.0, 3.0, 0.5, 0.0):
+            self.check(np.array([cell]), np.array([1.5]))
+        self.check(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_modulation(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            modulation_masses(np.array([1.0, bad]), np.ones(2))
+
+
+def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
+    st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24), -2.0, 2.0, 96)
+    cloud = WavePacketField([0, 0, 0], [1.5, 3.0, -4.0], [1.0, 2.0, 1j], 0.1, 0.5)
+    assert len(modulation_masses(cloud.modulation, np.ones(3))[0]) == 3
+    calls = []
+    step = bumps.smooth_step
+    monkeypatch.setattr(bumps, "smooth_step", lambda t: calls.append(np.size(t)) or step(t))
+    xbar_norm(st, 0.0)
+    # the time taper twice (transform and low block), the modulation plane, the xi bands
+    assert len(calls) == 4
+    calls.clear()
+    cloud.x_norm()
+    assert calls == [3]
 
 
 class TestXNorm:

@@ -132,6 +132,13 @@ class TestSmooth:
             smooth(rows[2], 70.0)
         assert last.value.certifiable_sigma < alone.value.certifiable_sigma
 
+    def test_nan_coefficient_raises(self, small_grid):
+        half = soliton(small_grid, 1.0).half.copy()
+        half[5] = np.nan
+        with pytest.raises(SpectralOverflowError) as exc:
+            smooth(SpectralField(small_grid, half), 0.1)
+        assert exc.value.certifiable_sigma == 0.0
+
     def test_zero_coefficients_stay_zero_where_the_weight_overflows(self, default_grid):
         # the product is zero past the 2/3 band, where exp(20|xi|) is inf
         p = complex_dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))
@@ -171,6 +178,15 @@ class TestEstimateRadius:
         f = forward_transform(np.cos(np.pi * small_grid.x / 40.0), small_grid)
         with pytest.raises(InsufficientSpectralRangeError):
             estimate_radius(f)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coefficient_is_named(self, small_grid, bad):
+        half = soliton(small_grid, 1.0).half.copy()
+        half[5] = bad
+        xi = f"{small_grid.xi[5]:.6g}"
+        with pytest.raises(SpectralOverflowError, match=rf"k = 5 \(xi = {xi}\)") as exc:
+            estimate_radius(SpectralField(small_grid, half))
+        assert exc.value.certifiable_sigma == 0.0
 
     def test_smoothing_shifts_estimate_exactly(self, default_grid):
         f = exponential_tail_field(default_grid, 0.9)
