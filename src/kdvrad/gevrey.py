@@ -64,6 +64,15 @@ def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LO
     return float(max(0.0, np.min(caps)))
 
 
+def _refuse_non_finite(field: SpectralField):
+    """Raise SpectralOverflowError naming the first bin k (of any row) that is inf or nan."""
+    bad = np.argwhere(~np.isfinite(field.half))
+    if bad.size:
+        k = int(bad[0][-1])
+        raise SpectralOverflowError(f"coefficient k = {k} (xi = {field.grid.xi[k]:.6g}) is not "
+                                    "finite; certifiable sigma = 0", certifiable_sigma=0.0)
+
+
 def gevrey_norm(field: SpectralField, params: GevreyParams) -> float:
     """Weighted l2 norm of the coefficients with continuous normalization.
 
@@ -94,10 +103,13 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
 
     Zero coefficients stay exactly zero at any sigma; for sigma > 0 a nonzero one weighted
     past exp(_LOG_LIMIT), or by an inf weight, and a nan one raise SpectralOverflowError.
-    A stack is smoothed row by row.
+    For sigma <= 0 an inf or nan coefficient raises it naming its bin, with certifiable
+    sigma 0.  A stack is smoothed row by row.
     """
     if not np.isfinite(sigma):
         raise ValueError("sigma must be finite")
+    if sigma <= 0.0:
+        _refuse_non_finite(field)
     if sigma == 0.0:
         return SpectralField(field.grid, field.half)
     with np.errstate(over="ignore"):
@@ -135,12 +147,8 @@ def estimate_radius(field: SpectralField) -> RadiusEstimate:
     SpectralOverflowError naming its bin.
     """
     require_one_field(field, "estimate_radius")
+    _refuse_non_finite(field)
     c = field.half
-    bad = np.flatnonzero(~np.isfinite(c))
-    if bad.size:
-        k = int(bad[0])
-        raise SpectralOverflowError(f"coefficient k = {k} (xi = {field.grid.xi[k]:.6g}) is not "
-                                    "finite; certifiable sigma = 0", certifiable_sigma=0.0)
     peak = float(np.max(np.abs(c)))
     if peak == 0.0:
         raise InsufficientSpectralRangeError("field is identically zero")

@@ -10,6 +10,14 @@ which commutes with squaring, so only the 1/dx is left, in the derivative factor
 Only the 2/3 band k < ``grid.band``, all the nonlinear term reads or writes, runs the RK
 stages; the tail just rotates by the scheme's phase, and ``grid.irfft`` zero-pads: no mask
 multiply.  ``grid.irfft`` / ``rfft`` skip numpy's FFT wrapper, 3-5 us of each of a step's 8 calls.
+
+A step allocates nothing.  Each ``evolve`` call owns its buffers: the scheme's eight
+band-sized stage arrays, the FFT work arrays, and band and tail copies of the datum, which
+the step and the tail's phase rotation overwrite in place; ``f.half`` is never written.
+The loop enters ``np.errstate`` once per record interval, not once per step.  At N = 1024
+(best of 30 runs of 500 steps, numpy 2.4, a 2-vCPU x86_64 VM) an IFRK4 step takes about
+64 us, and its 8 real FFTs about 49 of them; the rest is the Python-level cost of the step's
+25 small ufunc calls and 13 function calls.
 """
 from __future__ import annotations
 
@@ -87,27 +95,42 @@ def classical_invariants(field: SpectralField):
 
 
 def _ifrk4(xi, dt, m):
-    """Integrating-factor RK4 (exact Airy half steps): the band step, the tail's phase."""
+    """Integrating-factor RK4 (exact Airy half steps): the in-place band step, the tail's phase.
+
+    The step's products and sums are those of the expression form, operands in the same order
+    (a*b != b*a in the last bit), so it matches that form bitwise.
+    """
     e_half = airy_phase(xi, dt / 2)
     e_full = e_half * e_half
     eh, ef, dt_eh, two_eh = e_half[:m], e_full[:m], dt * e_half[:m], 2 * e_half[:m]
+    half_dt, sixth_dt = np.float64(dt / 2), np.float64(dt / 6)  # no per-call float conversion
+    n1, n2, n3, n4, a, b, eu, s = np.empty((8, m), dtype=complex)
+    mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
-        n1 = nonlinear(uh)
-        a = eh * (uh + (dt / 2) * n1)
-        n2 = nonlinear(a)
-        b = eh * uh + (dt / 2) * n2
-        n3 = nonlinear(b)
-        eu = ef * uh
-        c = eu + dt_eh * n3
-        n4 = nonlinear(c)
-        return eu + (dt / 6) * (ef * n1 + two_eh * (n2 + n3) + n4)
+        # a = eh (uh + dt/2 n1), b = eh uh + dt/2 n2, c = eu + dt_eh n3 with eu = ef uh;
+        # uh <- eu + dt/6 (ef n1 + two_eh (n2 + n3) + n4).  A ufunc's third argument is its out.
+        nonlinear(uh, n1)
+        add(uh, mul(half_dt, n1, s), a)
+        mul(eh, a, a)
+        nonlinear(a, n2)
+        add(mul(eh, uh, b), mul(half_dt, n2, s), b)
+        nonlinear(b, n3)
+        mul(ef, uh, eu)
+        add(eu, mul(dt_eh, n3, s), a)  # c
+        nonlinear(a, n4)
+        mul(two_eh, add(n2, n3, n2), n2)
+        add(add(mul(ef, n1, s), n2, s), n4, s)
+        add(eu, mul(sixth_dt, s, s), uh)
 
     return step, e_full[m:]
 
 
 def _etdrk4(xi, dt, m):
-    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour: band step, tail phase."""
+    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour: in-place band step, tail phase.
+
+    As in ``_ifrk4``, the step matches the expression form bitwise.
+    """
     lam = 1j * xi ** 3
     e_full = np.exp(lam * dt)
     e_half = np.exp(lam * dt / 2)
@@ -118,17 +141,24 @@ def _etdrk4(xi, dt, m):
     two_f2 = 2 * (dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1))
     f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1)
     eh, ef = e_half[:m], e_full[:m]
+    two = np.float64(2)
+    n1, n2, n3, n4, a, b, ehu, s = np.empty((8, m), dtype=complex)
+    mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
-        n1 = nonlinear(uh)
-        ehu = eh * uh
-        a = ehu + q * n1
-        n2 = nonlinear(a)
-        b = ehu + q * n2
-        n3 = nonlinear(b)
-        c = eh * a + q * (2 * n3 - n1)
-        n4 = nonlinear(c)
-        return ef * uh + f1 * n1 + two_f2 * (n2 + n3) + f3 * n4
+        # a = eh uh + q n1, b = eh uh + q n2, c = eh a + q (2 n3 - n1);
+        # uh <- ef uh + f1 n1 + two_f2 (n2 + n3) + f3 n4, summed left to right
+        nonlinear(uh, n1)
+        add(mul(eh, uh, ehu), mul(q, n1, s), a)
+        nonlinear(a, n2)
+        add(ehu, mul(q, n2, s), b)
+        nonlinear(b, n3)
+        mul(q, np.subtract(mul(two, n3, s), n1, s), s)
+        add(mul(eh, a, a), s, a)  # c
+        nonlinear(a, n4)
+        add(mul(ef, uh, uh), mul(f1, n1, s), uh)
+        add(uh, mul(two_f2, add(n2, n3, n2), n2), uh)
+        add(uh, mul(f3, n4, n4), uh)
 
     return step, e_full[m:]
 
@@ -149,39 +179,41 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     xi = np.abs(grid.xi[:half])  # Nyquist taken positive
     m = grid.band
     dfactor = -0.5j * xi[:m] / grid.dx
-    u, buf = np.empty(grid.num_points), np.empty(half, dtype=complex)
+    n, u, buf = grid.num_points, np.empty(grid.num_points), np.empty(half, dtype=complex)
+    buf_band = buf[:m]
 
-    def nonlinear(band):
-        _grid.irfft(band, u.size, out=u)
-        np.multiply(u, u, out=u)
-        return dfactor * _grid.rfft(u, out=buf)[:m]
+    def nonlinear(band, out):
+        _grid.irfft(band, n, out=u)
+        np.multiply(u, u, u)
+        _grid.rfft(u, out=buf)
+        np.multiply(dfactor, buf_band, out)
 
-    band, tail = f.half[:m], f.half[m:]
+    band, tail = f.half[:m].copy(), f.half[m:].copy()
     num_steps = max(1, int(round(T / config.dt)))
     dt = T / num_steps  # land exactly on T
     step, e_tail = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi, dt, m)
 
     records = 1 + -(-num_steps // config.record_every)
-    times, stack, j = np.zeros(records), np.empty((records, half), dtype=complex), 1
+    times, stack = np.zeros(records), np.empty((records, half), dtype=complex)
     stack[0] = f.half
-    for i in range(1, num_steps + 1):
-        # full-spectrum operand order kept (a*b != b*a in the last bit): snapshots match it bitwise
+    for j in range(1, records):
+        i = min(j * config.record_every, num_steps)  # the step this record is taken at
         with np.errstate(invalid="ignore", over="ignore"):
-            band = step(band, nonlinear)
-            tail = e_tail * tail
-        if i % config.record_every == 0 or i == num_steps:
-            t = i * dt
-            row = stack[j]
-            row[:m], row[m:] = band, tail
-            if not np.all(np.isfinite(row)):
-                raise BlowupError(
-                    f"non-finite values during stepping; last valid time t = {times[j - 1]:.6g}",
-                    last_valid_time=float(times[j - 1]),
-                )
-            snap = SpectralField(grid, row, copy=False)  # stores the row's real ends in place
-            if config.check_boundary:
-                check_boundary_smallness(snap, time=t)
-            times[j], j = t, j + 1
+            for _ in range(i - (j - 1) * config.record_every):
+                step(band, nonlinear)
+                np.multiply(e_tail, tail, tail)
+        t = i * dt
+        row = stack[j]
+        row[:m], row[m:] = band, tail
+        if not np.all(np.isfinite(row)):
+            raise BlowupError(
+                f"non-finite values during stepping; last valid time t = {times[j - 1]:.6g}",
+                last_valid_time=float(times[j - 1]),
+            )
+        snap = SpectralField(grid, row, copy=False)  # stores the row's real ends in place
+        if config.check_boundary:
+            check_boundary_smallness(snap, time=t)
+        times[j] = t
     snaps = SpectralField(grid, stack, copy=False)
     # row by row: blocks of rows need (rows x 2n) work arrays, which raise peak RSS
     invariants = np.array([classical_invariants(snaps[i]) for i in range(records)]).T

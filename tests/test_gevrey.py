@@ -139,6 +139,19 @@ class TestSmooth:
             smooth(SpectralField(small_grid, half), 0.1)
         assert exc.value.certifiable_sigma == 0.0
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coefficient_is_named_at_sigma_up_to_zero(self, small_grid, sigma, bad):
+        half = soliton(small_grid, 1.0).half.copy()
+        half[5] = bad
+        xi = f"{small_grid.xi[5]:.6g}"
+        # on a stack the bin is named along the last axis, whichever row holds it
+        for field in (SpectralField(small_grid, half),
+                      SpectralField(small_grid, np.stack([soliton(small_grid, 1.0).half, half]))):
+            with pytest.raises(SpectralOverflowError, match=rf"k = 5 \(xi = {xi}\)") as exc:
+                smooth(field, sigma)
+            assert exc.value.certifiable_sigma == 0.0
+
     def test_zero_coefficients_stay_zero_where_the_weight_overflows(self, default_grid):
         # the product is zero past the 2/3 band, where exp(20|xi|) is inf
         p = complex_dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))

@@ -1,4 +1,6 @@
 """Time integration: exact linear flow, soliton benchmark, invariants."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,76 @@ def nearest_tau_zero(t, k, x0, half_length, y_max=3.5):
             & (np.abs(zc.real) <= 2 * half_length)
     assert np.any(ok), f"no zero of tau found near the real axis at t = {t}"
     return float(np.min(np.abs(zc.imag[ok])))
+
+
+def two_soliton_datum(grid):
+    """The c = 1 soliton at x = -10 plus the c = 2.25 soliton at x = 5."""
+    return SpectralField(grid, soliton(grid, 1.0, -10.0).half + soliton(grid, 2.25, 5.0).half)
+
+
+def expression_form_trajectory(f, T, dt, record_every, scheme):
+    """(times, full-spectrum snapshots) of ``evolve`` rebuilt from the scheme's step written
+    as whole-array expressions on the k = 0..n/2 half-spectrum, with the frequencies, the 2/3
+    mask and the phases spelled as explicit formulas; a record every record_every steps and
+    at the last step."""
+    g = f.grid
+    n = g.num_points
+    h = n // 2 + 1
+    xi = np.pi * np.arange(h) / g.half_length
+    mask = np.arange(h) <= int(np.floor(2.0 / 3.0 * (n // 2)))
+    mask[-1] = False
+    dfactor = -0.5j * xi * mask / g.dx
+    num_steps = max(1, int(round(T / dt)))
+    dt = T / num_steps
+
+    def nonlinear(uh):
+        u = np.fft.irfft(uh * mask)
+        return dfactor * np.fft.rfft(u * u)
+
+    if scheme == "ifrk4":
+        e_half = np.exp(1j * np.mod(xi ** 3 * (dt / 2), 2.0 * np.pi))
+        e_full = e_half * e_half
+
+        def step(uh):
+            n1 = nonlinear(uh)
+            a = e_half * (uh + (dt / 2) * n1)
+            n2 = nonlinear(a)
+            b = e_half * uh + (dt / 2) * n2
+            n3 = nonlinear(b)
+            c = e_full * uh + dt * e_half * n3
+            n4 = nonlinear(c)
+            return e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
+    else:
+        # Kassam & Trefethen (2005): each phi function is its mean over 64 points of the
+        # unit circle about lam dt, which avoids the cancellation near lam dt = 0
+        lam = 1j * xi ** 3
+        e_full, e_half = np.exp(lam * dt), np.exp(lam * dt / 2)
+        r = np.exp(2j * np.pi * (np.arange(1, 65) - 0.5) / 64)
+        lr = lam[:, None] * dt + r[None, :]
+        q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
+        f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr ** 2)) / lr ** 3, axis=1)
+        f2 = dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1)
+        f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1)
+
+        def step(uh):
+            n1 = nonlinear(uh)
+            a = e_half * uh + q * n1
+            n2 = nonlinear(a)
+            b = e_half * uh + q * n2
+            n3 = nonlinear(b)
+            c = e_half * a + q * (2 * n3 - n1)
+            n4 = nonlinear(c)
+            return e_full * uh + f1 * n1 + 2 * f2 * (n2 + n3) + f3 * n4
+
+    uh, times, snaps = f.coeffs[:h], [0.0], [f.coeffs]
+    for i in range(1, num_steps + 1):
+        uh = step(uh)
+        if i % record_every == 0 or i == num_steps:
+            # Hermitian completion, real k = 0 and Nyquist
+            times.append(i * dt)
+            snaps.append(np.concatenate(([uh[0].real], uh[1:-1], [uh[-1].real],
+                                         np.conj(uh[-2:0:-1]))))
+    return np.array(times), snaps
 
 
 COLLISION_K, COLLISION_X0 = (1.0, 1.5), (-2.0, -7.0)
@@ -360,6 +432,53 @@ class TestEvolve:
                         lambda uh: forward_transform(np.fft.irfft(uh), g).coeffs)
         for snap, ref in zip(traj.snapshots, raw):
             assert np.max(np.abs(snap.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_etdrk4_snapshots_equal_reference_stepper_bitwise(self, default_grid):
+        f = two_soliton_datum(default_grid)
+        traj = evolve(f, 0.06, SolverConfig(dt=1e-3, scheme="etdrk4", record_every=20))
+        times, expected = expression_form_trajectory(f, 0.06, 1e-3, 20, "etdrk4")
+        assert traj.times.tobytes() == times.tobytes()
+        assert len(traj.snapshots) == len(expected) == 4
+        for snap, ref in zip(traj.snapshots, expected):
+            assert snap.coeffs.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("record_every, recorded", [(3, [0, 3, 6, 7]), (10, [0, 7])])
+    def test_records_of_a_partial_last_interval_equal_reference_bitwise(
+            self, default_grid, scheme, record_every, recorded):
+        f = two_soliton_datum(default_grid)
+        T = 7e-3  # 7 steps of 1e-3
+        traj = evolve(f, T, SolverConfig(dt=1e-3, scheme=scheme, record_every=record_every))
+        times, expected = expression_form_trajectory(f, T, 1e-3, record_every, scheme)
+        assert traj.times.tolist() == [i * (T / 7) for i in recorded]
+        assert traj.times.tobytes() == times.tobytes()
+        assert [s.coeffs.tobytes() for s in traj.snapshots] == [r.tobytes() for r in expected]
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_no_state_leaks_through_the_step_buffers(self, default_grid, scheme):
+        f = two_soliton_datum(default_grid)
+        datum = f.half.tobytes()
+        config = SolverConfig(dt=1e-3, scheme=scheme, record_every=7)
+        first, second = evolve(f, 0.02, config), evolve(f, 0.02, config)
+        assert f.half.tobytes() == datum
+        for a, b in zip((first.times, first.field.half, first.mass, first.momentum,
+                         first.hamiltonian),
+                        (second.times, second.field.half, second.mass, second.momentum,
+                         second.hamiltonian)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("record_every, last_valid", [(1, 1.0), (4, 0.0)])
+    def test_blowup_inside_a_record_interval_raises_no_float_warning(
+            self, default_grid, record_every, last_valid):
+        # the datum of test_blowup_reports_last_valid_time turns non-finite at step 3, t = 1.5:
+        # warnings as errors show that np.errstate covers every step of an interval
+        f = soliton(default_grid, 4.0, 0.0)
+        config = SolverConfig(dt=0.5, record_every=record_every, check_boundary=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError) as exc:
+                evolve(f, 50.0, config)
+        assert exc.value.last_valid_time == last_valid
 
     def test_two_soliton_collision_matches_closed_form(self, collision):
         f, traj = collision
