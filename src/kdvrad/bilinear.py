@@ -7,12 +7,16 @@ approximate their continuum counterparts.  Pointwise products become exact
 coherent convolutions of the clouds.
 
 The block probe (``measure_block_ratio``) and the X-norm product probe
-(``xnorm_product_ratio``) share one sampler core: one trial loop
-(``_max_ratio``) and one tube-pair builder (``_coherent_pair``).  Its thin
-frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one
-tau cell, so they resolve the modulation scale at large N, where a dense
-grid cannot, and sample the operator norm from below.  The probes differ
-only in where they put (xi1, xi2).  ``WavePacketField.x_norm`` is the X norm of a cloud.
+(``xnorm_product_ratio``) share one sampler core: a draw loop (``_max_ratio``)
+that takes the tube-pair parameters of every trial from one seeded stream
+(``_coherent_pair``), then one stacked evaluation.  All trials' tubes are
+built as one stack (``_tube``), multiplied by one ``product`` call and
+reduced once per probe, each trial summed over its own cells, so every ratio
+is bitwise the one the trial would give alone.  The thin frequency tubes
+keep the spread of the resonance 3 xi1 xi2 xi3 below one tau cell, so they
+resolve the modulation scale at large N, where a dense grid cannot, and
+sample the operator norm from below.  The probes differ only in where they
+put (xi1, xi2).  ``WavePacketField.x_norm`` is the X norm of a cloud.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import dyadic_bump, is_dyadic, validate_dyadic
+from .bumps import (band_share, band_split, covering_indices, dyadic_bump, is_dyadic,
+                    validate_dyadic)
 from .dyadic import modulation_masses, x_sum
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
@@ -44,7 +49,8 @@ def _band(n, floor, lo=0.5, hi=2.0):
 
 @dataclass
 class WavePacketField:
-    """Sparse space-time Fourier amplitude cloud."""
+    """Sparse space-time Fourier amplitude cloud, or a stack of clouds: 2-D arrays with
+    one cloud per row, and dxi of shape (rows, 1)."""
 
     xi_index: np.ndarray
     tau: np.ndarray
@@ -84,29 +90,63 @@ class WavePacketField:
 
 
 def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
-    """Pointwise product in physical space = coherent cloud convolution."""
-    if u.dxi != v.dxi or u.dtau != v.dtau:
+    """Pointwise product in physical space = coherent cloud convolution.
+
+    Stacks multiply row by row in one pass: each row's keys are offset past the previous
+    row's, so one bincount serves every row.  The result is (the rows' products one after
+    another, with dxi per cell; the end offset of each row), each row's cells, values and
+    order those of its own product.
+    """
+    if np.any(u.dxi != v.dxi) or u.dtau != v.dtau or u.amp.shape[:-1] != v.amp.shape[:-1]:
         raise ValueError("operands live on different cell lattices")
-    xi3 = (u.xi_index[:, None] + v.xi_index[None, :]).ravel()
-    tau3 = (u.tau[:, None] + v.tau[None, :]).ravel()
-    amp3 = (u.amp[:, None] * v.amp[None, :]).ravel() * (u.dxi * u.dtau / TWO_PI ** 2)
+    xu, tu, au = (np.atleast_2d(a)[:, :, None] for a in (u.xi_index, u.tau, u.amp))
+    xv, tv, av = (np.atleast_2d(a)[:, None, :] for a in (v.xi_index, v.tau, v.amp))
+    rows = len(xu)
+    xi3 = (xu + xv).reshape(rows, -1)
+    tau3 = (tu + tv).reshape(rows, -1)
+    amp3 = (au * av).reshape(rows, -1) * (u.dxi * u.dtau / TWO_PI ** 2)
     tbin = np.round(tau3 / u.dtau).astype(np.int64)
-    xmin, tmin = xi3.min(), tbin.min()
-    span = int(tbin.max() - tmin) + 1
-    key = (xi3 - xmin) * span + (tbin - tmin)
-    n_keys = int(key.max()) + 1
-    if n_keys <= 4 * key.size:  # compact clouds (tubes): count every key, no sort
-        uniq = np.flatnonzero(np.bincount(key, minlength=n_keys))
+    xmin, tmin = xi3.min(axis=1), tbin.min(axis=1)
+    span = tbin.max(axis=1) - tmin + 1
+    key = (xi3 - xmin[:, None]) * span[:, None] + (tbin - tmin[:, None])
+    n_keys = key.max(axis=1) + 1
+    start = np.cumsum(n_keys) - n_keys
+    key = (key + start[:, None]).ravel()
+    if start[-1] + n_keys[-1] <= 4 * key.size:  # compact clouds (tubes): count every key, no sort
+        uniq = np.flatnonzero(np.bincount(key, minlength=start[-1] + n_keys[-1]))
         index, occupied = key, uniq
     else:
         uniq, index = np.unique(key, return_inverse=True)
         occupied = slice(None)
     acc = np.empty(uniq.size, dtype=np.complex128)
-    acc.real = np.bincount(index, weights=amp3.real)[occupied]
-    acc.imag = np.bincount(index, weights=amp3.imag)[occupied]
-    xi_out = uniq // span + xmin
-    tau_out = (uniq % span + tmin).astype(np.float64) * u.dtau
-    return WavePacketField(xi_out, tau_out, acc, u.dxi, u.dtau)
+    acc.real = np.bincount(index, weights=amp3.real.ravel())[occupied]
+    acc.imag = np.bincount(index, weights=amp3.imag.ravel())[occupied]
+    row = np.searchsorted(start, uniq, side="right") - 1
+    local = uniq - start[row]
+    xi_out = local // span[row] + xmin[row]
+    tau_out = (local % span[row] + tmin[row]).astype(np.float64) * u.dtau
+    if u.amp.ndim == 1:
+        return WavePacketField(xi_out, tau_out, acc, u.dxi, u.dtau)
+    return (WavePacketField(xi_out, tau_out, acc, u.dxi[row, 0], u.dtau),
+            np.cumsum(np.bincount(row, minlength=rows)))
+
+
+def _row_sums(x, ends):
+    """np.sum over the last axis of each row's cells, rows ending at ``ends``; rows last."""
+    return np.stack([np.sum(x[..., a:b], axis=-1) for a, b in zip(np.r_[0, ends[:-1]], ends)],
+                    axis=-1)
+
+
+def _x_norms(f: WavePacketField, ends, weight):
+    """``x_norm`` of each row of a stack: the reduction of ``modulation_masses`` on the bands
+    of the whole stack, each row's masses summed over its own cells.  A band outside a row's
+    own list holds exactly 0 of its mass and adds exactly 0 in ``x_sum``."""
+    lam, power = f.modulation.ravel(), np.abs(f.amp.ravel()) ** 2
+    l_list = covering_indices(float(np.max(np.abs(lam))))
+    j, c = band_split(lam)
+    lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
+    shares = np.array([band_share(j, l.bit_length() - 1, lower, upper) for l in l_list])
+    return x_sum(l_list, _row_sums(shares, ends), weight)
 
 
 def _lam_centers(l):
@@ -116,14 +156,15 @@ def _lam_centers(l):
     return np.linspace(lo + DEFAULT_DTAU / 2, hi - DEFAULT_DTAU / 2, cells)
 
 
-def _tube(xi_lo, width, lam_values, dxi):
-    """Unit-amplitude cells on ``width / dxi`` lattice points from xi_lo, each at every
-    modulation in lam_values (tau = lam + xi^3)."""
-    ni = int(round(width / dxi))  # 5 or 6 cells: every caller sets dxi from width
-    idx = int(round(xi_lo / dxi)) + np.arange(ni)
-    tau = (lam_values[None, :] + (idx * dxi)[:, None] ** 3).ravel()
-    return WavePacketField(np.repeat(idx, lam_values.size), tau,
-                           np.ones(tau.size, dtype=complex), dxi, DEFAULT_DTAU)
+def _tube(xi_lo, lam_values, dxi):
+    """Stack of unit-amplitude tubes, one per entry of xi_lo and dxi: 5 lattice points from
+    xi_lo (every tube pair sets dxi = width / 5), each at every modulation in lam_values
+    (tau = lam + xi^3)."""
+    dxi = dxi[:, None]
+    idx = np.round(xi_lo[:, None] / dxi).astype(np.int64) + np.arange(5)
+    tau = (lam_values + ((idx * dxi) ** 3)[:, :, None]).reshape(len(idx), -1)
+    return WavePacketField(np.repeat(idx, lam_values.size, axis=1), tau,
+                           np.ones(tau.shape, dtype=complex), dxi, DEFAULT_DTAU)
 
 
 def _validate_bands(n, l):
@@ -243,34 +284,39 @@ class RatioRecord:
 MAX_ATTEMPTS_PER_TRIAL = 64
 
 
-def _max_ratio(draw, ratio, trials, seed, probe):
-    """(max ``ratio(u, v)`` over exactly ``trials`` admissible pairs, draws spent).
+def _max_ratio(draw, ratios, lams, trials, seed, probe):
+    """(max of ``ratios(u, v)`` over exactly ``trials`` admissible tube pairs, draws spent).
 
-    ``draw(rng)`` returns a probe pair, or None when inadmissible; the next
-    draw from the one seeded stream replaces it, so a run with more trials
-    extends the run with fewer.  After MAX_ATTEMPTS_PER_TRIAL * trials draws
-    UnresolvableBandError reports the requested, admissible and attempted counts.
+    ``draw(rng)`` returns the parameters of a tube pair (see ``_coherent_pair``),
+    or None when inadmissible; the next draw from the one seeded stream replaces
+    it, so a run with more trials extends the run with fewer.  After
+    MAX_ATTEMPTS_PER_TRIAL * trials draws UnresolvableBandError reports the
+    requested, admissible and attempted counts.  Then every trial's tubes, at
+    the modulations ``lams``, are built as the stacks u and v, and ``ratios``
+    gives one ratio per trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    best = 0.0
-    performed = attempts = 0
-    while performed < trials:
+    pairs, attempts = [], 0
+    while len(pairs) < trials:
         if attempts == MAX_ATTEMPTS_PER_TRIAL * trials:
             raise UnresolvableBandError(
-                f"no admissible probe pair for {probe}: {performed} of {trials} "
+                f"no admissible probe pair for {probe}: {len(pairs)} of {trials} "
                 f"requested trials admissible after {attempts} attempts")
         attempts += 1
         pair = draw(rng)
         if pair is not None:
-            best = max(best, ratio(*pair))
-            performed += 1
+            pairs.append(pair)
+    lo1, lo2, dxi = np.array(pairs).T
+    best = 0.0
+    for r in ratios(_tube(lo1, lams[0], dxi), _tube(lo2, lams[1], dxi)):
+        best = max(best, float(r))
     return best, attempts
 
 
-def _coherent_pair(xi1, xi2, band1, band2, lam1, lam2):
-    """Tubes centred on xi1 and xi2 whose product stays coherent.
+def _coherent_pair(xi1, xi2, band1, band2):
+    """(xi_lo1, xi_lo2, dxi): the tubes centred on xi1 and xi2 whose product stays coherent.
 
     The width keeps both the linear and the quadratic spread of the
     resonance along the output fiber below one tau cell, and a quarter of
@@ -282,9 +328,7 @@ def _coherent_pair(xi1, xi2, band1, band2, lam1, lam2):
     delta_quad = np.sqrt(DEFAULT_DTAU / (6.0 * x3))
     delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0,
                 (band2[1] - band2[0]) / 4.0)
-    dxi = delta / 5.0
-    return (_tube(xi1 - delta / 2, delta, lam1, dxi),
-            _tube(xi2 - delta / 2, delta, lam2, dxi))
+    return xi1 - delta / 2, xi2 - delta / 2, delta / 5.0
 
 
 def _resonance_range(band1, band2, xi3, signs):
@@ -423,14 +467,14 @@ def _tube_targets(triple: DyadicTriple) -> dict:
 
 
 def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac):
-    """Tube pair whose product lands coherently where the output bumps peak.
+    """Parameters of a tube pair whose product lands coherently where the output bumps peak.
 
     lam3 is drawn (at ``lam3_frac``) from the reachable part of the target
     range (see ``_tube_targets``), then xi3 (at ``xi3_frac``) from the signed
     pieces of the target |xi3| range on which the resonance
     lam1 + lam2 - lam3 = 3 xi1 xi2 xi3 has its two roots (xi1, xi2) inside
-    the N1 and N2 bands, so every draw is admissible.  Returns None, before
-    any tube is built, when nothing is reachable or a draw rounds off a cut.
+    the N1 and N2 bands, so every draw is admissible.  Returns None when
+    nothing is reachable or a draw rounds off a cut.
     """
     if not tg["lam3"]:
         return None
@@ -444,8 +488,7 @@ def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac):
     roots = _resonance_roots(abs(xi3), sign3 * big_h, band1, band2)
     if roots is None:
         return None
-    return _coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2,
-                          tg["lam1"], tg["lam2"])
+    return _coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2)
 
 
 def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
@@ -469,16 +512,22 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
     c = predicted_block_constant(triple)
     targets = _tube_targets(triple)
 
-    def ratio(u, v):
-        return product(u, v).band_l2_norm(triple.n3, triple.l3) / (u.l2_norm() * v.l2_norm())
+    def ratios(u, v):  # band_l2_norm / (l2_norm l2_norm), per trial
+        w, ends = product(u, v)
+        wgt = dyadic_bump(triple.n3, w.xi) * dyadic_bump(triple.l3, w.modulation)
+        weight = u.cell_weight[:, 0]
+        lhs = np.sqrt(_row_sums(np.abs(wgt * w.amp) ** 2, ends) * weight)
+        return lhs / (np.sqrt(np.sum(np.abs(u.amp) ** 2, axis=1) * weight)
+                      * np.sqrt(np.sum(np.abs(v.amp) ** 2, axis=1) * weight))
 
     best, attempts = _max_ratio(lambda rng: _targeted_tube_pair(targets, *rng.random(2)),
-                                ratio, trials, seed, triple)
+                                ratios, (targets["lam1"], targets["lam2"]), trials, seed,
+                                triple)
     return RatioRecord(triple, best, c, best / c, trials, attempts)
 
 
 def _xnorm_tube_pair(bands, rng):
-    """Coherent tube pair for the X-norm ratio, output anywhere in the third band.
+    """Parameters of a coherent tube pair for the X-norm ratio, output anywhere in band 3.
 
     Six random numbers per draw: xi3 across band 3 with a random sign, then xi1 at
     the stationary point xi3 / 2, jittered within the quadratic coherence
@@ -499,8 +548,7 @@ def _xnorm_tube_pair(bands, rng):
     xi2 = xi3 - xi1
     if not (lo1 <= abs(xi1) <= hi1 and lo2 <= abs(xi2) <= hi2):
         return None
-    lam = _lam_centers(1)
-    return _coherent_pair(sign3 * xi1, sign3 * xi2, bands[0], bands[1], lam, lam)
+    return _coherent_pair(sign3 * xi1, sign3 * xi2, bands[0], bands[1])
 
 
 def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0) -> float:
@@ -515,17 +563,28 @@ def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0) -> float:
         _validate_bands(n, 1)
     bands = [_band(n, 0.1) for n in (n1, n2, n3)]
 
-    def ratio(u, v):
-        w = product(u, v)
+    def ratios(u, v):  # f.x_norm() / (u.x_norm() v.x_norm()), per trial
+        w, ends = product(u, v)
         amp = w.amp * (1j * w.xi) * dyadic_bump(n3, w.xi) / (1j + w.modulation)
         f = WavePacketField(w.xi_index, w.tau, amp, w.dxi, w.dtau)
-        return f.x_norm() / (u.x_norm() * v.x_norm())
+        weight = u.cell_weight[:, 0]
+        tube_ends = u.amp.shape[1] * np.arange(1, len(u.amp) + 1)
+        return _x_norms(f, ends, weight) / (_x_norms(u, tube_ends, weight)
+                                            * _x_norms(v, tube_ends, weight))
 
-    return _max_ratio(lambda rng: _xnorm_tube_pair(bands, rng), ratio, trials, seed,
-                      f"bands ({n1}, {n2}, {n3})")[0]
+    lam = _lam_centers(1)
+    return _max_ratio(lambda rng: _xnorm_tube_pair(bands, rng), ratios, (lam, lam), trials,
+                      seed, f"bands ({n1}, {n2}, {n3})")[0]
 
 
 def fit_exponent(ns, values):
+    """Least-squares slope of log(values) against log(ns); every value must be positive."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
+    if ns.shape != values.shape:
+        raise ValueError(f"{ns.size} band indices but {values.size} values")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"value {values[i]} at index {i} (n = {ns[i]:g}) has no finite log")
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])

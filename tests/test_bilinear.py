@@ -1,5 +1,6 @@
 """Dyadic bilinear block constants: regimes, support conditions, exponents."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,53 @@ def output_reachable(t, points=801):
             if np.any(in_n3 & (((p - h < d) & (q - h > c)) | ((p - h < -c) & (q - h > -d)))):
                 return True
     return False
+
+
+def single_tube(xi_lo, lam, dxi):
+    """One tube built alone, as the probes built each trial's: 5 lattice points from xi_lo,
+    each at every modulation in lam."""
+    idx = int(round(xi_lo / dxi)) + np.arange(5)
+    tau = (lam[None, :] + (idx * dxi)[:, None] ** 3).ravel()
+    return WavePacketField(np.repeat(idx, lam.size), tau, np.ones(tau.size, dtype=complex),
+                           dxi, bilinear.DEFAULT_DTAU)
+
+
+def trial_by_trial(draw, ratio, lams, trials, seed):
+    """(max ratio, attempts) of the per-trial loop: each admissible draw from the one seeded
+    stream is built, multiplied and measured alone, and the max starts from 0.0."""
+    rng = np.random.default_rng(seed)
+    best, performed, attempts = 0.0, 0, 0
+    while performed < trials:
+        attempts += 1
+        params = draw(rng)
+        if params is not None:
+            lo1, lo2, dxi = params
+            best = max(best, ratio(single_tube(lo1, lams[0], dxi), single_tube(lo2, lams[1], dxi)))
+            performed += 1
+    return best, attempts
+
+
+def block_oracle(t, trials, seed):
+    """``measure_block_ratio``'s (measured_lhs, attempts), one trial at a time."""
+    tg = bilinear._tube_targets(t)
+    return trial_by_trial(
+        lambda rng: bilinear._targeted_tube_pair(tg, *rng.random(2)),
+        lambda u, v: product(u, v).band_l2_norm(t.n3, t.l3) / (u.l2_norm() * v.l2_norm()),
+        (tg["lam1"], tg["lam2"]), trials, seed)
+
+
+def xnorm_oracle(n, trials, seed):
+    """``xnorm_product_ratio(n, n, n)``, one trial at a time."""
+    def ratio(u, v):
+        w = product(u, v)
+        amp = w.amp * (1j * w.xi) * dyadic_bump(n, w.xi) / (1j + w.modulation)
+        f = WavePacketField(w.xi_index, w.tau, amp, w.dxi, w.dtau)
+        return f.x_norm() / (u.x_norm() * v.x_norm())
+
+    bands = [bilinear._band(n, 0.1)] * 3
+    lam = bilinear._lam_centers(1)
+    return trial_by_trial(lambda rng: bilinear._xnorm_tube_pair(bands, rng), ratio, (lam, lam),
+                          trials, seed)[0]
 
 
 def assert_vanishes(t):
@@ -166,6 +214,15 @@ class TestMeasureBlockRatio:
             assert rec.attempts >= rec.trials
             assert rec.measured_lhs > 0
 
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_performs_every_requested_trial(self, n, monkeypatch):
+        rows = []
+        original = bilinear.product
+        monkeypatch.setattr(bilinear, "product",
+                            lambda u, v: rows.append(len(np.atleast_2d(u.amp))) or original(u, v))
+        measure_block_ratio(DyadicTriple(2, n, n, 1, 1, 2 * n ** 2), trials=32, seed=3)
+        assert sum(rows) == 32
+
     def test_more_trials_never_decrease_max(self):
         t = DyadicTriple(2, 16, 16, 1, 1, 512)
         r8 = measure_block_ratio(t, trials=8, seed=7)
@@ -230,12 +287,12 @@ class TestXnormProductRatio:
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_performs_every_requested_trial(self, n, monkeypatch):
-        calls = []
+        rows = []
         original = bilinear.product
         monkeypatch.setattr(bilinear, "product",
-                            lambda u, v: calls.append(None) or original(u, v))
+                            lambda u, v: rows.append(len(np.atleast_2d(u.amp))) or original(u, v))
         xnorm_product_ratio(n, n, n, trials=32, seed=3)
-        assert len(calls) == 32
+        assert sum(rows) == 32
 
     def test_unresolvable_bands_report_counts(self):
         # no (xi1, xi2) in +-(0.1, 2) sums to |xi3| >= 32
@@ -279,3 +336,122 @@ class TestProductBookkeeping:
         c = lattice_cloud(8, 1, seed=3)
         with pytest.raises(ValueError, match="lattice"):
             product(a, c)
+
+
+class TestBatchedTrials:
+    """The probes evaluate all trials as one stack; each trial's ratio, the max and the
+    attempt count are bitwise those of the trial-by-trial loop."""
+
+    @pytest.mark.parametrize("trials", [1, 8])
+    def test_probes_equal_the_trial_by_trial_loop_bitwise(self, trials):
+        triples = [DyadicTriple(2, n, n, 1, 1, 2 * n ** 2) for n in (8, 16, 32, 64)]
+        triples += [DyadicTriple(1, 16, 16, 256, 1, 4), DyadicTriple(1, 1, 1, 1, 1, 1),
+                    DyadicTriple(8, 8, 8, 1, 4, 512)]
+        for seed in (1, 7, 19):
+            for t in triples:
+                rec = measure_block_ratio(t, trials=trials, seed=seed)
+                lhs, attempts = block_oracle(t, trials, seed)
+                assert type(rec.measured_lhs) is float and type(rec.ratio) is float
+                assert (rec.measured_lhs.hex(), rec.ratio.hex(), rec.attempts) == \
+                    (lhs.hex(), (lhs / rec.predicted_c).hex(), attempts)
+            for n in (8, 16, 32, 64):
+                value = xnorm_product_ratio(n, n, n, trials=trials, seed=seed)
+                assert type(value) is float and value.hex() == xnorm_oracle(n, trials, seed).hex()
+
+    def test_tube_has_five_points_at_every_modulation(self):
+        rng = np.random.default_rng(0)
+        widths = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 2000))
+        xi_lo = rng.uniform(-100.0, 100.0, widths.size)
+        lam = bilinear._lam_centers(4)
+        # the count the tubes took from round(width / dxi) is 5 at every width
+        assert all(round(w / (w / 5.0)) == 5 for w in widths)
+        u = bilinear._tube(xi_lo, lam, widths / 5.0)
+        assert u.xi_index.shape == u.tau.shape == u.amp.shape == (widths.size, 5 * lam.size)
+        idx = u.xi_index.reshape(widths.size, 5, lam.size)
+        assert (idx == idx[:, :, :1]).all() and (np.diff(idx[:, :, 0], axis=1) == 1).all()
+        assert np.all(np.abs(u.xi[:, 0] - xi_lo) <= widths / 10.0 * (1.0 + 1e-12))
+        assert u.modulation == pytest.approx(np.broadcast_to(np.tile(lam, 5), u.tau.shape),
+                                             abs=1e-8)
+        for r in (0, 999):
+            single = single_tube(xi_lo[r], lam, widths[r] / 5.0)
+            assert u.xi_index[r].tolist() == single.xi_index.tolist()
+            assert u.tau[r].tobytes() == single.tau.tobytes()
+
+
+def random_cloud(rng, size, index_span, tau_scale, dxi):
+    return WavePacketField(rng.integers(-index_span, index_span, size),
+                           rng.uniform(-tau_scale, tau_scale, size),
+                           rng.standard_normal(size) + 1j * rng.standard_normal(size), dxi, 0.5)
+
+
+def stack(clouds):
+    """The clouds (all of one size) as one stack, a row each."""
+    return WavePacketField(*(np.array([getattr(c, a) for c in clouds])
+                             for a in ("xi_index", "tau", "amp")),
+                           np.array([[c.dxi] for c in clouds]), clouds[0].dtau)
+
+
+class TestStackedProduct:
+    def assert_rows_are_single_products(self, us, vs):
+        w, ends = product(stack(us), stack(vs))
+        assert ends.tolist() == np.cumsum([product(u, v).amp.size for u, v in zip(us, vs)]).tolist()
+        for u, v, a, b in zip(us, vs, [0, *ends[:-1]], ends):
+            single = product(u, v)
+            for name in ("xi_index", "tau", "amp"):
+                got, want = getattr(w, name)[a:b], getattr(single, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert (w.dxi[a:b] == u.dxi).all() and w.dtau == single.dtau
+
+    def test_rows_equal_their_single_products_bitwise(self):
+        # random-amplitude tubes, each row on its own lattice
+        rng = np.random.default_rng(4)
+        us, vs = [], []
+        for xi1, xi2, dxi in ((3.1, 2.2, 0.01), (-7.4, 1.5, 0.002), (0.2, 0.4, 0.03)):
+            us.append(single_tube(xi1, bilinear._lam_centers(2), dxi))
+            vs.append(single_tube(xi2, bilinear._lam_centers(8), dxi))
+        for t in us + vs:
+            t.amp = rng.standard_normal(t.amp.size) + 1j * rng.standard_normal(t.amp.size)
+        self.assert_rows_are_single_products(us, vs)
+        self.assert_rows_are_single_products(us[1:2], vs[1:2])  # a batch of one
+
+    def test_a_sparse_row_takes_the_sorted_keys(self, monkeypatch):
+        # the first row's keys span far more than 4 x its 42 pairs, so np.unique (no dense count)
+        rng = np.random.default_rng(6)
+        us = [random_cloud(rng, 7, 200, 1e4, 0.05), random_cloud(rng, 7, 3, 1.0, 0.1)]
+        vs = [random_cloud(rng, 6, 200, 1e4, 0.05), random_cloud(rng, 6, 3, 1.0, 0.1)]
+        sizes = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda x, weights=None, minlength=0:
+                            sizes.append(max(minlength, int(np.max(x)) + 1))
+                            or bincount(x, weights=weights, minlength=minlength))
+        self.assert_rows_are_single_products(us, vs)
+        assert max(sizes) <= 4 * 42 * 2
+
+    def test_rows_on_different_lattices_are_refused(self):
+        rng = np.random.default_rng(8)
+        us = [random_cloud(rng, 4, 5, 1.0, dxi) for dxi in (0.1, 0.2)]
+        vs = [random_cloud(rng, 4, 5, 1.0, dxi) for dxi in (0.1, 0.3)]
+        with pytest.raises(ValueError, match="lattice"):
+            product(stack(us), stack(vs))
+        with pytest.raises(ValueError, match="lattice"):
+            product(stack(us[:1]), stack(us))
+
+
+class TestFitExponent:
+    def test_power_law_slope(self):
+        ns = [8, 16, 32, 64]
+        assert fit_exponent(ns, [n ** -0.75 for n in ns]) == pytest.approx(-0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("values, where", [
+        ([1.0, 0.5, 0.0, 0.1], "index 2 (n = 32)"),
+        ([1.0, -0.5, 0.2, -0.1], "index 1 (n = 16)"),
+        ([1.0, 0.5, np.nan, 0.1], "index 2 (n = 32)"),
+        ([np.inf, 0.5, 0.2, 0.1], "index 0 (n = 8)"),
+    ])
+    def test_a_value_without_a_finite_log_is_refused(self, values, where):
+        with pytest.raises(ValueError, match=re.escape(where)):
+            fit_exponent([8, 16, 32, 64], values)
+
+    def test_a_length_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="4 band indices but 3 values"):
+            fit_exponent([8, 16, 32, 64], [1.0, 0.5, 0.2])
