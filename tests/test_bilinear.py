@@ -113,6 +113,55 @@ def lattice_cloud(n, l, seed):
     return WavePacketField(idx, lam + (idx * dxi) ** 3, amp, dxi, 0.5)
 
 
+def product_oracle(u, v):
+    """``product`` pair by pair, as (xi_index, tau, amp, dxi per cell, row ends).
+
+    Each row's pairs, u's cell major, add amp_u amp_v w (w = dxi dtau / (2 pi)^2) to the
+    cell (xi_u + xi_v, round((tau_u + tau_v) / dtau)), one pair at a time in input order,
+    from 0.0; the cells come out by row, then xi index, then tau bin.
+    """
+    dxis = np.ravel(u.dxi)
+    out = {name: [] for name in ("xi_index", "tau", "amp", "dxi")}
+    ends = []
+    for r, dxi in enumerate(dxis):
+        xa, ta, aa = (np.atleast_2d(a)[r] for a in (u.xi_index, u.tau, u.amp))
+        xb, tb, ab = (np.atleast_2d(a)[r] for a in (v.xi_index, v.tau, v.amp))
+        pair_amps = ((aa[:, None] * ab[None, :]) * (dxi * u.dtau / (2 * np.pi) ** 2)).ravel()
+        cells = {}
+        for k, (i, j) in enumerate(itertools.product(range(xa.size), range(xb.size))):
+            cell = (int(xa[i] + xb[j]), int(np.round((ta[i] + tb[j]) / u.dtau)))
+            re, im = cells.get(cell, (0.0, 0.0))
+            cells[cell] = (re + pair_amps[k].real, im + pair_amps[k].imag)
+        for (xi_index, tau_bin), (re, im) in sorted(cells.items()):
+            out["xi_index"].append(xi_index)
+            out["tau"].append(tau_bin * u.dtau)
+            out["amp"].append(complex(re, im))
+            out["dxi"].append(dxi)
+        ends.append(len(out["amp"]))
+    return (np.array(out["xi_index"], dtype=np.int64), np.array(out["tau"], dtype=np.float64),
+            np.array(out["amp"], dtype=np.complex128), np.array(out["dxi"]), ends)
+
+
+def xnorm_tube_pair_by_choice(bands, rng):
+    """``_xnorm_tube_pair`` with its signs drawn by ``rng.choice((-1.0, 1.0))``: the
+    reference for its integer sign draws."""
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = bands
+    xi3 = lo3 + rng.uniform(0.05, 0.95) * (hi3 - lo3)
+    sign3 = rng.choice((-1.0, 1.0))
+    prefer_stationary = rng.uniform() < 0.7
+    jitter = rng.uniform(-1.0, 1.0)
+    xi1_frac = rng.uniform(0.1, 0.9)
+    sign1 = rng.choice((-1.0, 1.0))
+    if prefer_stationary and lo1 <= xi3 / 2 <= hi1 and lo2 <= xi3 / 2 <= hi2:
+        xi1 = xi3 / 2 + jitter * np.sqrt(bilinear.DEFAULT_DTAU / (3.0 * xi3))
+    else:
+        xi1 = (lo1 + xi1_frac * (hi1 - lo1)) * sign1
+    xi2 = xi3 - xi1
+    if not (lo1 <= abs(xi1) <= hi1 and lo2 <= abs(xi2) <= hi2):
+        return None
+    return bilinear._coherent_pair(sign3 * xi1, sign3 * xi2, bands[0], bands[1])
+
+
 class TestDyadicTriple:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -337,6 +386,21 @@ class TestProductBookkeeping:
         with pytest.raises(ValueError, match="lattice"):
             product(a, c)
 
+    def test_an_operand_without_cells_gives_an_empty_product(self):
+        empty = WavePacketField([], [], [], 0.1, 0.5)
+        cloud = WavePacketField([1, 2], [0.5, 1.0], [1.0, 1j], 0.1, 0.5)
+        for u, v in ((empty, cloud), (cloud, empty), (empty, empty)):
+            w = product(u, v)
+            assert w.xi_index.size == w.tau.size == w.amp.size == 0
+            assert (w.dxi, w.dtau) == (0.1, 0.5) and w.x_norm() == 0.0
+        rows = np.full((3, 1), 0.1)
+        none = WavePacketField(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), rows, 0.5)
+        some = WavePacketField(np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2)), rows, 0.5)
+        for u, v in ((none, some), (some, none), (none, none)):
+            w, ends = product(u, v)
+            assert w.xi_index.size == w.tau.size == w.amp.size == w.dxi.size == 0
+            assert ends.dtype == np.int64 and ends.tolist() == [0, 0, 0]
+
 
 class TestBatchedTrials:
     """The probes evaluate all trials as one stack; each trial's ratio, the max and the
@@ -376,6 +440,19 @@ class TestBatchedTrials:
             single = single_tube(xi_lo[r], lam, widths[r] / 5.0)
             assert u.xi_index[r].tolist() == single.xi_index.tolist()
             assert u.tau[r].tobytes() == single.tau.tobytes()
+
+    def test_modulation_is_the_per_cell_cube_bitwise(self):
+        # tubes, their product, random clouds, an empty one, and a -0.0 run next to 0.0
+        rng = np.random.default_rng(14)
+        lo1, lo2, dxi = np.array([3.1, -7.4]), np.array([2.2, 1.5]), np.array([0.01, 0.002])
+        u = bilinear._tube(lo1, bilinear._lam_centers(2), dxi)
+        v = bilinear._tube(lo2, bilinear._lam_centers(8), dxi)
+        fields = [u, product(u, v)[0], random_cloud(rng, 50, 3, 10.0, 0.3),
+                  WavePacketField([], [], [], 0.1, 0.5),
+                  WavePacketField([0, 0, 0, 1, 2], [-0.0, -0.0, -0.0, 2.0, 3.0], np.ones(5),
+                                  np.array([0.5, -0.5, 0.5, 0.5, np.nan]), 0.5)]
+        for f in fields:
+            assert f.modulation.tobytes() == (f.tau - f.xi ** 3).tobytes()
 
 
 def random_cloud(rng, size, index_span, tau_scale, dxi):
@@ -437,6 +514,134 @@ class TestStackedProduct:
             product(stack(us[:1]), stack(us))
 
 
+class TestProductOracle:
+    """``product`` equals the pair-by-pair oracle bitwise: unit-amplitude operands through
+    the count path, every other amplitude through the weighted sums."""
+
+    def assert_equals_oracle(self, u, v, counted, sparse, monkeypatch):
+        weighted, sorted_keys = [], []
+        bincount, unique = np.bincount, np.unique
+        with monkeypatch.context() as m:
+            m.setattr(np, "bincount", lambda x, weights=None, minlength=0:
+                      weighted.append(weights is not None)
+                      or bincount(x, weights=weights, minlength=minlength))
+            m.setattr(np, "unique", lambda *a, **k: sorted_keys.append(1) or unique(*a, **k))
+            got = product(u, v)
+        assert any(weighted) != counted and bool(sorted_keys) == sparse
+        xi_index, tau, amp, dxi, ends = product_oracle(u, v)
+        if u.amp.ndim == 1:
+            w = got
+            assert w.dxi == u.dxi
+        else:
+            w, got_ends = got
+            assert got_ends.tolist() == ends and w.dxi.tobytes() == dxi.tobytes()
+        for name, want in (("xi_index", xi_index), ("tau", tau), ("amp", amp)):
+            have = getattr(w, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+        return w
+
+    def test_unit_tube_stacks_are_counted(self, monkeypatch):
+        # dense keys, a dxi per row, a batch of one and a single tube
+        lo1, lo2 = np.array([3.1, -7.4, 0.2, 25.0]), np.array([2.2, 1.5, 0.4, -24.0])
+        dxi = np.array([0.01, 0.002, 0.03, 0.0004])
+        lam1, lam2 = bilinear._lam_centers(2), bilinear._lam_centers(8)
+        u, v = bilinear._tube(lo1, lam1, dxi), bilinear._tube(lo2, lam2, dxi)
+        w = self.assert_equals_oracle(u, v, True, False, monkeypatch)
+        assert w.amp.size < u.amp.size * v.amp.shape[1]  # cells reached by several pairs
+        self.assert_equals_oracle(bilinear._tube(lo1[1:2], lam1, dxi[1:2]),
+                                  bilinear._tube(lo2[1:2], lam2, dxi[1:2]), True, False,
+                                  monkeypatch)
+        self.assert_equals_oracle(single_tube(3.1, lam1, 0.01), single_tube(2.2, lam2, 0.01),
+                                  True, False, monkeypatch)
+
+    def test_unit_clouds_with_sparse_keys_are_counted(self, monkeypatch):
+        # 4 xi indices up to 900 and 3 tau values: keys span far more than 4 x the pairs,
+        # and most cells are reached by several pairs
+        rng = np.random.default_rng(12)
+
+        def unit_cloud(size, dxi):
+            return WavePacketField(rng.choice([0, 1, 2, 900], size),
+                                   rng.choice([0.0, 0.5, 1.0], size), np.ones(size), dxi, 0.5)
+
+        us = [unit_cloud(12, dxi) for dxi in (0.05, 0.1)]
+        vs = [unit_cloud(10, dxi) for dxi in (0.05, 0.1)]
+        w = self.assert_equals_oracle(stack(us), stack(vs), True, True, monkeypatch)
+        assert w.amp.size < 2 * 12 * 10 / 3
+        self.assert_equals_oracle(stack(us[1:]), stack(vs[1:]), True, True, monkeypatch)
+        self.assert_equals_oracle(us[0], vs[0], True, True, monkeypatch)
+
+    def test_other_amplitudes_take_the_weighted_sums(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        lo1, lo2, dxi = np.array([3.1, -7.4]), np.array([2.2, 1.5]), np.array([0.01, 0.002])
+        u = bilinear._tube(lo1, bilinear._lam_centers(2), dxi)
+        v = bilinear._tube(lo2, bilinear._lam_centers(8), dxi)
+        v.amp[1, 7] = 1j  # one amplitude off 1 sends the whole stack down the weighted path
+        self.assert_equals_oracle(u, v, False, False, monkeypatch)
+        u.amp = rng.standard_normal(u.amp.shape) + 1j * rng.standard_normal(u.amp.shape)
+        self.assert_equals_oracle(u, v, False, False, monkeypatch)
+        us = [random_cloud(rng, 7, 200, 1e4, 0.05), random_cloud(rng, 7, 3, 1.0, 0.1)]
+        vs = [random_cloud(rng, 6, 200, 1e4, 0.05), random_cloud(rng, 6, 3, 1.0, 0.1)]
+        self.assert_equals_oracle(stack(us), stack(vs), False, True, monkeypatch)
+        self.assert_equals_oracle(random_cloud(rng, 30, 5, 3.0, 0.1),
+                                  random_cloud(rng, 20, 5, 3.0, 0.1), False, False, monkeypatch)
+
+
+#: measure_block_ratio (measured_lhs, ratio, attempts) of the generic triple
+#: (2, N, N, 1, 1, 2 N^2) and xnorm_product_ratio(N, N, N) at N = 8..64, 32 trials, by seed;
+#: a change of the draw stream or of any float operation on the way moves them.  Taken with
+#: numpy 2.4 on x86-64 with AVX-512, whose vectorised pow and exp set the last bits
+BLOCK_PINS = {
+    (1, 8): ("0x1.4aaddd4013198p-7", "0x1.4aaddd4013198p-4", 32),
+    (1, 16): ("0x1.1dd425a6c5a06p-8", "0x1.1dd425a6c5a06p-4", 32),
+    (1, 32): ("0x1.08ac7e4058b7bp-9", "0x1.08ac7e4058b7bp-4", 32),
+    (1, 64): ("0x1.002f0fc886811p-10", "0x1.002f0fc886811p-4", 32),
+    (7, 8): ("0x1.48126dd1ab626p-7", "0x1.48126dd1ab626p-4", 32),
+    (7, 16): ("0x1.285e15d96997ep-8", "0x1.285e15d96997ep-4", 32),
+    (7, 32): ("0x1.19ac299ee1b8ap-9", "0x1.19ac299ee1b8ap-4", 32),
+    (7, 64): ("0x1.117ce6e991849p-10", "0x1.117ce6e991849p-4", 32),
+    (19, 8): ("0x1.4ab25cc7958d4p-7", "0x1.4ab25cc7958d4p-4", 32),
+    (19, 16): ("0x1.24323580efc4bp-8", "0x1.24323580efc4bp-4", 32),
+    (19, 32): ("0x1.109da14b3ace9p-9", "0x1.109da14b3ace9p-4", 32),
+    (19, 64): ("0x1.09b7b4a01d5ecp-10", "0x1.09b7b4a01d5ecp-4", 32),
+}
+XNORM_PINS = {
+    1: ("0x1.65f6c68db4774p-7", "0x1.ab4ebe697e300p-8", "0x1.fb2c9332e1cd9p-9",
+        "0x1.2dc898faa3bb6p-9"),
+    7: ("0x1.9862ca01a7008p-7", "0x1.e4322e122c4eap-8", "0x1.1faaea532bb26p-8",
+        "0x1.565efdcf87b55p-9"),
+    19: ("0x1.8b0b3f1ffb6f2p-7", "0x1.d4a0eee525f80p-8", "0x1.1644f92f0d29cp-8",
+         "0x1.4ab7ad8b1ed5fp-9"),
+}
+
+
+class TestPinnedDraws:
+    """The trial-by-trial oracle shares the draw functions, so only fixed values catch a
+    change of the draw stream."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 19])
+    def test_probe_values_are_pinned(self, seed):
+        for n, xnorm in zip((8, 16, 32, 64), XNORM_PINS[seed]):
+            rec = measure_block_ratio(DyadicTriple(2, n, n, 1, 1, 2 * n ** 2), seed=seed)
+            assert (rec.measured_lhs.hex(), rec.ratio.hex(), rec.attempts) == BLOCK_PINS[seed, n]
+            assert xnorm_product_ratio(n, n, n, seed=seed).hex() == xnorm
+
+    def test_xnorm_tube_pairs_are_the_choice_draws(self):
+        # both branches of xi1 and both signs of each: stationary points in (8, 8, 8) and
+        # (64, 64, 64), uniform xi1 in (16, 16, 1) and (2, 16, 16)
+        band_sets = [[bilinear._band(n, 0.1) for n in ns]
+                     for ns in ((8, 8, 8), (64, 64, 64), (16, 16, 1), (2, 16, 16))]
+        for seed in range(20):
+            for bands in band_sets:
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(40):
+                    got = bilinear._xnorm_tube_pair(bands, rng)
+                    want = xnorm_tube_pair_by_choice(bands, ref)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestFitExponent:
     def test_power_law_slope(self):
         ns = [8, 16, 32, 64]
@@ -455,3 +660,9 @@ class TestFitExponent:
     def test_a_length_mismatch_is_refused(self):
         with pytest.raises(ValueError, match="4 band indices but 3 values"):
             fit_exponent([8, 16, 32, 64], [1.0, 0.5, 0.2])
+
+    @pytest.mark.parametrize("ns, distinct", [([8], 1), ([8, 8, 8], 1), ([], 0)])
+    def test_fewer_than_two_distinct_band_indices_are_refused(self, ns, distinct):
+        with pytest.raises(ValueError, match=f"at least 2 distinct band indices, got {distinct}"):
+            fit_exponent(ns, [1.0] * len(ns))
+        assert fit_exponent([8, 8, 16], [1.0, 1.0, 0.5]) == pytest.approx(-1.0, abs=1e-12)
