@@ -19,11 +19,13 @@ bits of the per-pair sum and the per-cell cube.  The thin frequency tubes
 keep the spread of the resonance 3 xi1 xi2 xi3 below one tau cell, so they
 resolve the modulation scale at large N, where a dense grid cannot, and
 sample the operator norm from below.  The probes differ only in where they
-put (xi1, xi2).  ``WavePacketField.x_norm`` is the X norm of a cloud.
+put (xi1, xi2).  The draw geometry is float arithmetic; numpy enters only at the stacked
+evaluation.  ``WavePacketField.x_norm`` is the X norm of a cloud.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +162,10 @@ def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
 
 
 def _row_sums(x, ends):
-    """np.sum over the last axis of each row's cells, rows ending at ``ends``; rows last."""
+    """np.sum over the last axis of each row's cells, rows ending at ``ends``; rows last.
+    Rows of equal length (every tube stack) take one reshaped sum, bitwise the same."""
+    if np.array_equal(ends, ends[0] * np.arange(1, len(ends) + 1)):
+        return x.reshape(*x.shape[:-1], len(ends), ends[0]).sum(-1)
     return np.stack([np.sum(x[..., a:b], axis=-1) for a, b in zip(np.r_[0, ends[:-1]], ends)],
                     axis=-1)
 
@@ -348,12 +353,12 @@ def _coherent_pair(xi1, xi2, band1, band2):
 
     The width keeps both the linear and the quadratic spread of the
     resonance along the output fiber below one tau cell, and a quarter of
-    either band.
+    either band.  Needs x3 = |xi1 + xi2| > 0: on floats, x3 = 0 raises ZeroDivisionError.
     """
     x3 = abs(xi1 + xi2)
     fiber_slope = 3.0 * x3 * abs(xi2 - xi1)
-    delta_lin = DEFAULT_DTAU / (2.0 * fiber_slope) if fiber_slope > 0 else np.inf
-    delta_quad = np.sqrt(DEFAULT_DTAU / (6.0 * x3))
+    delta_lin = DEFAULT_DTAU / (2.0 * fiber_slope) if fiber_slope > 0 else math.inf
+    delta_quad = math.sqrt(DEFAULT_DTAU / (6.0 * x3))
     delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0,
                 (band2[1] - band2[0]) / 4.0)
     return xi1 - delta / 2, xi2 - delta / 2, delta / 5.0
@@ -376,14 +381,10 @@ def _resonance_range(band1, band2, xi3, signs):
     points += [(e1, -e1 / 2.0) for e1 in (a1, b1)]
     points += [(-e2 / 2.0, e2) for e2 in (a2, b2)]
     points += [(s / 2.0, s / 2.0) for s in (c, d)]
-    z1, z2 = np.array(points).T
     tol = 1e-12 * max(abs(b1), abs(b2), abs(d))
-    inside = ((z1 >= a1 - tol) & (z1 <= b1 + tol) & (z2 >= a2 - tol) & (z2 <= b2 + tol)
-              & (z1 + z2 >= c - tol) & (z1 + z2 <= d + tol))
-    if not inside.any():
-        return None
-    h = 3.0 * z1[inside] * z2[inside] * (z1[inside] + z2[inside])
-    return float(h.min()), float(h.max())
+    h = [3.0 * z1 * z2 * (z1 + z2) for z1, z2 in points if a1 - tol <= z1 <= b1 + tol
+         and a2 - tol <= z2 <= b2 + tol and c - tol <= z1 + z2 <= d + tol]
+    return (min(h), max(h)) if h else None
 
 
 def _reachable_lam3(band1, band2, xi3, lam3, lam_in):
@@ -418,11 +419,12 @@ def _pick(pieces, frac, weights=None):
 
 
 def _resonance_roots(x3, h, band1, band2):
-    """(xi1, xi2) with xi1 + xi2 = x3 > 0 and 3 xi1 xi2 x3 = h, each in its band; else None."""
+    """(xi1, xi2) with xi1 + xi2 = x3 and 3 xi1 xi2 x3 = h, each in its band; else None.
+    Needs x3 > 0: on floats, x3 = 0 raises ZeroDivisionError."""
     disc = x3 * x3 - 4.0 * h / (3.0 * x3)
     if disc < 0:
         return None
-    big = (x3 + np.sqrt(disc)) / 2.0
+    big = (x3 + math.sqrt(disc)) / 2.0
     small = h / (3.0 * x3 * big)  # the other root, free of cancellation
     for z1, z2 in ((big, small), (small, big)):
         if band1[0] <= abs(z1) <= band1[1] and band2[0] <= abs(z2) <= band2[1]:
@@ -449,7 +451,7 @@ def _admissible_xi3(big_h, band1, band2, xi3):
             for edge in (e, -e):
                 disc = 9.0 * edge ** 4 + 12.0 * edge * h
                 if disc >= 0:
-                    root = np.sqrt(disc)
+                    root = math.sqrt(disc)
                     cuts += [(3.0 * edge ** 2 + root) / (6.0 * edge),
                              (3.0 * edge ** 2 - root) / (6.0 * edge)]
         cuts = sorted(c for c in cuts if lo <= c <= hi)
@@ -483,7 +485,7 @@ def _tube_targets(triple: DyadicTriple) -> dict:
             break
     bins, weights = [], []
     for a, b in reach:
-        edges = np.linspace(a, b, LAM3_BINS + 1)
+        edges = np.linspace(a, b, LAM3_BINS + 1).tolist()
         for lo, hi in zip(edges, edges[1:]):
             pieces = _admissible_xi3(lam_in - (lo + hi) / 2.0, band1, band2, xi3)
             length = sum(q - p for p, q in pieces)
@@ -548,7 +550,7 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
         return lhs / (np.sqrt(np.sum(np.abs(u.amp) ** 2, axis=1) * weight)
                       * np.sqrt(np.sum(np.abs(v.amp) ** 2, axis=1) * weight))
 
-    best, attempts = _max_ratio(lambda rng: _targeted_tube_pair(targets, *rng.random(2)),
+    best, attempts = _max_ratio(lambda rng: _targeted_tube_pair(targets, *rng.random(2).tolist()),
                                 ratios, (targets["lam1"], targets["lam2"]), trials, seed,
                                 triple)
     return RatioRecord(triple, best, c, best / c, trials, attempts)
@@ -570,7 +572,7 @@ def _xnorm_tube_pair(bands, rng):
     xi1_frac = rng.uniform(0.1, 0.9)
     sign1 = (-1.0, 1.0)[rng.integers(2)]
     if prefer_stationary and lo1 <= xi3 / 2 <= hi1 and lo2 <= xi3 / 2 <= hi2:
-        xi1 = xi3 / 2 + jitter * np.sqrt(DEFAULT_DTAU / (3.0 * xi3))
+        xi1 = xi3 / 2 + jitter * math.sqrt(DEFAULT_DTAU / (3.0 * xi3))
     else:
         xi1 = (lo1 + xi1_frac * (hi1 - lo1)) * sign1
     xi2 = xi3 - xi1

@@ -23,7 +23,7 @@ from .bumps import band_share, band_split, covering_indices, dyadic_bump, valida
 from .errors import TimeWindowTooShortError
 from .gevrey import hs_norm
 from .grid import SpectralField
-from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
+from .spacetime import (SpacetimeField, SpacetimeSpectrum, _transform, airy_spacetime,
                         inverse_spacetime_transform, spacetime_transform)
 
 #: coarsest tau spacing able to resolve the L = 1 modulation band
@@ -94,16 +94,18 @@ class NormReport:
 
 def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     """xbar^s norm: maximal-in-time low block plus N^s-weighted X blocks."""
-    spec = spacetime_transform(field)
+    half, spec = _transform(field)
     _check_dtau(spec)
     g = field.grid
-    l_list, masses = modulation_masses(spec.modulation(), spec.power())
     n_list = covering_indices(g.nyquist_xi)
     j, c = band_split(spec.xi)
     betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
-    # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the x-transformed samples
-    u1 = g.half_to_values(g.to_half(field.tapered_values()) * betas[0])
+    # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the x-transformed samples,
+    # freed before the modulation plane (the peak of the call) is built
+    u1 = g.half_to_values(half * betas[0])
     low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
+    del half, u1
+    l_list, masses = modulation_masses(spec.modulation(), spec.power())
     x_high = x_sum(l_list, masses @ (betas[1:] * betas[1:]).T, spec.weight)
     x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2

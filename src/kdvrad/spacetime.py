@@ -103,6 +103,11 @@ def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
     The tau spacing is 2 pi / (PAD * (t_b - t_a) * nt/(nt-1)); padding only
     refines the sampling of the transform of the compactly supported signal.
     """
+    return _transform(field)[1]
+
+
+def _transform(field: SpacetimeField):
+    """(the tapered samples' x transform, ``spacetime_transform(field)``) for ``xbar_norm``."""
     if field.num_time_samples < 8:
         raise KdvradError("need at least 8 time samples for modulation analysis")
     g = field.grid
@@ -110,9 +115,10 @@ def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
     dt = field.dt
     tau = 2.0 * np.pi * np.fft.fftfreq(nt_pad, d=dt)
     # fft with n = nt_pad zero-pads the time axis
-    raw_t = np.fft.fft(g.to_half(field.tapered_values()), n=nt_pad, axis=0)
+    half = g.to_half(field.tapered_values())
+    raw_t = np.fft.fft(half, n=nt_pad, axis=0)
     values = dt * np.exp(-1j * tau * field.t_a)[:, None] * raw_t
-    return SpacetimeSpectrum(
+    return half, SpacetimeSpectrum(
         values=values,
         tau=tau,
         xi=g.xi[:raw_t.shape[1]],

@@ -586,6 +586,94 @@ class TestProductOracle:
                                   random_cloud(rng, 20, 5, 3.0, 0.1), False, False, monkeypatch)
 
 
+def resonance_range_by_arrays(band1, band2, xi3, signs):
+    """``_resonance_range`` with its candidate points and inside test on numpy arrays: the
+    oracle for the float comprehension."""
+    (a1, b1), (a2, b2), (c, d) = (sorted((sg * lo, sg * hi)) for sg, (lo, hi)
+                                  in zip(signs, (band1, band2, xi3)))
+    points = [(e1, e2) for e1 in (a1, b1) for e2 in (a2, b2)]
+    points += [(e1, s - e1) for e1 in (a1, b1) for s in (c, d)]
+    points += [(s - e2, e2) for e2 in (a2, b2) for s in (c, d)]
+    points += [(e1, -e1 / 2.0) for e1 in (a1, b1)]
+    points += [(-e2 / 2.0, e2) for e2 in (a2, b2)]
+    points += [(s / 2.0, s / 2.0) for s in (c, d)]
+    z1, z2 = np.array(points).T
+    tol = 1e-12 * max(abs(b1), abs(b2), abs(d))
+    inside = ((z1 >= a1 - tol) & (z1 <= b1 + tol) & (z2 >= a2 - tol) & (z2 <= b2 + tol)
+              & (z1 + z2 >= c - tol) & (z1 + z2 <= d + tol))
+    if not inside.any():
+        return None
+    h = 3.0 * z1[inside] * z2[inside] * (z1[inside] + z2[inside])
+    return float(h.min()), float(h.max())
+
+
+def assert_floats(*values):
+    """Every number in ``values``, tuples and lists flattened, is a Python float."""
+    for v in values:
+        if isinstance(v, (tuple, list)):
+            assert_floats(*v)
+        else:
+            assert type(v) is float, (v, type(v))
+
+
+class TestFloatGeometry:
+    """The tube-pair geometry runs on Python floats, with the bits of the numpy forms."""
+
+    def test_resonance_range_equals_the_array_form(self):
+        # the n = 1 floor, both xi3 scales, and empty polygons (far-apart bands)
+        bands = [bilinear._band(n, 0.1, *scale) for n in (1, 2, 8, 64)
+                 for scale in ((0.5, 2.0), (0.75, 1.5))]
+        empty = set()
+        for band1, band2, xi3 in itertools.product(bands, repeat=3):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                got = bilinear._resonance_range(band1, band2, xi3, signs)
+                want = resonance_range_by_arrays(band1, band2, xi3, signs)
+                empty.add(got is None)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert_floats(got)
+                    assert [h.hex() for h in got] == [h.hex() for h in want]
+        assert empty == {True, False}
+
+    @pytest.mark.parametrize("ends", [[80 * k for k in range(1, 33)], [7], [0, 0, 0],
+                                      [10, 15, 30], [3, 3, 9], [0, 4, 8]])
+    def test_row_sums_equal_the_per_row_loop_bitwise(self, ends):
+        # magnitudes spread over 16 decades, so another summation order shows in the bits
+        rng = np.random.default_rng(len(ends))
+        ends = np.array(ends, dtype=np.int64)
+        for shape in ((ends[-1],), (3, ends[-1])):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+            want = np.stack([np.sum(x[..., a:b], axis=-1)
+                             for a, b in zip([0, *ends[:-1]], ends)], axis=-1)
+            got = bilinear._row_sums(x, ends)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_geometry_returns_python_floats(self, n):
+        tg = bilinear._tube_targets(DyadicTriple(2, n, n, 1, 1, 2 * n ** 2))
+        band1, band2, xi3 = tg["band1"], tg["band2"], tg["xi3"]
+        assert_floats(band1, band2, xi3, tg["lam3"], tg["lam3_weights"], tg["lam_in"])
+        reach = bilinear._reachable_lam3(band1, band2, xi3, bilinear._band(2 * n ** 2, 0.0),
+                                         tg["lam_in"])
+        assert reach and tg["lam3"]
+        assert_floats(reach, bilinear._resonance_range(band1, band2, xi3, (1.0, 1.0, 1.0)))
+        rng = np.random.default_rng(n)
+        for _ in range(32):
+            lam3_frac, xi3_frac = rng.random(2).tolist()
+            big_h = tg["lam_in"] - bilinear._pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
+            pieces = bilinear._admissible_xi3(big_h, band1, band2, xi3)
+            x3 = bilinear._pick(pieces, xi3_frac)
+            sign3 = 1.0 if x3 > 0 else -1.0
+            roots = bilinear._resonance_roots(abs(x3), sign3 * big_h, band1, band2)
+            pair = bilinear._coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2)
+            assert_floats(big_h, pieces, x3, roots, pair)
+            assert pair == bilinear._targeted_tube_pair(tg, lam3_frac, xi3_frac)
+        bands = [bilinear._band(n, 0.1)] * 3
+        pairs = [bilinear._xnorm_tube_pair(bands, rng) for _ in range(32)]
+        assert any(pairs)
+        assert_floats([p for p in pairs if p is not None])
+
+
 #: measure_block_ratio (measured_lhs, ratio, attempts) of the generic triple
 #: (2, N, N, 1, 1, 2 N^2) and xnorm_product_ratio(N, N, N) at N = 8..64, 32 trials, by seed;
 #: a change of the draw stream or of any float operation on the way moves them.  Taken with

@@ -303,8 +303,9 @@ def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
     step = bumps.smooth_step
     monkeypatch.setattr(bumps, "smooth_step", lambda t: calls.append(np.size(t)) or step(t))
     xbar_norm(st, 0.0)
-    # the time taper twice (transform and low block), the modulation plane, the xi bands
-    assert len(calls) == 4
+    # the time taper (one x transform serves the tau transform and the low block), the
+    # modulation plane, the xi bands
+    assert len(calls) == 3
     calls.clear()
     cloud.x_norm()
     assert calls == [3]
