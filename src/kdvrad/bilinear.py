@@ -432,13 +432,14 @@ def _resonance_roots(x3, h, band1, band2):
     return None
 
 
-def _admissible_xi3(big_h, band1, band2, xi3):
+def _admissible_xi3(big_h, band1, band2, xi3, edge_terms):
     """Signed xi3 intervals, |xi3| in xi3, on which both roots fit their bands.
 
     Mirroring xi -> -xi flips the resonance, so xi3 < 0 is solved as |xi3|
     with h = -H.  The admissible set can only change where a root crosses a
     band edge e, i.e. at the roots x3 of 3 e x3 (x3 - e) = h, or where the
     two roots merge (x3^3 = 4 h / 3); each piece between cuts is tested once.
+    ``edge_terms`` holds that quadratic's terms (9 e^4, 12 e, 3 e^2, 6 e) for each signed edge.
     """
     lo, hi = xi3
     pieces = []
@@ -447,13 +448,11 @@ def _admissible_xi3(big_h, band1, band2, xi3):
         cuts = [lo, hi]
         if h > 0:
             cuts.append((4.0 * h / 3.0) ** (1.0 / 3.0))
-        for e in (*band1, *band2):
-            for edge in (e, -e):
-                disc = 9.0 * edge ** 4 + 12.0 * edge * h
-                if disc >= 0:
-                    root = math.sqrt(disc)
-                    cuts += [(3.0 * edge ** 2 + root) / (6.0 * edge),
-                             (3.0 * edge ** 2 - root) / (6.0 * edge)]
+        for nine_e4, twelve_e, three_e2, six_e in edge_terms:
+            disc = nine_e4 + twelve_e * h
+            if disc >= 0:
+                root = math.sqrt(disc)
+                cuts += [(three_e2 + root) / six_e, (three_e2 - root) / six_e]
         cuts = sorted(c for c in cuts if lo <= c <= hi)
         pieces += [(a, b) if sign3 > 0 else (-b, -a) for a, b in zip(cuts, cuts[1:])
                    if b > a and _resonance_roots((a + b) / 2.0, h, band1, band2)]
@@ -478,6 +477,8 @@ def _tube_targets(triple: DyadicTriple) -> dict:
     lam1, lam2 = _lam_centers(triple.l1), _lam_centers(triple.l2)
     lam_in = float(lam1[lam1.size // 2] + lam2[lam2.size // 2])
     band1, band2 = _band(triple.n1, 0.1), _band(triple.n2, 0.1)
+    edge_terms = [(9.0 * e ** 4, 12.0 * e, 3.0 * e ** 2, 6.0 * e)
+                  for edge in (*band1, *band2) for e in (edge, -edge)]
     for scale in ((0.75, 1.5), (0.5, 2.0)):  # half height, then the supports
         xi3 = _band(triple.n3, 0.1, *scale)
         reach = _reachable_lam3(band1, band2, xi3, _band(triple.l3, 0.0, *scale), lam_in)
@@ -487,12 +488,12 @@ def _tube_targets(triple: DyadicTriple) -> dict:
     for a, b in reach:
         edges = np.linspace(a, b, LAM3_BINS + 1).tolist()
         for lo, hi in zip(edges, edges[1:]):
-            pieces = _admissible_xi3(lam_in - (lo + hi) / 2.0, band1, band2, xi3)
+            pieces = _admissible_xi3(lam_in - (lo + hi) / 2.0, band1, band2, xi3, edge_terms)
             length = sum(q - p for p, q in pieces)
             if length > 0:
                 bins.append((lo, hi))
                 weights.append((hi - lo) * length)
-    return {"band1": band1, "band2": band2, "xi3": xi3, "lam3": bins,
+    return {"band1": band1, "band2": band2, "edge_terms": edge_terms, "xi3": xi3, "lam3": bins,
             "lam3_weights": weights, "lam1": lam1, "lam2": lam2, "lam_in": lam_in}
 
 
@@ -510,7 +511,7 @@ def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac):
         return None
     band1, band2 = tg["band1"], tg["band2"]
     big_h = tg["lam_in"] - _pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
-    pieces = _admissible_xi3(big_h, band1, band2, tg["xi3"])
+    pieces = _admissible_xi3(big_h, band1, band2, tg["xi3"], tg["edge_terms"])
     if not pieces:
         return None
     xi3 = _pick(pieces, xi3_frac)

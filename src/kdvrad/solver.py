@@ -22,6 +22,7 @@ The loop enters ``np.errstate`` once per record interval, not once per step.  At
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,19 +50,28 @@ class SolverConfig:
             raise ConfigError("record_every must be a positive integer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """The recorded snapshots as one (records x n/2+1) stack, row i at ``times[i]``."""
+    """The recorded snapshots as one (records x n/2+1) stack, row i at ``times[i]``; the
+    classical invariants, one per record, are computed from ``field`` on first access."""
 
     times: np.ndarray
     field: SpectralField
-    mass: np.ndarray
-    momentum: np.ndarray
-    hamiltonian: np.ndarray
 
     @property
     def grid(self) -> GridSpec:
         return self.field.grid
+
+    @cached_property
+    def _invariants(self) -> np.ndarray:
+        # row by row: blocks of rows need (rows x 2n) work arrays, which raise peak RSS
+        invariants = np.array([classical_invariants(s) for s in self.snapshots]).T
+        invariants.setflags(write=False)
+        return invariants
+
+    mass = property(lambda self: self._invariants[0])
+    momentum = property(lambda self: self._invariants[1])
+    hamiltonian = property(lambda self: self._invariants[2])
 
     @property
     def snapshots(self) -> list:
@@ -166,7 +176,7 @@ def _etdrk4(xi, dt, m):
 def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the nonlinear flow over [0, T], recording every record_every steps.
 
-    Each record is a row of one preallocated stack, whose invariants are taken at the end.
+    Each record is a row of one preallocated stack.
     The datum must be negligible at the domain edge; that check is repeated at every record.
     """
     if not 0.0 < T < np.inf:
@@ -214,10 +224,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
         if config.check_boundary:
             check_boundary_smallness(snap, time=t)
         times[j] = t
-    snaps = SpectralField(grid, stack, copy=False)
-    # row by row: blocks of rows need (rows x 2n) work arrays, which raise peak RSS
-    invariants = np.array([classical_invariants(snaps[i]) for i in range(records)]).T
-    return Trajectory(times, snaps, *invariants)
+    return Trajectory(times, SpectralField(grid, stack, copy=False))
 
 
 def soliton(grid: GridSpec, speed: float = 1.0, center: float = 0.0) -> SpectralField:

@@ -110,13 +110,17 @@ def without_floor(report):
     return fields
 
 
-def count_real_ffts(monkeypatch):
-    """Count kdvrad.grid.rfft / irfft calls into the returned dict."""
+def count_real_ffts(monkeypatch, lengths=None):
+    """Count kdvrad.grid.rfft / irfft calls into the returned dict; with a ``lengths`` list,
+    also append each call's (name, number of real samples) to it."""
     calls = {"rfft": 0, "irfft": 0}
     for name in calls:
         def counted(*args, _name=name, _fft=getattr(grid, name), **kwargs):
             calls[_name] += 1
-            return _fft(*args, **kwargs)
+            out = _fft(*args, **kwargs)
+            if lengths is not None:
+                lengths.append((_name, np.shape(out if _name == "irfft" else args[0])[-1]))
+            return out
 
         monkeypatch.setattr(grid, name, counted)
     return calls
@@ -156,13 +160,16 @@ class TestCommutatorTerm:
             commutator_term(random_band_field(acl_grid, rng), 0.3, dealias)
 
     def test_sigma_zero_computes_no_product(self, acl_grid, rng, monkeypatch):
-        # FFT budget: none at sigma = 0, one batched irfft and one rfft otherwise
+        # FFT budget: none at sigma = 0, one batched irfft and one rfft otherwise, both on
+        # 768 points: the 2m - 1 = 683 that carry the product unaliased, rounded up to 3 * 2^8
         w = random_band_field(acl_grid, rng)
-        calls = count_real_ffts(monkeypatch)
+        lengths = []
+        calls = count_real_ffts(monkeypatch, lengths)
         commutator_term(w, 0.0)
         assert calls == {"rfft": 0, "irfft": 0}
         commutator_term(w, 0.1)
         assert calls == {"rfft": 1, "irfft": 1}
+        assert lengths == [("irfft", 768), ("rfft", 768)]
 
     def test_single_mode_self_interaction_vanishes(self, acl_grid):
         # same-sign frequencies: |2 xi0| = 2 |xi0| so the symbol is zero
@@ -198,6 +205,21 @@ class TestCommutatorTerm:
         slow = convolution_oracle(w, 0.15, 1.0)
         scale = max(np.max(np.abs(slow.coeffs)), 1e-300)
         assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("dealias", [2.0 / 3.0, 0.5])
+    def test_oracle_on_full_band_data(self, dealias):
+        # every band coefficient O(1), so the product fills |k| < m and a transform on fewer
+        # than 2m - 1 points aliases onto the band; smoothed data decays too fast to show it
+        g = GridSpec(256, 40.0)
+        rng = np.random.default_rng(11)
+        m = int(np.count_nonzero(keep_mask_formula(g, dealias)[:g.num_points // 2 + 1]))
+        half = np.zeros(g.num_points // 2 + 1, dtype=complex)
+        half[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        w = SpectralField(g, half)
+        for sigma in (0.05, 0.4):
+            ref = convolution_oracle(w, sigma, dealias).coeffs
+            got = commutator_term(w, sigma, dealias).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_smooth_based_formula(self, seed):
@@ -286,9 +308,7 @@ class TestModifiedResidual:
     def test_second_order_in_snapshot_spacing(self, acl_grid):
         f = wavepacket(acl_grid, 5)
         fine = prepare_acl_trajectory(f, 0.2, num_snapshots=64)
-        coarse = type(fine)(times=fine.times[::2], field=fine.field[::2],
-                            mass=fine.mass[::2], momentum=fine.momentum[::2],
-                            hamiltonian=fine.hamiltonian[::2])
+        coarse = Trajectory(fine.times[::2], fine.field[::2])
         r_fine = per_snapshot_residual(fine, 0.2)
         r_coarse = per_snapshot_residual(coarse, 0.2)
         assert r_coarse / r_fine >= 3.5
@@ -296,9 +316,7 @@ class TestModifiedResidual:
     def test_needs_three_snapshots(self, acl_grid):
         f = wavepacket(acl_grid, 5)
         traj = evolve(f, 2e-4, SolverConfig(dt=1e-4, record_every=1))
-        short = type(traj)(times=traj.times[:2], field=traj.field[:2],
-                           mass=traj.mass[:2], momentum=traj.momentum[:2],
-                           hamiltonian=traj.hamiltonian[:2])
+        short = Trajectory(traj.times[:2], traj.field[:2])
         # the work-integral quadrature, like the centred difference, needs three
         with pytest.raises(KdvradError, match="3 snapshots"):
             measure_conservation(short, 0.1)
@@ -385,7 +403,7 @@ class TestConservationDefect:
         spikes = np.repeat(soli.field.half[-1:], 3, axis=0)
         spikes[1:, -2] = (1e150, 1e160)
         field = SpectralField(acl_grid, np.concatenate((soli.field.half[:18], spikes)))
-        mixed = Trajectory(soli.times[:21], field, *np.zeros((3, 21)))
+        mixed = Trajectory(soli.times[:21], field)
         # sigma = 10: the energy overflows first (gevrey_norm's certifiable sigma);
         # 20: the lift (smooth's); the mixed stack: row 19's lift, not row 0's energy
         for traj, sigma in ((soli, 10.0), (soli, 20.0), (mixed, 10.0)):

@@ -661,7 +661,7 @@ class TestFloatGeometry:
         for _ in range(32):
             lam3_frac, xi3_frac = rng.random(2).tolist()
             big_h = tg["lam_in"] - bilinear._pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
-            pieces = bilinear._admissible_xi3(big_h, band1, band2, xi3)
+            pieces = bilinear._admissible_xi3(big_h, band1, band2, xi3, tg["edge_terms"])
             x3 = bilinear._pick(pieces, xi3_frac)
             sign3 = 1.0 if x3 > 0 else -1.0
             roots = bilinear._resonance_roots(abs(x3), sign3 * big_h, band1, band2)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kdvrad import solver
 from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
 from kdvrad.gevrey import estimate_radius
 from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
@@ -466,6 +467,28 @@ class TestEvolve:
                         (second.times, second.field.half, second.mass, second.momentum,
                          second.hamiltonian)):
             assert a.tobytes() == b.tobytes()
+
+    def test_invariants_are_computed_on_demand(self, default_grid, monkeypatch):
+        def refuse(field):
+            raise AssertionError("classical_invariants called")
+
+        monkeypatch.setattr(solver, "classical_invariants", refuse)
+        traj = evolve(two_soliton_datum(default_grid), 0.02, SolverConfig(dt=1e-3, record_every=7))
+        monkeypatch.undo()
+        expected = np.array([classical_invariants(traj.field[i]) for i in range(len(traj))]).T
+        got = (traj.mass, traj.momentum, traj.hamiltonian)
+        assert [a.tobytes() for a in got] == [e.tobytes() for e in expected]
+        # cached: a second read computes nothing, and neither an invariant nor the field it
+        # comes from can be set, nor an invariant written
+        monkeypatch.setattr(solver, "classical_invariants", refuse)
+        with pytest.raises(AttributeError):
+            traj.field = traj.field
+        for name, a in zip(("mass", "momentum", "hamiltonian"), got):
+            assert getattr(traj, name).tobytes() == a.tobytes()
+            with pytest.raises(AttributeError):
+                setattr(traj, name, a)
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     @pytest.mark.parametrize("record_every, last_valid", [(1, 1.0), (4, 0.0)])
     def test_blowup_inside_a_record_interval_raises_no_float_warning(
