@@ -91,7 +91,8 @@ def measure_conservation(u_trajectory: Trajectory, sigma: float) -> Conservation
     2 int w f(w) dx is integrated by the trapezoidal rule, and both sides of
     d/dt ||w||^2 = 2 int w f(w) dx over the interval must agree to quadrature
     accuracy.  ``floor_rel`` is the roundoff eps max|u_hat| lifted to the band edge, relative
-    to max|w_hat| (maxima over the band): near 1, w is itself roundoff at the band edge.
+    to max|w_hat| (maxima over the band), over the snapshots whose band is nonzero: near 1, w
+    is itself roundoff at the band edge; 0 for a zero field.
     """
     if len(u_trajectory) < 3:
         raise KdvradError("need at least 3 snapshots for the quadrature")
@@ -109,8 +110,10 @@ def measure_conservation(u_trajectory: Trajectory, sigma: float) -> Conservation
             smooth(u[rows.stop:], sigma)
             gevrey_norm(u[rows.start + overflowed[0]], GevreyParams(sigma))
         flux[rows] = 2.0 * g.inner(w.half, commutator_term(w, sigma).half)
-        peaks = np.max(np.abs(block.half[..., :m]), -1) / np.max(np.abs(w.half[..., :m]), -1)
-        floor = max(floor, float(roundoff * np.max(peaks)))
+        top = np.max(np.abs(w.half[..., :m]), -1)
+        live = top > 0  # a zero band has no roundoff floor to compare against
+        peaks = np.max(np.abs(block.half[..., :m]), -1)[live] / top[live]
+        floor = max(floor, float(roundoff * np.max(peaks, initial=0.0)))
     times = u_trajectory.times
     integral = float(np.trapezoid(flux, times))
     identity_abs = float(abs(energy[-1] - energy[0] - integral))

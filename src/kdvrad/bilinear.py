@@ -4,15 +4,16 @@ Probes are sparse clouds of Fourier-cell amplitudes at (xi, tau) lattice
 points, interpreted as piecewise-constant densities on cells of size
 dxi x dtau; norms carry the Lebesgue cell weights, so measured ratios
 approximate their continuum counterparts.  Pointwise products become exact
-coherent convolutions of the clouds.
+coherent convolutions of the clouds.  A ``WavePacketField`` is a stack of clouds: flat
+cell arrays holding one cloud (row) after another, row r ending at ``ends[r]``, and a
+single cloud is one row.  ``product`` multiplies stacks row by row, and every norm gives
+one value per row, bitwise the row's value as a cloud alone.
 
 The block probe (``measure_block_ratio``) and the X-norm product probe
 (``xnorm_product_ratio``) share one sampler core: a draw loop (``_max_ratio``)
 that takes the tube-pair parameters of every trial from one seeded stream
-(``_coherent_pair``), then one stacked evaluation.  All trials' tubes are
-built as one stack (``_tube``), multiplied by one ``product`` call and
-reduced once per probe, each trial summed over its own cells, so every ratio
-is bitwise the one the trial would give alone.  The tubes carry unit amplitudes, so
+(``_coherent_pair``), then one evaluation: every trial's tubes as one stack (``_tube``),
+one ``product`` call and the norms, a ratio per trial.  The tubes carry unit amplitudes, so
 ``product`` counts the pairs landing in each output cell rather than summing their
 weights, and ``modulation`` cubes each lattice column once, not each cell: both give the
 bits of the per-pair sum and the per-cell cube.  The thin frequency tubes
@@ -20,19 +21,19 @@ keep the spread of the resonance 3 xi1 xi2 xi3 below one tau cell, so they
 resolve the modulation scale at large N, where a dense grid cannot, and
 sample the operator norm from below.  The probes differ only in where they
 put (xi1, xi2).  The draw geometry is float arithmetic; numpy enters only at the stacked
-evaluation.  ``WavePacketField.x_norm`` is the X norm of a cloud.
+evaluation.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bumps import (band_share, band_split, covering_indices, dyadic_bump, is_dyadic,
                     validate_dyadic)
-from .dyadic import modulation_masses, x_sum
+from .dyadic import x_sum
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
 TWO_PI = 2.0 * np.pi
@@ -52,81 +53,103 @@ def _band(n, floor, lo=0.5, hi=2.0):
     return (floor, hi) if n == 1 else (lo * n, hi * n)
 
 
+def _equal_rows(ends):
+    return np.array_equal(ends, ends[0] * np.arange(1, len(ends) + 1))
+
+
+def _row_sums(x, ends):
+    """np.sum over the last axis of each row's cells, rows ending at ``ends``; rows last.
+    Rows of equal length (every tube stack) take one reshaped sum, bitwise the same."""
+    if _equal_rows(ends):
+        return x.reshape(*x.shape[:-1], len(ends), ends[0]).sum(-1)
+    return np.stack([np.sum(x[..., a:b], -1) for a, b in zip([0, *ends[:-1]], ends)], -1)
+
+
 @dataclass
 class WavePacketField:
-    """Sparse space-time Fourier amplitude cloud, or a stack of clouds: 2-D arrays with
-    one cloud per row, and dxi of shape (rows, 1)."""
+    """Sparse space-time Fourier amplitude clouds, one row after another: row r holds the
+    cells from ``ends[r - 1]`` (or 0) to ``ends[r]``, spaced ``dxi[r]``; by default one row."""
 
     xi_index: np.ndarray
     tau: np.ndarray
     amp: np.ndarray
-    dxi: float
+    dxi: np.ndarray
     dtau: float
+    ends: np.ndarray | None = None
 
     def __post_init__(self):
         self.xi_index = np.asarray(self.xi_index, dtype=np.int64)
         self.tau = np.asarray(self.tau, dtype=np.float64)
         self.amp = np.asarray(self.amp, dtype=np.complex128)
+        self.dxi = np.asarray(self.dxi, dtype=np.float64).reshape(-1)
+        self.ends = np.asarray([self.amp.size] if self.ends is None else self.ends, np.int64)
+        lengths = self.ends.copy()
+        lengths[1:] -= self.ends[:-1]
+        self._cell_dxi = np.repeat(self.dxi, lengths)
 
     @property
     def xi(self) -> np.ndarray:
-        return self.xi_index * self.dxi
+        return self.xi_index * self._cell_dxi
 
     @property
     def modulation(self) -> np.ndarray:
-        """tau - xi^3, one cube per run of bitwise equal xi: clouds and stacks are xi-major,
-        so a tube row holds 5 runs and a product row about 9."""
+        """tau - xi^3, one cube per run of bitwise equal xi: rows are xi-major, so a tube row
+        holds 5 runs and a product row about 9."""
         xi = self.xi
-        flat = xi.ravel()
-        bits = flat.view(np.int64)
-        first = np.ones(flat.size, dtype=bool)
+        bits = xi.view(np.int64)
+        first = np.ones(xi.size, dtype=bool)
         first[1:] = bits[1:] != bits[:-1]
         first = np.flatnonzero(first)
-        cubes = np.repeat(flat[first] ** 3, np.diff(first, append=flat.size))
-        return self.tau - cubes.reshape(xi.shape)
+        return self.tau - np.repeat(xi[first] ** 3, np.diff(first, append=xi.size))
 
     @property
-    def cell_weight(self) -> float:
+    def cell_weight(self) -> np.ndarray:
         return self.dxi * self.dtau / TWO_PI ** 2
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amp) ** 2) * self.cell_weight))
+    def l2_norm(self) -> np.ndarray:
+        return np.sqrt(_row_sums(np.abs(self.amp) ** 2, self.ends) * self.cell_weight)
 
-    def x_norm(self) -> float:
-        """sum_L L^(1/2) ||Q_L .|| over all bands carrying amplitude."""
-        return float(x_sum(*modulation_masses(self.modulation, np.abs(self.amp) ** 2),
-                           self.cell_weight))
+    def x_norm(self) -> np.ndarray:
+        """sum_L L^(1/2) ||Q_L .|| over the bands covering every row: a band beyond a row's
+        own cover holds exactly 0 of its mass and adds exactly 0."""
+        lam, power = self.modulation, np.abs(self.amp) ** 2
+        l_list = covering_indices(float(np.max(np.abs(lam), initial=1.0)))
+        j, c = band_split(lam)
+        lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
+        shares = np.array([band_share(j, l.bit_length() - 1, lower, upper) for l in l_list])
+        return x_sum(l_list, _row_sums(shares, self.ends), self.cell_weight)
 
-    def band_l2_norm(self, n, l) -> float:
+    def band_l2_norm(self, n, l) -> np.ndarray:
         """||P_n Q_l .|| with the smooth bumps."""
         wgt = dyadic_bump(n, self.xi) * dyadic_bump(l, self.modulation)
-        return float(np.sqrt(np.sum(np.abs(wgt * self.amp) ** 2) * self.cell_weight))
+        return np.sqrt(_row_sums(np.abs(wgt * self.amp) ** 2, self.ends) * self.cell_weight)
 
 
 def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
-    """Pointwise product in physical space = coherent cloud convolution.
+    """Pointwise product in physical space = coherent cloud convolution, row by row.
 
-    Stacks multiply row by row in one pass: each row's keys are offset past the previous
-    row's, so one bincount serves every row.  The result is (the rows' products one after
-    another, with dxi per cell; the end offset of each row), each row's cells, values and
-    order those of its own product.  An operand without cells gives an empty product (and
-    all-zero ends).
+    The rows of each operand must have one length (every tube stack, every single cloud),
+    else ValueError.  Each row's keys are offset past the previous row's, so one bincount
+    serves every row; row r of the result holds the cells, values and order of the product
+    of the rows r alone.  An operand without cells gives rows without cells.
 
     Every pair adds amp_u amp_v times the cell weight w to its output cell, in input order
     from 0.  Where every amplitude is exactly 1 (every tube stack) and w is finite, the
     cells are counted instead: a cell reached by c pairs holds entry c of the running sum
     0, w, w + w, ... of its row's w, the bits of the weighted sum.
     """
-    if np.any(u.dxi != v.dxi) or u.dtau != v.dtau or u.amp.shape[:-1] != v.amp.shape[:-1]:
+    if len(u.dxi) != len(v.dxi) or np.any(u.dxi != v.dxi) or u.dtau != v.dtau:
         raise ValueError("operands live on different cell lattices")
-    xu, tu, au = (np.atleast_2d(a)[:, :, None] for a in (u.xi_index, u.tau, u.amp))
-    xv, tv, av = (np.atleast_2d(a)[:, None, :] for a in (v.xi_index, v.tau, v.amp))
-    rows = len(xu)
+    for f in (u, v):
+        if not _equal_rows(f.ends):
+            raise ValueError("product takes rows of one length, got row lengths "
+                             f"{np.diff(f.ends, prepend=0).tolist()}")
+    rows = len(u.ends)
+    xu, tu, au = (a.reshape(rows, -1, 1) for a in (u.xi_index, u.tau, u.amp))
+    xv, tv, av = (a.reshape(rows, 1, -1) for a in (v.xi_index, v.tau, v.amp))
     xi3 = (xu + xv).reshape(rows, -1)
     if xi3.size == 0:
-        if u.amp.ndim == 1:
-            return WavePacketField([], [], [], u.dxi, u.dtau)
-        return WavePacketField([], [], [], np.zeros(0), u.dtau), np.zeros(rows, dtype=np.int64)
+        return WavePacketField([], [], [], u.dxi, u.dtau, np.zeros(rows, dtype=np.int64))
     tbin = np.round((tu + tv).reshape(rows, -1) / u.dtau).astype(np.int64)
     xmin, tmin = xi3.min(axis=1), tbin.min(axis=1)
     span = tbin.max(axis=1) - tmin + 1
@@ -142,7 +165,7 @@ def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
         uniq, index, counts = np.unique(key, return_inverse=True, return_counts=True)
         occupied = slice(None)
     row = np.searchsorted(start, uniq, side="right") - 1
-    weight = np.reshape(u.dxi * u.dtau / TWO_PI ** 2, (-1, 1))
+    weight = u.cell_weight[:, None]
     acc = np.zeros(uniq.size, dtype=np.complex128)
     if np.isfinite(weight).all() and (au == 1).all() and (av == 1).all():
         sums = np.zeros((rows, counts.max() + 1))
@@ -155,31 +178,8 @@ def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
     local = uniq - start[row]
     xi_out = local // span[row] + xmin[row]
     tau_out = (local % span[row] + tmin[row]).astype(np.float64) * u.dtau
-    if u.amp.ndim == 1:
-        return WavePacketField(xi_out, tau_out, acc, u.dxi, u.dtau)
-    return (WavePacketField(xi_out, tau_out, acc, u.dxi[row, 0], u.dtau),
-            np.cumsum(np.bincount(row, minlength=rows)))
-
-
-def _row_sums(x, ends):
-    """np.sum over the last axis of each row's cells, rows ending at ``ends``; rows last.
-    Rows of equal length (every tube stack) take one reshaped sum, bitwise the same."""
-    if np.array_equal(ends, ends[0] * np.arange(1, len(ends) + 1)):
-        return x.reshape(*x.shape[:-1], len(ends), ends[0]).sum(-1)
-    return np.stack([np.sum(x[..., a:b], axis=-1) for a, b in zip(np.r_[0, ends[:-1]], ends)],
-                    axis=-1)
-
-
-def _x_norms(f: WavePacketField, ends, weight):
-    """``x_norm`` of each row of a stack: the reduction of ``modulation_masses`` on the bands
-    of the whole stack, each row's masses summed over its own cells.  A band outside a row's
-    own list holds exactly 0 of its mass and adds exactly 0 in ``x_sum``."""
-    lam, power = f.modulation.ravel(), np.abs(f.amp.ravel()) ** 2
-    l_list = covering_indices(float(np.max(np.abs(lam))))
-    j, c = band_split(lam)
-    lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
-    shares = np.array([band_share(j, l.bit_length() - 1, lower, upper) for l in l_list])
-    return x_sum(l_list, _row_sums(shares, ends), weight)
+    return WavePacketField(xi_out, tau_out, acc, u.dxi, u.dtau,
+                           np.cumsum(np.bincount(row, minlength=rows)))
 
 
 def _lam_centers(l):
@@ -190,14 +190,14 @@ def _lam_centers(l):
 
 
 def _tube(xi_lo, lam_values, dxi):
-    """Stack of unit-amplitude tubes, one per entry of xi_lo and dxi: 5 lattice points from
+    """Stack of unit-amplitude tubes, a row per entry of xi_lo and dxi: 5 lattice points from
     xi_lo (every tube pair sets dxi = width / 5), each at every modulation in lam_values
     (tau = lam + xi^3)."""
-    dxi = dxi[:, None]
-    idx = np.round(xi_lo[:, None] / dxi).astype(np.int64) + np.arange(5)
-    tau = (lam_values + ((idx * dxi) ** 3)[:, :, None]).reshape(len(idx), -1)
-    return WavePacketField(np.repeat(idx, lam_values.size, axis=1), tau,
-                           np.ones(tau.shape, dtype=complex), dxi, DEFAULT_DTAU)
+    idx = np.round(xi_lo[:, None] / dxi[:, None]).astype(np.int64) + np.arange(5)
+    tau = lam_values + ((idx * dxi[:, None]) ** 3)[:, :, None]
+    return WavePacketField(np.repeat(idx, lam_values.size), tau.ravel(),
+                           np.ones(tau.size, dtype=complex), dxi, DEFAULT_DTAU,
+                           tau[0].size * np.arange(1, len(idx) + 1))
 
 
 def _validate_bands(n, l):
@@ -298,12 +298,9 @@ def predicted_block_constant(triple: DyadicTriple) -> float:
 
 @dataclass(frozen=True)
 class RatioRecord:
-    """Outcome of one block measurement.
-
-    ``trials`` is the number of admissible trials performed, always the number
-    requested; ``attempts`` counts the parameter draws spent on them, the
-    inadmissible draws included.
-    """
+    """Outcome of one block measurement: ``trials`` admissible trials performed, always the
+    number requested, and the ``attempts`` (parameter draws) spent on them, inadmissible ones
+    included."""
 
     triple: DyadicTriple
     measured_lhs: float
@@ -342,10 +339,8 @@ def _max_ratio(draw, ratios, lams, trials, seed, probe):
         if pair is not None:
             pairs.append(pair)
     lo1, lo2, dxi = np.array(pairs).T
-    best = 0.0
-    for r in ratios(_tube(lo1, lams[0], dxi), _tube(lo2, lams[1], dxi)):
-        best = max(best, float(r))
-    return best, attempts
+    values = ratios(_tube(lo1, lams[0], dxi), _tube(lo2, lams[1], dxi))
+    return max(0.0, *map(float, values)), attempts
 
 
 def _coherent_pair(xi1, xi2, band1, band2):
@@ -543,13 +538,8 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
     c = predicted_block_constant(triple)
     targets = _tube_targets(triple)
 
-    def ratios(u, v):  # band_l2_norm / (l2_norm l2_norm), per trial
-        w, ends = product(u, v)
-        wgt = dyadic_bump(triple.n3, w.xi) * dyadic_bump(triple.l3, w.modulation)
-        weight = u.cell_weight[:, 0]
-        lhs = np.sqrt(_row_sums(np.abs(wgt * w.amp) ** 2, ends) * weight)
-        return lhs / (np.sqrt(np.sum(np.abs(u.amp) ** 2, axis=1) * weight)
-                      * np.sqrt(np.sum(np.abs(v.amp) ** 2, axis=1) * weight))
+    def ratios(u, v):
+        return product(u, v).band_l2_norm(triple.n3, triple.l3) / (u.l2_norm() * v.l2_norm())
 
     best, attempts = _max_ratio(lambda rng: _targeted_tube_pair(targets, *rng.random(2).tolist()),
                                 ratios, (targets["lam1"], targets["lam2"]), trials, seed,
@@ -594,14 +584,10 @@ def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0) -> float:
         _validate_bands(n, 1)
     bands = [_band(n, 0.1) for n in (n1, n2, n3)]
 
-    def ratios(u, v):  # f.x_norm() / (u.x_norm() v.x_norm()), per trial
-        w, ends = product(u, v)
-        amp = w.amp * (1j * w.xi) * dyadic_bump(n3, w.xi) / (1j + w.modulation)
-        f = WavePacketField(w.xi_index, w.tau, amp, w.dxi, w.dtau)
-        weight = u.cell_weight[:, 0]
-        tube_ends = u.amp.shape[1] * np.arange(1, len(u.amp) + 1)
-        return _x_norms(f, ends, weight) / (_x_norms(u, tube_ends, weight)
-                                            * _x_norms(v, tube_ends, weight))
+    def ratios(u, v):
+        w = product(u, v)
+        f = replace(w, amp=w.amp * (1j * w.xi) * dyadic_bump(n3, w.xi) / (1j + w.modulation))
+        return f.x_norm() / (u.x_norm() * v.x_norm())
 
     lam = _lam_centers(1)
     return _max_ratio(lambda rng: _xnorm_tube_pair(bands, rng), ratios, (lam, lam), trials,

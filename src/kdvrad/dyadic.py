@@ -6,12 +6,13 @@ modulation band |tau - xi^3| ~ L.  The X norm is the l1-over-modulation,
 L2-in-spacetime combination sum_L L^(1/2) ||Q_L v||, and the xbar^s norm
 replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
 
-One reduction serves every X norm: ``modulation_masses`` sums M_L = beta_L(lam)^2 power over
-the first axis (tau, each xi >= 0 column with its multiplicity, or a whole cloud), and ``x_sum``
-adds L^(1/2) (M_L weight)^(1/2) in order of L.  Each cell lies in two dyadic bands, so one chi
-per cell (``bumps.band_split``) gives both of its weights, for the modulation and the frequency
-bands alike.  The N = 1 block of ``xbar_norm`` is a multiplier in xi alone, applied to the
-x-transformed samples: no tau round trip.
+Every X norm is one reduction, M_L = sum of beta_L(lam)^2 power, in one of two layouts: on the
+tau x xi plane ``modulation_masses`` sums over tau (each xi >= 0 column with its multiplicity),
+``bilinear.WavePacketField.x_norm`` over the cells of each cloud row; ``x_sum`` adds
+L^(1/2) (M_L weight)^(1/2) in order of L for both.  Each cell lies in two dyadic bands, so one
+chi per cell (``bumps.band_split``) gives both of its weights, for the modulation and the
+frequency bands alike.  The N = 1 block of ``xbar_norm`` is a multiplier in xi alone, applied
+to the x-transformed samples: no tau round trip.
 """
 from __future__ import annotations
 
@@ -55,9 +56,9 @@ def project_ql(field: SpacetimeField, l) -> SpacetimeField:
 
 
 def modulation_masses(lam, power):
-    """(bands, M): M_L = sum over the first axis of beta_L(lam)^2 power, for the bands L
-    covering max|lam| except those with 2L <= min|lam|, where beta_L is exactly 0.  A
-    non-finite lam raises ValueError."""
+    """(bands, M): M_L = sum over the first (tau) axis of the plane of beta_L(lam)^2 power, for
+    the bands L covering max|lam| except those with 2L <= min|lam|, where beta_L is exactly 0.
+    A non-finite lam raises ValueError."""
     lam_min = float(np.min(np.abs(lam), initial=np.inf))
     l_list = [l for l in covering_indices(float(np.max(np.abs(lam), initial=1.0)))
               if 2 * l > lam_min]

@@ -176,7 +176,7 @@ def _etdrk4(xi, dt, m):
 def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) -> Trajectory:
     """Integrate the nonlinear flow over [0, T], recording every record_every steps.
 
-    Each record is a row of one preallocated stack.
+    Each record is a row of one preallocated stack, read-only once returned, as are the times.
     The datum must be negligible at the domain edge; that check is repeated at every record.
     """
     if not 0.0 < T < np.inf:
@@ -224,6 +224,8 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
         if config.check_boundary:
             check_boundary_smallness(snap, time=t)
         times[j] = t
+    times.setflags(write=False)  # the invariants are cached: a trajectory is never rewritten
+    stack.setflags(write=False)
     return Trajectory(times, SpectralField(grid, stack, copy=False))
 
 

@@ -1,4 +1,5 @@
 """Commutator term, work-integral defect and the multiplier bound chain."""
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -388,6 +389,25 @@ class TestConservationDefect:
             assert without_floor(rep) == per_snapshot_report(traj, sigma)
         # the sampled soliton smoothed at sigma = 2 is roundoff at the band edge
         assert floors[0] < 1e-9 < 1.0 < floors[2]
+
+    def test_a_zero_snapshot_adds_no_floor_and_no_warning(self, acl_grid):
+        zero = evolve(forward_transform(np.zeros(acl_grid.num_points), acl_grid), 1e-3,
+                      SolverConfig(dt=1e-4, record_every=2))
+        soli = prepare_acl_trajectory(soliton(acl_grid, 1.0), 0.4, num_snapshots=8)
+        half = soli.field.half.copy()
+        half[3] = 0.0  # one zero snapshot inside the soliton's one block
+        mixed = Trajectory(soli.times, SpectralField(acl_grid, half))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measure_conservation(zero, 0.4).floor_rel == 0.0
+            rep = measure_conservation(mixed, 0.4)
+        # the floor of the other snapshots, as in the sampled-soliton test
+        band = keep_mask_formula(acl_grid)[:acl_grid.num_points // 2 + 1]
+        xi_band = np.max(acl_grid.xi[:band.size][band])
+        ratio = max(np.max(np.abs(s.half[band])) / np.max(np.abs(smooth(s, 0.4).half[band]))
+                    for i, s in enumerate(mixed.snapshots) if i != 3)
+        assert rep.floor_rel == pytest.approx(
+            np.finfo(float).eps * np.exp(0.4 * xi_band) * ratio, rel=1e-12)
 
     def test_energy_overflow_is_typed(self, acl_grid):
         traj = prepare_acl_trajectory(soliton(acl_grid, 1.0), 0.1, num_snapshots=4,

@@ -54,9 +54,15 @@ def single_tube(xi_lo, lam, dxi):
                            dxi, bilinear.DEFAULT_DTAU)
 
 
+def row_slices(f):
+    """The cells of each row of ``f``, as slices of its flat arrays."""
+    return [slice(a, b) for a, b in zip([0, *f.ends[:-1]], f.ends)]
+
+
 def trial_by_trial(draw, ratio, lams, trials, seed):
     """(max ratio, attempts) of the per-trial loop: each admissible draw from the one seeded
-    stream is built, multiplied and measured alone, and the max starts from 0.0."""
+    stream is built, multiplied and measured alone (a stack of one row, so one ratio), and
+    the max starts from 0.0."""
     rng = np.random.default_rng(seed)
     best, performed, attempts = 0.0, 0, 0
     while performed < trials:
@@ -64,7 +70,8 @@ def trial_by_trial(draw, ratio, lams, trials, seed):
         params = draw(rng)
         if params is not None:
             lo1, lo2, dxi = params
-            best = max(best, ratio(single_tube(lo1, lams[0], dxi), single_tube(lo2, lams[1], dxi)))
+            (r,) = ratio(single_tube(lo1, lams[0], dxi), single_tube(lo2, lams[1], dxi))
+            best = max(best, r)
             performed += 1
     return best, attempts
 
@@ -120,12 +127,11 @@ def product_oracle(u, v):
     cell (xi_u + xi_v, round((tau_u + tau_v) / dtau)), one pair at a time in input order,
     from 0.0; the cells come out by row, then xi index, then tau bin.
     """
-    dxis = np.ravel(u.dxi)
     out = {name: [] for name in ("xi_index", "tau", "amp", "dxi")}
     ends = []
-    for r, dxi in enumerate(dxis):
-        xa, ta, aa = (np.atleast_2d(a)[r] for a in (u.xi_index, u.tau, u.amp))
-        xb, tb, ab = (np.atleast_2d(a)[r] for a in (v.xi_index, v.tau, v.amp))
+    for dxi, cells_u, cells_v in zip(u.dxi, row_slices(u), row_slices(v)):
+        xa, ta, aa = (a[cells_u] for a in (u.xi_index, u.tau, u.amp))
+        xb, tb, ab = (a[cells_v] for a in (v.xi_index, v.tau, v.amp))
         pair_amps = ((aa[:, None] * ab[None, :]) * (dxi * u.dtau / (2 * np.pi) ** 2)).ravel()
         cells = {}
         for k, (i, j) in enumerate(itertools.product(range(xa.size), range(xb.size))):
@@ -268,7 +274,7 @@ class TestMeasureBlockRatio:
         rows = []
         original = bilinear.product
         monkeypatch.setattr(bilinear, "product",
-                            lambda u, v: rows.append(len(np.atleast_2d(u.amp))) or original(u, v))
+                            lambda u, v: rows.append(len(u.ends)) or original(u, v))
         measure_block_ratio(DyadicTriple(2, n, n, 1, 1, 2 * n ** 2), trials=32, seed=3)
         assert sum(rows) == 32
 
@@ -303,17 +309,19 @@ class TestXnormProductRatio:
 
     def test_x_norm_equals_per_band_loop_bitwise(self):
         def loop_x_norm(f):
-            # one dyadic_bump per band L = 1, 2, 4, ... <= 2 max(1, max|lam|)
-            lam = f.modulation
-            total = 0.0
-            l = 1
-            l_top = 2.0 * max(1.0, float(np.max(np.abs(lam))))
-            while l <= l_top:
-                wgt = dyadic_bump(l, lam)
-                total += np.sqrt(l) * np.sqrt(np.sum(wgt * wgt * np.abs(f.amp) ** 2)
-                                              * f.cell_weight)
-                l *= 2
-            return float(total)
+            # row by row, one dyadic_bump per band L = 1, 2, 4, ... <= 2 max(1, max|lam|)
+            norms = []
+            for cells, weight in zip(row_slices(f), f.cell_weight):
+                lam, amp = f.modulation[cells], f.amp[cells]
+                total = 0.0
+                l = 1
+                l_top = 2.0 * max(1.0, float(np.max(np.abs(lam))))
+                while l <= l_top:
+                    wgt = dyadic_bump(l, lam)
+                    total += np.sqrt(l) * np.sqrt(np.sum(wgt * wgt * np.abs(amp) ** 2) * weight)
+                    l *= 2
+                norms.append(float(total))
+            return norms
 
         rng = np.random.default_rng(11)
         clouds = [lattice_cloud(n, l, seed=n + l) for n, l in ((4, 1), (16, 64), (32, 8))]
@@ -326,8 +334,13 @@ class TestXnormProductRatio:
         # max|lam| exactly dyadic: the loop's extra top band carries zero weight
         clouds.append(WavePacketField(np.array([0, 0]), np.array([4.0, -1.0]),
                                       np.array([1.0, 2.0j]), 0.1, 0.5))
+        clouds.append(stack(clouds))  # every cloud above as a row of one stack
         for f in clouds:
-            assert f.x_norm() == loop_x_norm(f)
+            assert f.x_norm().tolist() == loop_x_norm(f)
+        # a row's norms are its norms as a cloud alone, bit for bit
+        for name, args in (("x_norm", ()), ("l2_norm", ()), ("band_l2_norm", (16, 64))):
+            alone = np.concatenate([getattr(f, name)(*args) for f in clouds[:-1]])
+            assert getattr(clouds[-1], name)(*args).tobytes() == alone.tobytes(), name
         assert WavePacketField([], [], [], 0.1, 0.5).x_norm() == 0.0
 
     def test_x_norm_refuses_a_nan_modulation(self):
@@ -339,7 +352,7 @@ class TestXnormProductRatio:
         rows = []
         original = bilinear.product
         monkeypatch.setattr(bilinear, "product",
-                            lambda u, v: rows.append(len(np.atleast_2d(u.amp))) or original(u, v))
+                            lambda u, v: rows.append(len(u.ends)) or original(u, v))
         xnorm_product_ratio(n, n, n, trials=32, seed=3)
         assert sum(rows) == 32
 
@@ -392,14 +405,14 @@ class TestProductBookkeeping:
         for u, v in ((empty, cloud), (cloud, empty), (empty, empty)):
             w = product(u, v)
             assert w.xi_index.size == w.tau.size == w.amp.size == 0
-            assert (w.dxi, w.dtau) == (0.1, 0.5) and w.x_norm() == 0.0
-        rows = np.full((3, 1), 0.1)
-        none = WavePacketField(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), rows, 0.5)
-        some = WavePacketField(np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2)), rows, 0.5)
+            assert (w.dxi.tolist(), w.dtau) == ([0.1], 0.5) and w.x_norm().tolist() == [0.0]
+        rows = np.full(3, 0.1)
+        none = WavePacketField([], [], [], rows, 0.5, [0, 0, 0])
+        some = WavePacketField(np.ones(6), np.ones(6), np.ones(6), rows, 0.5, [2, 4, 6])
         for u, v in ((none, some), (some, none), (none, none)):
-            w, ends = product(u, v)
-            assert w.xi_index.size == w.tau.size == w.amp.size == w.dxi.size == 0
-            assert ends.dtype == np.int64 and ends.tolist() == [0, 0, 0]
+            w = product(u, v)
+            assert w.xi_index.size == w.tau.size == w.amp.size == w.xi.size == 0
+            assert w.ends.dtype == np.int64 and w.ends.tolist() == [0, 0, 0]
 
 
 class TestBatchedTrials:
@@ -430,16 +443,18 @@ class TestBatchedTrials:
         # the count the tubes took from round(width / dxi) is 5 at every width
         assert all(round(w / (w / 5.0)) == 5 for w in widths)
         u = bilinear._tube(xi_lo, lam, widths / 5.0)
-        assert u.xi_index.shape == u.tau.shape == u.amp.shape == (widths.size, 5 * lam.size)
+        row = 5 * lam.size
+        assert u.xi_index.shape == u.tau.shape == u.amp.shape == (widths.size * row,)
+        assert u.ends.tolist() == (row * np.arange(1, widths.size + 1)).tolist()
         idx = u.xi_index.reshape(widths.size, 5, lam.size)
         assert (idx == idx[:, :, :1]).all() and (np.diff(idx[:, :, 0], axis=1) == 1).all()
-        assert np.all(np.abs(u.xi[:, 0] - xi_lo) <= widths / 10.0 * (1.0 + 1e-12))
-        assert u.modulation == pytest.approx(np.broadcast_to(np.tile(lam, 5), u.tau.shape),
-                                             abs=1e-8)
+        assert np.all(np.abs(u.xi[::row] - xi_lo) <= widths / 10.0 * (1.0 + 1e-12))
+        assert u.modulation == pytest.approx(np.tile(lam, 5 * widths.size), abs=1e-8)
         for r in (0, 999):
             single = single_tube(xi_lo[r], lam, widths[r] / 5.0)
-            assert u.xi_index[r].tolist() == single.xi_index.tolist()
-            assert u.tau[r].tobytes() == single.tau.tobytes()
+            cells = row_slices(u)[r]
+            assert u.xi_index[cells].tolist() == single.xi_index.tolist()
+            assert u.tau[cells].tobytes() == single.tau.tobytes()
 
     def test_modulation_is_the_per_cell_cube_bitwise(self):
         # tubes, their product, random clouds, an empty one, and a -0.0 run next to 0.0
@@ -447,10 +462,10 @@ class TestBatchedTrials:
         lo1, lo2, dxi = np.array([3.1, -7.4]), np.array([2.2, 1.5]), np.array([0.01, 0.002])
         u = bilinear._tube(lo1, bilinear._lam_centers(2), dxi)
         v = bilinear._tube(lo2, bilinear._lam_centers(8), dxi)
-        fields = [u, product(u, v)[0], random_cloud(rng, 50, 3, 10.0, 0.3),
+        fields = [u, product(u, v), random_cloud(rng, 50, 3, 10.0, 0.3),
                   WavePacketField([], [], [], 0.1, 0.5),
                   WavePacketField([0, 0, 0, 1, 2], [-0.0, -0.0, -0.0, 2.0, 3.0], np.ones(5),
-                                  np.array([0.5, -0.5, 0.5, 0.5, np.nan]), 0.5)]
+                                  np.array([0.5, -0.5, 0.5, 0.5, np.nan]), 0.5, [1, 2, 3, 4, 5])]
         for f in fields:
             assert f.modulation.tobytes() == (f.tau - f.xi ** 3).tobytes()
 
@@ -462,22 +477,23 @@ def random_cloud(rng, size, index_span, tau_scale, dxi):
 
 
 def stack(clouds):
-    """The clouds (all of one size) as one stack, a row each."""
-    return WavePacketField(*(np.array([getattr(c, a) for c in clouds])
-                             for a in ("xi_index", "tau", "amp")),
-                           np.array([[c.dxi] for c in clouds]), clouds[0].dtau)
+    """The clouds as one stack, a row each."""
+    return WavePacketField(*(np.concatenate([getattr(c, a) for c in clouds])
+                             for a in ("xi_index", "tau", "amp", "dxi")), clouds[0].dtau,
+                           np.cumsum([c.amp.size for c in clouds]))
 
 
 class TestStackedProduct:
     def assert_rows_are_single_products(self, us, vs):
-        w, ends = product(stack(us), stack(vs))
-        assert ends.tolist() == np.cumsum([product(u, v).amp.size for u, v in zip(us, vs)]).tolist()
-        for u, v, a, b in zip(us, vs, [0, *ends[:-1]], ends):
+        w = product(stack(us), stack(vs))
+        sizes = [product(u, v).amp.size for u, v in zip(us, vs)]
+        assert w.ends.tolist() == np.cumsum(sizes).tolist()
+        for u, v, cells, dxi in zip(us, vs, row_slices(w), w.dxi):
             single = product(u, v)
-            for name in ("xi_index", "tau", "amp"):
-                got, want = getattr(w, name)[a:b], getattr(single, name)
+            for name in ("xi_index", "tau", "amp", "xi"):
+                got, want = getattr(w, name)[cells], getattr(single, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert (w.dxi[a:b] == u.dxi).all() and w.dtau == single.dtau
+            assert [dxi] == u.dxi.tolist() and w.dtau == single.dtau
 
     def test_rows_equal_their_single_products_bitwise(self):
         # random-amplitude tubes, each row on its own lattice
@@ -513,6 +529,20 @@ class TestStackedProduct:
         with pytest.raises(ValueError, match="lattice"):
             product(stack(us[:1]), stack(us))
 
+    def test_rows_of_several_lengths_are_refused(self):
+        # a product fed back in: its rows hold as many cells as their pairs reach
+        rng = np.random.default_rng(12)
+        us = [random_cloud(rng, 4, 5, 1.0, dxi) for dxi in (0.1, 0.2)]
+        w = product(stack(us), stack(us))
+        lengths = [int(cells.stop - cells.start) for cells in row_slices(w)]
+        assert lengths == [7, 10]
+        for u, v in ((w, w), (stack(us), w), (w, stack(us))):
+            with pytest.raises(ValueError, match=re.escape(f"got row lengths {lengths}")):
+                product(u, v)
+        ragged = stack([random_cloud(rng, 7, 5, 1.0, 0.1), random_cloud(rng, 6, 5, 1.0, 0.1)])
+        with pytest.raises(ValueError, match=re.escape("got row lengths [7, 6]")):
+            product(ragged, ragged)
+
 
 class TestProductOracle:
     """``product`` equals the pair-by-pair oracle bitwise: unit-amplitude operands through
@@ -529,16 +559,12 @@ class TestProductOracle:
             got = product(u, v)
         assert any(weighted) != counted and bool(sorted_keys) == sparse
         xi_index, tau, amp, dxi, ends = product_oracle(u, v)
-        if u.amp.ndim == 1:
-            w = got
-            assert w.dxi == u.dxi
-        else:
-            w, got_ends = got
-            assert got_ends.tolist() == ends and w.dxi.tobytes() == dxi.tobytes()
-        for name, want in (("xi_index", xi_index), ("tau", tau), ("amp", amp)):
-            have = getattr(w, name)
+        assert got.ends.tolist() == ends and got.dxi.tobytes() == u.dxi.tobytes()
+        for name, want in (("xi_index", xi_index), ("tau", tau), ("amp", amp),
+                           ("xi", xi_index * dxi)):
+            have = getattr(got, name)
             assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
-        return w
+        return got
 
     def test_unit_tube_stacks_are_counted(self, monkeypatch):
         # dense keys, a dxi per row, a batch of one and a single tube
@@ -547,7 +573,7 @@ class TestProductOracle:
         lam1, lam2 = bilinear._lam_centers(2), bilinear._lam_centers(8)
         u, v = bilinear._tube(lo1, lam1, dxi), bilinear._tube(lo2, lam2, dxi)
         w = self.assert_equals_oracle(u, v, True, False, monkeypatch)
-        assert w.amp.size < u.amp.size * v.amp.shape[1]  # cells reached by several pairs
+        assert w.amp.size < u.amp.size * v.ends[0]  # cells reached by several pairs
         self.assert_equals_oracle(bilinear._tube(lo1[1:2], lam1, dxi[1:2]),
                                   bilinear._tube(lo2[1:2], lam2, dxi[1:2]), True, False,
                                   monkeypatch)
@@ -575,7 +601,7 @@ class TestProductOracle:
         lo1, lo2, dxi = np.array([3.1, -7.4]), np.array([2.2, 1.5]), np.array([0.01, 0.002])
         u = bilinear._tube(lo1, bilinear._lam_centers(2), dxi)
         v = bilinear._tube(lo2, bilinear._lam_centers(8), dxi)
-        v.amp[1, 7] = 1j  # one amplitude off 1 sends the whole stack down the weighted path
+        v.amp[v.ends[0] + 7] = 1j  # one amplitude off 1 sends the stack down the weighted path
         self.assert_equals_oracle(u, v, False, False, monkeypatch)
         u.amp = rng.standard_normal(u.amp.shape) + 1j * rng.standard_normal(u.amp.shape)
         self.assert_equals_oracle(u, v, False, False, monkeypatch)

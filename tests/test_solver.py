@@ -479,10 +479,14 @@ class TestEvolve:
         got = (traj.mass, traj.momentum, traj.hamiltonian)
         assert [a.tobytes() for a in got] == [e.tobytes() for e in expected]
         # cached: a second read computes nothing, and neither an invariant nor the field it
-        # comes from can be set, nor an invariant written
+        # comes from can be set, nor an invariant, a record or a time written
         monkeypatch.setattr(solver, "classical_invariants", refuse)
         with pytest.raises(AttributeError):
             traj.field = traj.field
+        with pytest.raises(ValueError, match="read-only"):
+            traj.field.half[1, 1] *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.times[1] = 0.0
         for name, a in zip(("mass", "momentum", "hamiltonian"), got):
             assert getattr(traj, name).tobytes() == a.tobytes()
             with pytest.raises(AttributeError):
