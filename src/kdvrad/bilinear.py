@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bumps import (band_share, band_split, covering_indices, dyadic_bump, is_dyadic,
-                    validate_dyadic)
+from .bumps import band_shares, dyadic_bump, validate_dyadic
 from .dyadic import x_sum
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
@@ -112,12 +111,8 @@ class WavePacketField:
     def x_norm(self) -> np.ndarray:
         """sum_L L^(1/2) ||Q_L .|| over the bands covering every row: a band beyond a row's
         own cover holds exactly 0 of its mass and adds exactly 0."""
-        lam, power = self.modulation, np.abs(self.amp) ** 2
-        l_list = covering_indices(float(np.max(np.abs(lam), initial=1.0)))
-        j, c = band_split(lam)
-        lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
-        shares = np.array([band_share(j, l.bit_length() - 1, lower, upper) for l in l_list])
-        return x_sum(l_list, _row_sums(shares, self.ends), self.cell_weight)
+        l_list, shares = band_shares(self.modulation, np.abs(self.amp) ** 2)
+        return x_sum(l_list, _row_sums(np.array([*shares]), self.ends), self.cell_weight)
 
     def band_l2_norm(self, n, l) -> np.ndarray:
         """||P_n Q_l .|| with the smooth bumps."""
@@ -224,9 +219,7 @@ class DyadicTriple:
 
     def __post_init__(self):
         for name in ("n1", "n2", "n3", "l1", "l2", "l3"):
-            value = getattr(self, name)
-            if not is_dyadic(value) or value < 1:
-                raise ValueError(f"{name} must be a dyadic index >= 1, got {value}")
+            validate_dyadic(getattr(self, name), name)
 
     @property
     def n_sorted(self):

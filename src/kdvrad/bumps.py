@@ -10,8 +10,10 @@ with the zero frequency assigned to the N = 1 block.
 
 A point with 2^j <= |s| < 2^(j+1) lies in two bands only: beta_(2^j)(s) = chi(s/2^j) and
 beta_(2^(j+1))(s) = 1 - chi(s/2^j), the other cutoff being exactly 0 or 1 there; |s| < 1 lies
-in band 1 alone.  ``band_split`` takes j from ``frexp`` and c = chi(|s|/2^j) from one chi
-call; ``frexp`` and ``ldexp`` are exact, so the weights equal ``dyadic_bump`` bit for bit.
+in band 1 alone.  ``band_split`` (j from ``frexp``, c = chi(|s|/2^j) from one chi call) and
+``band_share`` are the one evaluation of beta: ``dyadic_bump`` reads one band from them, and
+``band_shares`` beta_L^2 power for every band, the summand of both X-norm reductions.
+``frexp`` and ``ldexp`` are exact, so the weights equal chi(s/n) - chi(2s/n) bit for bit.
 """
 from __future__ import annotations
 
@@ -46,21 +48,19 @@ def validate_dyadic(value, name="index"):
 
 
 def dyadic_bump(n, s):
-    """Dyadic band bump beta_n evaluated at s.
-
-    beta_1 = chi, supported in |s| <= 2; for n > 1,
-    beta_n(s) = chi(s/n) - chi(2 s/n), supported in n/2 <= |s| <= 2 n.
-    """
+    """Dyadic band bump beta_n at the finite point(s) s: beta_1 = chi, supported in |s| <= 2;
+    for n > 1, beta_n(s) = chi(s/n) - chi(2 s/n), supported in n/2 <= |s| <= 2 n."""
     validate_dyadic(n, "band index")
     s = np.asarray(s, dtype=float)
-    if n == 1:
-        return chi(s)
-    outer, inner = chi(np.stack((s / n, 2.0 * s / n)))  # one chi call for both cutoffs
-    return outer - inner
+    if not np.isfinite(s).all():
+        raise ValueError(f"beta_{n} of a non-finite point {s[~np.isfinite(s)][0]}")
+    j, c = band_split(s)
+    return band_share(j, int(n).bit_length() - 1, c, 1.0 - c)[()]
 
 
 def band_split(s):
-    """(j, c): s has weight c in band 2^j and 1 - c in band 2^(j+1), and none elsewhere."""
+    """(j, c): s has weight c in band 2^j and 1 - c in band 2^(j+1), and none elsewhere.
+    s must be finite (inf would land in band 2, nan in band 1): its callers check that."""
     a = np.abs(np.asarray(s, dtype=float))
     j = np.maximum(np.frexp(a)[1] - 1, 0)
     return j, chi(np.ldexp(a, -j))
@@ -69,6 +69,15 @@ def band_split(s):
 def band_share(j, k, lower, upper):
     """Band 2^k's share of a split: ``lower`` where j == k, ``upper`` where j == k - 1, else 0."""
     return np.where(j == k, lower, np.where(j == k - 1, upper, 0.0))
+
+
+def band_shares(lam, power):
+    """(bands, shares): the bands L covering max|lam| and, lazily, beta_L(lam)^2 power per
+    band, from one ``band_split``.  A non-finite lam raises ValueError."""
+    l_list = covering_indices(float(np.max(np.abs(lam), initial=1.0)))
+    j, c = band_split(lam)
+    lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
+    return l_list, (band_share(j, l.bit_length() - 1, lower, upper) for l in l_list)
 
 
 def covering_indices(max_abs):

@@ -6,13 +6,14 @@ modulation band |tau - xi^3| ~ L.  The X norm is the l1-over-modulation,
 L2-in-spacetime combination sum_L L^(1/2) ||Q_L v||, and the xbar^s norm
 replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
 
-Every X norm is one reduction, M_L = sum of beta_L(lam)^2 power, in one of two layouts: on the
-tau x xi plane ``modulation_masses`` sums over tau (each xi >= 0 column with its multiplicity),
-``bilinear.WavePacketField.x_norm`` over the cells of each cloud row; ``x_sum`` adds
-L^(1/2) (M_L weight)^(1/2) in order of L for both.  Each cell lies in two dyadic bands, so one
-chi per cell (``bumps.band_split``) gives both of its weights, for the modulation and the
-frequency bands alike.  The N = 1 block of ``xbar_norm`` is a multiplier in xi alone, applied
-to the x-transformed samples: no tau round trip.
+Every X norm is one reduction, M_L = sum of the shares beta_L(lam)^2 power of
+``bumps.band_shares``, in one of two layouts: on the tau x xi plane ``modulation_masses`` sums
+over tau (each xi >= 0 column with its multiplicity), ``bilinear.WavePacketField.x_norm`` over
+the cells of each cloud row; ``x_sum`` adds L^(1/2) (M_L weight)^(1/2) in order of L for both.
+Each cell lies in two dyadic bands, so one chi per cell (``bumps.band_split``) gives both of
+its weights, for the modulation and the frequency bands alike; the projections'
+``dyadic_bump`` reads the same split.  The N = 1 block of ``xbar_norm`` is a multiplier in xi
+alone, applied to the x-transformed samples: no tau round trip.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .bumps import band_share, band_split, covering_indices, dyadic_bump, validate_dyadic
+from .bumps import (band_share, band_shares, band_split, covering_indices, dyadic_bump,
+                    validate_dyadic)
 from .errors import TimeWindowTooShortError
 from .gevrey import hs_norm
 from .grid import SpectralField
@@ -33,7 +35,6 @@ MAX_DTAU = 2.0
 
 def project_pn(field: SpectralField, n) -> SpectralField:
     """Frequency block P_n: multiply the coefficients by beta_n(xi)."""
-    validate_dyadic(n, "frequency band")
     xi = field.grid.xi[:field.half.shape[-1]]
     return SpectralField(field.grid, field.half * dyadic_bump(n, xi))
 
@@ -57,15 +58,9 @@ def project_ql(field: SpacetimeField, l) -> SpacetimeField:
 
 def modulation_masses(lam, power):
     """(bands, M): M_L = sum over the first (tau) axis of the plane of beta_L(lam)^2 power, for
-    the bands L covering max|lam| except those with 2L <= min|lam|, where beta_L is exactly 0.
-    A non-finite lam raises ValueError."""
-    lam_min = float(np.min(np.abs(lam), initial=np.inf))
-    l_list = [l for l in covering_indices(float(np.max(np.abs(lam), initial=1.0)))
-              if 2 * l > lam_min]
-    j, c = band_split(lam)
-    lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
-    return l_list, np.array([np.sum(band_share(j, l.bit_length() - 1, lower, upper), axis=0)
-                             for l in l_list])
+    the bands L covering max|lam|, one band at a time.  A non-finite lam raises ValueError."""
+    l_list, shares = band_shares(lam, power)
+    return l_list, np.array([np.sum(share, axis=0) for share in shares])
 
 
 def x_sum(l_list, masses, weight):
@@ -87,6 +82,8 @@ class NormReport:
     truncated_l: list = dc_field(default_factory=list)
 
     def reconstruction_defect(self) -> float:
+        """|xbar_s^2 - the sum xbar_s was built from| / xbar_s^2: round-off on any ``xbar_norm``
+        report, so it catches a report edited afterwards, not a wrong block norm."""
         total = self.low_freq_maximal ** 2
         total += sum(n ** (2 * self.s) * v ** 2
                      for n, v in self.x_norm_per_n.items() if n > 1)

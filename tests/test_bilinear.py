@@ -170,9 +170,9 @@ def xnorm_tube_pair_by_choice(bands, rng):
 
 class TestDyadicTriple:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n1"):
             DyadicTriple(3, 8, 8, 1, 1, 128)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="l1"):
             DyadicTriple(2, 8, 8, 0.5, 1, 128)
 
     def test_balanced_regime(self):

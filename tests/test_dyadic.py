@@ -24,6 +24,12 @@ def st_grid():
     return GridSpec(256, 40.0)
 
 
+def two_cutoff_bump(n, s):
+    """beta_n written out: chi(s) for n = 1, chi(s/n) - chi(2s/n) above."""
+    s = np.asarray(s, dtype=float)
+    return chi(s) if n == 1 else chi(s / n) - chi(2.0 * s / n)
+
+
 class TestBumps:
     def test_plateau_value(self):
         assert dyadic_bump(1, 0.5) == 1.0
@@ -48,13 +54,23 @@ class TestBumps:
     @pytest.mark.parametrize("indices", [covering_indices(3000), [4, 8, 16, 32],
                                          [2, 8, 16, 1, 64]])
     def test_band_split_equals_dyadic_bump_bitwise(self, rng, indices):
-        # c = chi(|s|/2^j) in band 2^j and 1 - c in band 2^(j+1) versus chi(s/n) - chi(2s/n)
+        # c = chi(|s|/2^j) in band 2^j and 1 - c in band 2^(j+1), through band_share and
+        # through dyadic_bump, versus the two cutoffs chi(s/n) - chi(2s/n) written out
         s = np.concatenate([rng.uniform(-3000.0, 3000.0, (64, 96)).ravel(),
                             2.0 ** np.arange(-3, 13), [0.0, 5e-324]])
         j, c = band_split(s)
         for n in indices:
-            assert np.array_equal(band_share(j, n.bit_length() - 1, c, 1.0 - c),
-                                  dyadic_bump(n, s))
+            want = two_cutoff_bump(n, s)
+            assert np.array_equal(band_share(j, n.bit_length() - 1, c, 1.0 - c), want)
+            assert np.array_equal(dyadic_bump(n, s), want)
+            assert dyadic_bump(n, s[5]) == want[5] and np.ndim(dyadic_bump(n, s[5])) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dyadic_bump_refuses_a_non_finite_point(self, bad, n):
+        for s in (bad, np.array([0.5, 3.0, bad])):
+            with pytest.raises(ValueError, match=f"non-finite point {bad}"):
+                dyadic_bump(n, s)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_covering_indices_refuses_a_non_finite_bound(self, bad):
@@ -249,10 +265,10 @@ def plane_x_norm(field):
 
 
 def per_band_masses(lam, power):
-    """{L: M_L} for every band covering max|lam|, with one dyadic_bump per band."""
+    """{L: M_L} for every band covering max|lam|, with the two cutoffs per band."""
     masses = {}
     for l in covering_indices(np.max(np.abs(lam), initial=1.0)):
-        wgt = dyadic_bump(l, lam)
+        wgt = two_cutoff_bump(l, lam)
         masses[l] = np.sum(wgt * wgt * power, axis=0)
     return masses
 
@@ -262,10 +278,7 @@ class TestModulationMasses:
     def check(lam, power):
         l_list, masses = modulation_masses(lam, power)
         want = per_band_masses(lam, power)
-        skipped = list(want)[:len(want) - len(l_list)]
-        # the skipped bands lie below min|lam| and hold exactly nothing
-        assert l_list == list(want)[len(skipped):]
-        assert not any(np.any(want[l]) for l in skipped)
+        assert l_list == list(want)
         assert masses.shape == (len(l_list),) + np.shape(power)[1:]
         for l, m in zip(l_list, masses):
             assert np.array_equal(m, want[l])
@@ -284,7 +297,7 @@ class TestModulationMasses:
         power = rng.uniform(0.0, 2.0, lam.size)
         self.check(lam, power)
         self.check(edges, power[:edges.size])
-        self.check(rng.uniform(8.0, 64.0, 30), power[:30])  # bands below 4 skipped
+        self.check(rng.uniform(8.0, 64.0, 30), power[:30])  # bands below 4 hold nothing
         for cell in (-64.0, 3.0, 0.5, 0.0):
             self.check(np.array([cell]), np.array([1.5]))
         self.check(np.array([]), np.array([]))

@@ -2,8 +2,8 @@
 package and the tests import only at module level, the package never
 reads the derived full coefficient array, every defaulted parameter of
 a public function is set by some call, every public function is used and
-named unlike any class member, and every real FFT goes through grid's two
-pocketfft helpers."""
+named unlike any class member, every real FFT goes through grid's two
+pocketfft helpers, and every band weight through bumps."""
 import ast
 from pathlib import Path
 
@@ -189,3 +189,23 @@ def test_real_ffts_go_through_the_grid_helpers_only():
     assert reached == {"grid.py"}, f"_pocketfft_umath reached from {sorted(reached)}"
     assert kernels == {"rfft_n_even", "irfft"}, f"pocketfft kernels read: {kernels}"
     assert not numpy_real, f"np.fft.rfft / irfft calls left: {numpy_real}"
+
+
+def test_band_weights_go_through_bumps_only():
+    # outside bumps.py every band weight comes from band_split / band_share; the cutoff itself
+    # is read only by the time taper of the space-time transform
+    callers = set()
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        if path.name == "bumps.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = {id(node): fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}  # an inner def overwrites its outer one
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("chi", "smooth_step"):
+                    callers.add(f"{path.stem}.{scopes.get(id(node), '<module>')}")
+    assert callers == {"spacetime.temporal_taper"}, f"chi / smooth_step called from {callers}"
