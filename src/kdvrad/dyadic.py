@@ -14,6 +14,17 @@ Each cell lies in two dyadic bands, so one chi per cell (``bumps.band_split``) g
 its weights, for the modulation and the frequency bands alike; the projections'
 ``dyadic_bump`` reads the same split.  The N = 1 block of ``xbar_norm`` is a multiplier in xi
 alone, applied to the x-transformed samples: no tau round trip.
+
+``xbar_norm`` streams the plane through ``modulation_masses`` in blocks of xi columns, so the
+one complex transform is its only plane-sized array.  Whole-plane float temporaries (lam,
+power, the band split, the shares: 387 KiB each at 384 x 129) went back to the OS after
+every call and were faulted in again by the next: 3,300-4,100 minor page faults, at 3.1-3.4 us
+each on a 2-vCPU x86_64 VM, in the three calls of a dyadic_probes claim.  Blocks of at most
+``BLOCK_BYTES``, under glibc's 128 KiB mmap threshold, reuse heap memory (0-360 faults).  The
+blocks' M is the plane's bit for bit: a column's tau sum (row order) does not depend on the
+other columns, and a block's band list is a prefix of the plane's, the bands past it summing
+to exact zeros.  No block is one column wide: numpy sums a (rows, 1) block pairwise, not in
+row order, which changes the last bits.
 """
 from __future__ import annotations
 
@@ -31,6 +42,9 @@ from .spacetime import (SpacetimeField, SpacetimeSpectrum, _transform, airy_spac
 
 #: coarsest tau spacing able to resolve the L = 1 modulation band
 MAX_DTAU = 2.0
+
+#: bytes of one float column block of the (tau x xi) plane in ``xbar_norm``
+BLOCK_BYTES = 96 * 1024
 
 
 def project_pn(field: SpectralField, n) -> SpectralField:
@@ -58,9 +72,19 @@ def project_ql(field: SpacetimeField, l) -> SpacetimeField:
 
 def modulation_masses(lam, power):
     """(bands, M): M_L = sum over the first (tau) axis of the plane of beta_L(lam)^2 power, for
-    the bands L covering max|lam|, one band at a time.  A non-finite lam raises ValueError."""
+    the bands L covering max|lam|, one band at a time.  A non-finite lam raises ValueError.
+    ``xbar_norm`` passes one block of xi columns at a time (module docstring): a block two or
+    more columns wide sums each column in row order, so its M is those columns of the plane's."""
     l_list, shares = band_shares(lam, power)
     return l_list, np.array([np.sum(share, axis=0) for share in shares])
+
+
+def _column_blocks(rows, cols):
+    """Near-equal slices of at most max(4, BLOCK_BYTES / (8 rows)) of ``cols`` columns.  A width
+    of at least 4 keeps every block at least 2 wide (unless cols is 1)."""
+    count = -(-cols // max(4, BLOCK_BYTES // (8 * rows)))
+    edges = [cols * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def x_sum(l_list, masses, weight):
@@ -103,7 +127,12 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     u1 = g.half_to_values(half * betas[0])
     low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
     del half, u1
-    l_list, masses = modulation_masses(spec.modulation(), spec.power())
+    blocks = _column_blocks(*spec.values.shape)
+    parts = [modulation_masses(spec.modulation(cols), spec.power(cols)) for cols in blocks]
+    l_list = max((bands for bands, _ in parts), key=len)
+    masses = np.zeros((len(l_list), spec.xi.size))
+    for cols, (bands, m) in zip(blocks, parts):
+        masses[:len(bands), cols] = m
     x_high = x_sum(l_list, masses @ (betas[1:] * betas[1:]).T, spec.weight)
     x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2

@@ -113,7 +113,8 @@ def _ifrk4(xi, dt, m):
     e_half = airy_phase(xi, dt / 2)
     e_full = e_half * e_half
     eh, ef, dt_eh, two_eh = e_half[:m], e_full[:m], dt * e_half[:m], 2 * e_half[:m]
-    half_dt, sixth_dt = np.float64(dt / 2), np.float64(dt / 6)  # no per-call float conversion
+    # complex 0-d arrays: a float scalar would be cast to complex on every multiply
+    half_dt, sixth_dt = np.array(complex(dt / 2)), np.array(complex(dt / 6))
     n1, n2, n3, n4, a, b, eu, s = np.empty((8, m), dtype=complex)
     mul, add = np.multiply, np.add
 
@@ -151,7 +152,7 @@ def _etdrk4(xi, dt, m):
     two_f2 = 2 * (dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1))
     f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1)
     eh, ef = e_half[:m], e_full[:m]
-    two = np.float64(2)
+    two = np.array(complex(2))  # complex, as half_dt in ``_ifrk4``
     n1, n2, n3, n4, a, b, ehu, s = np.empty((8, m), dtype=complex)
     mul, add = np.multiply, np.add
 

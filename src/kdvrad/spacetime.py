@@ -85,13 +85,14 @@ class SpacetimeSpectrum:
         """Cell weight in Parseval sums: dtau*dxi/(2 pi)^2."""
         return self.dtau * self.dxi / (2.0 * np.pi) ** 2
 
-    def modulation(self) -> np.ndarray:
-        """lambda = tau - xi^3 on the (tau, xi) grid."""
-        return self.tau[:, None] - self.xi[None, :] ** 3
+    def modulation(self, cols=slice(None)) -> np.ndarray:
+        """lambda = tau - xi^3 on the (tau, xi) grid, or on its xi columns ``cols``."""
+        return self.tau[:, None] - self.xi[None, cols] ** 3
 
-    def power(self) -> np.ndarray:
-        """|values|^2 times each column's multiplicity: a xi > 0 column stands for +-xi."""
-        return np.abs(self.values) ** 2 * self.field.grid.half_weight
+    def power(self, cols=slice(None)) -> np.ndarray:
+        """|values|^2 times each column's multiplicity (a xi > 0 column stands for +-xi), on
+        every column or on the columns ``cols``."""
+        return np.abs(self.values[:, cols]) ** 2 * self.field.grid.half_weight[cols]
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(self.power()) * self.weight))
@@ -107,7 +108,10 @@ def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
 
 
 def _transform(field: SpacetimeField):
-    """(the tapered samples' x transform, ``spacetime_transform(field)``) for ``xbar_norm``."""
+    """(the tapered samples' x transform, ``spacetime_transform(field)``) for ``xbar_norm``.
+
+    The tau phase and the dt scale are multiplied into the FFT output in place, so the
+    spectrum is the one complex (tau x xi) plane the transform allocates."""
     if field.num_time_samples < 8:
         raise KdvradError("need at least 8 time samples for modulation analysis")
     g = field.grid
@@ -116,12 +120,12 @@ def _transform(field: SpacetimeField):
     tau = 2.0 * np.pi * np.fft.fftfreq(nt_pad, d=dt)
     # fft with n = nt_pad zero-pads the time axis
     half = g.to_half(field.tapered_values())
-    raw_t = np.fft.fft(half, n=nt_pad, axis=0)
-    values = dt * np.exp(-1j * tau * field.t_a)[:, None] * raw_t
+    values = np.fft.fft(half, n=nt_pad, axis=0)
+    np.multiply(dt * np.exp(-1j * tau * field.t_a)[:, None], values, out=values)
     return half, SpacetimeSpectrum(
         values=values,
         tau=tau,
-        xi=g.xi[:raw_t.shape[1]],
+        xi=g.xi[:values.shape[1]],
         dtau=float(tau[1] - tau[0]),
         dxi=g.dxi,
         field=field,

@@ -1,5 +1,6 @@
 """Dyadic bumps, frequency/modulation projections and the X-type norms."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +10,11 @@ from kdvrad import bumps
 from kdvrad.bilinear import WavePacketField
 from kdvrad.bumps import (band_share, band_split, chi, covering_indices, dyadic_bump,
                           smooth_step)
-from kdvrad.dyadic import (free_evolution_norm_ratio, modulation_masses, project_pn,
+from kdvrad.dyadic import (NormReport, free_evolution_norm_ratio, modulation_masses, project_pn,
                            project_ql, x_sum, xbar_norm)
 from kdvrad.errors import TimeWindowTooShortError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
+from kdvrad.spacetime import (PAD, SpacetimeField, SpacetimeSpectrum, airy_spacetime,
                               inverse_spacetime_transform, spacetime_transform)
 
 from conftest import complex_dealiased_product, random_band_field
@@ -316,9 +317,12 @@ def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
     step = bumps.smooth_step
     monkeypatch.setattr(bumps, "smooth_step", lambda t: calls.append(np.size(t)) or step(t))
     xbar_norm(st, 0.0)
-    # the time taper (one x transform serves the tau transform and the low block), the
-    # modulation plane, the xi bands
-    assert len(calls) == 3
+    # the time taper (one x transform serves the tau transform and the low block), the xi
+    # bands, then the modulation plane in blocks of two columns or more: every cell once
+    nt, cols = 96, st_grid.num_points // 2 + 1
+    assert calls[:2] == [nt, cols]
+    assert all(size % (PAD * nt) == 0 and size >= 2 * PAD * nt for size in calls[2:])
+    assert sum(calls[2:]) == PAD * nt * cols
     calls.clear()
     cloud.x_norm()
     assert calls == [3]
@@ -499,6 +503,66 @@ class TestBruteForceEquivalence:
         # relative to the largest block: the top bands hold 1e-6 of it and less
         scale = max(want_blocks.values())
         assert max(abs(got[l] - v) for l, v in want_blocks.items()) <= 1e-6 * scale
+
+
+def whole_plane_xbar(field, s):
+    """(spectrum values, xbar^s report) with the whole (tau, xi) plane at once: the phase
+    multiplied into a second plane and ``modulation_masses`` of the full modulation and power
+    planes, the other steps as ``xbar_norm`` takes them."""
+    g, nt = field.grid, field.num_time_samples
+    tau = 2.0 * np.pi * np.fft.fftfreq(PAD * nt, d=field.dt)
+    half = g.to_half(field.tapered_values())
+    values = field.dt * np.exp(-1j * tau * field.t_a)[:, None] * np.fft.fft(half, n=PAD * nt,
+                                                                           axis=0)
+    spec = SpacetimeSpectrum(values=values, tau=tau, xi=g.xi[:values.shape[1]],
+                             dtau=float(tau[1] - tau[0]), dxi=g.dxi, field=field)
+    n_list = covering_indices(g.nyquist_xi)
+    j, c = band_split(spec.xi)
+    betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
+    u1 = g.half_to_values(half * betas[0])
+    low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
+    l_list, masses = modulation_masses(spec.modulation(), spec.power())
+    x_high = x_sum(l_list, masses @ (betas[1:] * betas[1:]).T, spec.weight)
+    x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
+    xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2 for n, v in x_per_n.items() if n > 1))
+    truncated = [l for l in l_list if 2 * l > float(np.max(np.abs(tau)))]
+    return values, NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
+                              xbar_s=float(xbar), truncated_l=truncated)
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("nt", [16, 96])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_equal_the_whole_plane_bitwise(self, n, nt):
+        # 33, 129 and 513 xi columns in 1 to 17 blocks; 129 = 4 x 32 + 1 would leave a
+        # one-column tail to blocks of a fixed 32 columns
+        rng = np.random.default_rng(n + nt)
+        st = airy_spacetime(random_band_field(GridSpec(n, 40.0), rng, max_mode=n // 10),
+                            -2.0, 2.0, nt)
+        for s in (0.0, 0.5, -0.75):
+            values, want = whole_plane_xbar(st, s)
+            got = xbar_norm(st, s)
+            assert spacetime_transform(st).values.tobytes() == values.tobytes()
+            assert got.xbar_s.hex() == want.xbar_s.hex()
+            assert got.low_freq_maximal.hex() == want.low_freq_maximal.hex()
+            assert got.x_norm_per_n.keys() == want.x_norm_per_n.keys()
+            assert all(got.x_norm_per_n[k].hex() == v.hex() for k, v in want.x_norm_per_n.items())
+            assert got.truncated_l == want.truncated_l
+
+    def test_peak_memory_within_three_planes(self, st_grid):
+        # the complex plane, the x transform and float column blocks; each whole-plane float
+        # temporary (lam, power, the band split, a share) would add half a plane
+        st = airy_spacetime(random_band_field(st_grid, np.random.default_rng(5), max_mode=24),
+                            -2.0, 2.0, 96)
+        plane_bytes = spacetime_transform(st).values.nbytes
+        xbar_norm(st, 0.5)
+        tracemalloc.start()
+        try:
+            xbar_norm(st, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * plane_bytes
 
 
 class TestFreeEvolutionRatio:
