@@ -588,16 +588,17 @@ def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0) -> float:
 
 
 def fit_exponent(ns, values):
-    """Least-squares slope of log(values) against log(ns); every value must be positive, and
-    at least two of the ns distinct."""
+    """Least-squares slope of log(values) against log(ns); every band index and value must be
+    positive and finite, and at least two of the ns distinct."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape:
         raise ValueError(f"{ns.size} band indices but {values.size} values")
     if (distinct := np.unique(ns).size) < 2:
         raise ValueError(f"a slope needs at least 2 distinct band indices, got {distinct}")
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"value {values[i]} at index {i} (n = {ns[i]:g}) has no finite log")
+    for what, a in (("band index", ns), ("value", values)):
+        bad = np.flatnonzero(~(np.isfinite(a) & (a > 0)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"{what} {a[i]} at index {i} (n = {ns[i]:g}) has no finite log")
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])

@@ -13,7 +13,8 @@ the cells of each cloud row; ``x_sum`` adds L^(1/2) (M_L weight)^(1/2) in order 
 Each cell lies in two dyadic bands, so one chi per cell (``bumps.band_split``) gives both of
 its weights, for the modulation and the frequency bands alike; the projections'
 ``dyadic_bump`` reads the same split.  The N = 1 block of ``xbar_norm`` is a multiplier in xi
-alone, applied to the x-transformed samples: no tau round trip.
+alone, applied to the field's tapered half rows before ``spacetime_transform`` builds the
+plane: no tau round trip.
 
 ``xbar_norm`` streams the plane through ``modulation_masses`` in blocks of xi columns, so the
 one complex transform is its only plane-sized array.  Whole-plane float temporaries (lam,
@@ -37,7 +38,7 @@ from .bumps import (band_share, band_shares, band_split, covering_indices, dyadi
 from .errors import TimeWindowTooShortError
 from .gevrey import hs_norm
 from .grid import SpectralField
-from .spacetime import (SpacetimeField, SpacetimeSpectrum, _transform, airy_spacetime,
+from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
                         inverse_spacetime_transform, spacetime_transform)
 
 #: coarsest tau spacing able to resolve the L = 1 modulation band
@@ -49,8 +50,7 @@ BLOCK_BYTES = 96 * 1024
 
 def project_pn(field: SpectralField, n) -> SpectralField:
     """Frequency block P_n: multiply the coefficients by beta_n(xi)."""
-    xi = field.grid.xi[:field.half.shape[-1]]
-    return SpectralField(field.grid, field.half * dyadic_bump(n, xi))
+    return SpectralField(field.grid, field.half * dyadic_bump(n, field.grid.xi))
 
 
 def _check_dtau(spec: SpacetimeSpectrum):
@@ -115,18 +115,20 @@ class NormReport:
 
 
 def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
-    """xbar^s norm: maximal-in-time low block plus N^s-weighted X blocks."""
-    half, spec = _transform(field)
-    _check_dtau(spec)
+    """xbar^s norm: maximal-in-time low block plus N^s-weighted X blocks; s must be finite."""
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     g = field.grid
-    n_list = covering_indices(g.nyquist_xi)
-    j, c = band_split(spec.xi)
+    n_list = covering_indices(g.xi[-1])
+    j, c = band_split(g.xi)
     betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
-    # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the x-transformed samples,
+    # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the tapered half rows,
     # freed before the modulation plane (the peak of the call) is built
-    u1 = g.half_to_values(half * betas[0])
+    u1 = g.half_to_values(field.tapered() * betas[0])
     low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
-    del half, u1
+    del u1
+    spec = spacetime_transform(field)
+    _check_dtau(spec)
     blocks = _column_blocks(*spec.values.shape)
     parts = [modulation_masses(spec.modulation(cols), spec.power(cols)) for cols in blocks]
     l_list = max((bands for bands, _ in parts), key=len)

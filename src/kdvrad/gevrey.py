@@ -46,14 +46,14 @@ class GevreyParams:
 
 
 def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np.ndarray:
-    xi = field.grid.xi[:field.half.shape[-1]]
+    xi = field.grid.xi
     mag = np.abs(field.half)
     logmag = np.where(mag == 0, -np.inf, np.log(np.where(mag == 0, 1.0, mag)))
-    return sigma * np.abs(xi) + 0.5 * s * np.log1p(xi * xi) + logmag
+    return sigma * xi + 0.5 * s * np.log1p(xi * xi) + logmag
 
 
 def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT) -> float:
-    xi = np.abs(field.grid.xi[:field.half.shape[-1]])
+    xi = field.grid.xi
     rest = _log_weighted_magnitudes(field, 0.0, s)
     if not np.all(rest < np.inf):  # an inf or nan coefficient admits no sigma
         return 0.0
@@ -113,7 +113,7 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
     if sigma == 0.0:
         return SpectralField(field.grid, field.half)
     with np.errstate(over="ignore"):
-        lift = np.exp(sigma * np.abs(field.grid.xi[:field.half.shape[-1]]))
+        lift = np.exp(sigma * field.grid.xi)
     if sigma > 0:
         mag = np.abs(field.half)
         over = ~(mag <= _EXP_LIMIT / lift)  # nan compares False: it is over too
@@ -154,7 +154,7 @@ def estimate_radius(field: SpectralField) -> RadiusEstimate:
         raise InsufficientSpectralRangeError("field is identically zero")
     # drop the 0 and Nyquist bins
     mag = np.abs(c[1:-1])
-    xi = field.grid.xi[1:c.size - 1]
+    xi = field.grid.xi[1:-1]
     floor = _FLOOR_REL * peak
     usable = (mag >= floor) & (mag <= _CEIL_REL * peak)
     floor_hit = bool(np.any(mag < floor))

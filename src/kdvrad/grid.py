@@ -9,15 +9,14 @@ continuous-transform normalization
     coeff(xi_k) ~ integral exp(-i x xi_k) u(x) dx = dx (-1)^k FFT(u)_k,
 
 so closed-form transforms (sech, sech^2, Gaussians) are directly comparable.
-Frequencies are xi_k = pi k / half_length in FFT (wrap-around) order, the
-quadratic nonlinearity is dealiased by the 2/3 rule (the band k < ``GridSpec.band``) and
-the free (Airy) flow multiplies by ``airy_phase``.
-Every field is real, so its k = 0..n/2 half-spectrum holds all of it: ``SpectralField``
-stores it, ``to_half`` / ``half_to_values`` are real FFTs along the last axis, multipliers
-act on ``xi[:n/2 + 1]`` (Nyquist keeps its negative FFT-order frequency) and the one Parseval
-sum, ``GridSpec.inner``, weights the entries by ``half_weight``.  A field may be a stack of
-snapshots, (..., n/2 + 1): its methods and the multipliers act row by row, bitwise as on each
-row alone.
+Every field is real, so its k = 0..n/2 half-spectrum holds all of it, and that is the one
+layout: ``GridSpec``'s mode numbers, frequencies xi_k = pi k / half_length >= 0 (Nyquist
+positive, as ``np.fft.rfftfreq``) and Parseval weights ``half_weight`` have n/2 + 1 entries;
+``SpectralField`` stores a half-spectrum, and ``to_half`` / ``half_to_values`` are real FFTs
+along the last axis.  The quadratic nonlinearity is dealiased by the 2/3 rule (the band
+k < ``GridSpec.band``), the free (Airy) flow multiplies by ``airy_phase`` and the one Parseval
+sum is ``GridSpec.inner``.  A field may be a stack of snapshots, (..., n/2 + 1): its methods
+and the multipliers act row by row, bitwise as on each row alone.
 Every real FFT is ``rfft`` / ``irfft`` below, bitwise ``np.fft``'s: its pocketfft kernels without
 its per-call wrapper, 3-5 us of a 13-16 us call at n = 1024 (2-vCPU x86_64 VM, numpy 2.4).  They
 are looked up per call, not imported: importing numpy.fft with kdvrad raised peak RSS 0.4 MiB.
@@ -56,8 +55,8 @@ def _is_power_of_two(n: int) -> bool:
 class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
 
-    The mode numbers, the frequencies, the (-1)^k phase and ``half_weight`` are computed
-    once, as read-only arrays, and so is ``band``: the 2/3 band is k < band.
+    The k = 0..n/2 mode numbers, their frequencies, the (-1)^k phase and ``half_weight`` are
+    computed once, as read-only arrays, and so is ``band``: the 2/3 band is k < band.
     """
 
     num_points: int
@@ -66,10 +65,10 @@ class GridSpec:
     def __post_init__(self):
         if not _is_power_of_two(self.num_points):
             raise ValueError(f"num_points must be a power of two, got {self.num_points}")
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
-        k = (np.fft.fftfreq(self.num_points) * self.num_points).astype(np.int64)
-        weight = np.full(self.num_points // 2 + 1, 2.0)
+        if not 0 < self.half_length < np.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
+        k = np.arange(self.num_points // 2 + 1, dtype=np.int64)
+        weight = np.full(k.size, 2.0)
         weight[[0, -1]] = 1.0
         # _sign = exp(i pi k): offset of the first grid node from x = 0; half_weight:
         # multiplicity of each k = 0..n/2 entry in Parseval sums, 2 where it stands for +-k
@@ -93,17 +92,13 @@ class GridSpec:
 
     @property
     def k_index(self) -> np.ndarray:
-        """Signed integer mode numbers in FFT order."""
+        """Mode numbers k = 0..n/2."""
         return self._k
 
     @property
     def xi(self) -> np.ndarray:
-        """Frequencies pi*k/half_length in FFT order."""
+        """Frequencies pi*k/half_length, k = 0..n/2."""
         return self._xi
-
-    @property
-    def nyquist_xi(self) -> float:
-        return np.pi * (self.num_points // 2) / self.half_length
 
     @property
     def dxi(self) -> float:
@@ -126,13 +121,13 @@ class GridSpec:
 
     def to_half(self, values) -> np.ndarray:
         """k = 0..n/2 coefficients dx (-1)^k rfft of real samples along the last axis."""
-        return self.dx * self._sign[:self.num_points // 2 + 1] * rfft(values)
+        return self.dx * self._sign * rfft(values)
 
     def half_to_values(self, half, num_points: int | None = None) -> np.ndarray:
         """Real samples of a k = 0..n/2 half-spectrum (inverse of ``to_half``); a larger
         ``num_points`` zero-pads to that finer grid, the Nyquist term split over +-n/2."""
         m = num_points or self.num_points
-        half = half * self._sign[:half.shape[-1]]
+        half = half * self._sign
         if m > self.num_points:
             half[..., -1] *= 0.5
         return irfft(half, m) / (2.0 * self.half_length / m)

@@ -46,8 +46,8 @@ class SolverConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be a positive integer")
+        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
+            raise ConfigError(f"record_every must be a positive integer, got {self.record_every!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ class Trajectory:
 
 def airy_propagate(field: SpectralField, t: float) -> SpectralField:
     """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi), row by row."""
-    return SpectralField(field.grid,
-                         field.half * airy_phase(field.grid.xi[:field.half.shape[-1]], t))
+    return SpectralField(field.grid, field.half * airy_phase(field.grid.xi, t))
 
 
 def classical_invariants(field: SpectralField):
@@ -99,7 +98,7 @@ def classical_invariants(field: SpectralField):
     g, half = field.grid, field.half
     mass = np.take(half.real, 0, axis=-1)
     u = g.half_to_values(half, 2 * g.num_points)
-    ux = g.half_to_values(1j * np.abs(g.xi[:half.shape[-1]]) * half, 2 * g.num_points)
+    ux = g.half_to_values(1j * g.xi * half, 2 * g.num_points)
     hamiltonian = np.sum(0.5 * ux * ux - u * u * u / 6.0, axis=-1) * (0.5 * g.dx)
     return mass, g.inner(half), hamiltonian
 
@@ -186,11 +185,9 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     if config.check_boundary:
         check_boundary_smallness(f, time=0.0)
 
-    half = grid.num_points // 2 + 1
-    xi = np.abs(grid.xi[:half])  # Nyquist taken positive
-    m = grid.band
+    xi, m = grid.xi, grid.band
     dfactor = -0.5j * xi[:m] / grid.dx
-    n, u, buf = grid.num_points, np.empty(grid.num_points), np.empty(half, dtype=complex)
+    n, u, buf = grid.num_points, np.empty(grid.num_points), np.empty(xi.size, dtype=complex)
     buf_band = buf[:m]
 
     def nonlinear(band, out):
@@ -205,7 +202,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     step, e_tail = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi, dt, m)
 
     records = 1 + -(-num_steps // config.record_every)
-    times, stack = np.zeros(records), np.empty((records, half), dtype=complex)
+    times, stack = np.zeros(records), np.empty((records, xi.size), dtype=complex)
     stack[0] = f.half
     for j in range(1, records):
         i = min(j * config.record_every, num_steps)  # the step this record is taken at

@@ -1,13 +1,12 @@
 """Space-time sampling of fields and the tapered 2D Fourier transform.
 
-A SpacetimeField holds real samples u(t_j, x_k) on a uniform window; before
-any modulation analysis the samples are multiplied by a smooth temporal
-taper equal to 1 on the inner half of the window and vanishing at its ends,
-then zero-padded in time (by the factor ``PAD``) so that the transform samples
-the same compactly supported signal on a finer tau grid.  The samples are real,
-so the xi >= 0 half plane holds the whole transform: x goes to the grid's
-half-spectrum (``GridSpec.to_half`` / ``half_to_values``), which owns the spatial
-convention, and this module adds only the complex FFT along tau.
+A SpacetimeField is a stack of the grid's k = 0..n/2 half-spectra, one row per sample time
+t_j of a uniform window; before any modulation analysis the rows are multiplied by a smooth
+temporal taper equal to 1 on the inner half of the window and vanishing at its ends, then
+zero-padded in time (by the factor ``PAD``) so that the transform samples the same compactly
+supported signal on a finer tau grid.  The field is real, so the xi >= 0 half plane holds the
+whole transform, and x is transformed already: ``spacetime_transform`` is one complex FFT
+along tau, and its inverse stores half rows again.
 """
 from __future__ import annotations
 
@@ -31,24 +30,27 @@ def temporal_taper(t, t_a: float, t_b: float) -> np.ndarray:
 
 @dataclass
 class SpacetimeField:
-    """Real field sampled on [t_a, t_b] x grid."""
+    """Real field on [t_a, t_b] x grid: ``field`` is a stack of half-spectra, one row per
+    sample time; ``pretapered`` rows carry the temporal taper already."""
 
-    grid: GridSpec
+    field: SpectralField = dc_field(repr=False)
     t_a: float
     t_b: float
-    values: np.ndarray = dc_field(repr=False)
     pretapered: bool = False
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.num_points:
-            raise ValueError("values must be (num_time_samples, num_points)")
+        if self.field.half.ndim != 2:
+            raise ValueError("field must be a stack: (num_time_samples, n/2 + 1)")
         if self.num_time_samples < 2 or self.t_b <= self.t_a:
             raise ValueError("need at least two samples on a positive time window")
 
     @property
+    def grid(self) -> GridSpec:
+        return self.field.grid
+
+    @property
     def num_time_samples(self) -> int:
-        return self.values.shape[0]
+        return self.field.half.shape[0]
 
     @property
     def dt(self) -> float:
@@ -58,20 +60,20 @@ class SpacetimeField:
     def times(self) -> np.ndarray:
         return self.t_a + self.dt * np.arange(self.num_time_samples)
 
-    def tapered_values(self) -> np.ndarray:
+    def tapered(self) -> np.ndarray:
+        """The half-spectrum rows times the temporal taper."""
         if self.pretapered:
-            return self.values
-        return self.values * temporal_taper(self.times, self.t_a, self.t_b)[:, None]
+            return self.field.half
+        return self.field.half * temporal_taper(self.times, self.t_a, self.t_b)[:, None]
 
     def l2_norm(self) -> float:
-        """Space-time L2 norm of the tapered samples (dt dx weights)."""
-        w = self.tapered_values()
-        return float(np.sqrt(np.sum(w * w) * self.dt * self.grid.dx))
+        """Space-time L2 norm of the tapered field (dt weights, Parseval in x)."""
+        return float(np.sqrt(np.sum(self.grid.inner(self.tapered())) * self.dt))
 
 
 @dataclass
 class SpacetimeSpectrum:
-    """2D transform values indexed (tau_j, xi_k): tau in FFT order, xi = xi[:n/2 + 1]."""
+    """2D transform values indexed (tau_j, xi_k): tau in FFT order, xi the grid's k = 0..n/2."""
 
     values: np.ndarray = dc_field(repr=False)
     tau: np.ndarray = dc_field(repr=False)
@@ -99,37 +101,23 @@ class SpacetimeSpectrum:
 
 
 def spacetime_transform(field: SpacetimeField) -> SpacetimeSpectrum:
-    """Continuous-normalized 2D transform of the tapered, zero-padded samples.
+    """Continuous-normalized 2D transform of the tapered, zero-padded field.
 
     The tau spacing is 2 pi / (PAD * (t_b - t_a) * nt/(nt-1)); padding only
-    refines the sampling of the transform of the compactly supported signal.
+    refines the sampling of the transform of the compactly supported signal.  The tau phase
+    and the dt scale are multiplied into the FFT output in place, so the spectrum is the one
+    complex (tau x xi) plane the transform allocates.
     """
-    return _transform(field)[1]
-
-
-def _transform(field: SpacetimeField):
-    """(the tapered samples' x transform, ``spacetime_transform(field)``) for ``xbar_norm``.
-
-    The tau phase and the dt scale are multiplied into the FFT output in place, so the
-    spectrum is the one complex (tau x xi) plane the transform allocates."""
     if field.num_time_samples < 8:
         raise KdvradError("need at least 8 time samples for modulation analysis")
-    g = field.grid
     nt_pad = PAD * field.num_time_samples
     dt = field.dt
     tau = 2.0 * np.pi * np.fft.fftfreq(nt_pad, d=dt)
     # fft with n = nt_pad zero-pads the time axis
-    half = g.to_half(field.tapered_values())
-    values = np.fft.fft(half, n=nt_pad, axis=0)
+    values = np.fft.fft(field.tapered(), n=nt_pad, axis=0)
     np.multiply(dt * np.exp(-1j * tau * field.t_a)[:, None], values, out=values)
-    return half, SpacetimeSpectrum(
-        values=values,
-        tau=tau,
-        xi=g.xi[:values.shape[1]],
-        dtau=float(tau[1] - tau[0]),
-        dxi=g.dxi,
-        field=field,
-    )
+    return SpacetimeSpectrum(values=values, tau=tau, xi=field.grid.xi,
+                             dtau=float(tau[1] - tau[0]), dxi=field.grid.dxi, field=field)
 
 
 def inverse_spacetime_transform(spec: SpacetimeSpectrum) -> SpacetimeField:
@@ -137,14 +125,13 @@ def inverse_spacetime_transform(spec: SpacetimeSpectrum) -> SpacetimeField:
     f = spec.field
     phase_t = np.exp(1j * spec.tau * f.t_a)[:, None]
     half = np.fft.ifft(spec.values * phase_t, axis=0)[:f.num_time_samples] / f.dt
-    return SpacetimeField(f.grid, f.t_a, f.t_b, f.grid.half_to_values(half), pretapered=True)
+    return SpacetimeField(SpectralField(f.grid, half, copy=False), f.t_a, f.t_b, pretapered=True)
 
 
 def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
                    num_time_samples: int = 160) -> SpacetimeField:
-    """Sample the free (Airy) evolution of f on a uniform time window."""
+    """The free (Airy) evolution of f at the times of a uniform window, one row each."""
     require_one_field(f, "airy_spacetime")
-    g = f.grid
     times = np.linspace(t_a, t_b, num_time_samples)
-    vals = g.half_to_values(f.half * airy_phase(g.xi[:f.half.size], times[:, None]))
-    return SpacetimeField(g, t_a, t_b, vals)
+    rows = f.half * airy_phase(f.grid.xi, times[:, None])
+    return SpacetimeField(SpectralField(f.grid, rows, copy=False), t_a, t_b)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
+from kdvrad.spacetime import SpacetimeField
 
 
 @pytest.fixture(scope="session")
@@ -30,9 +31,20 @@ def random_band_field(grid, rng, max_mode=None, amplitude=1.0):
     return forward_transform(vals * window, grid)
 
 
+def fft_order_k(grid):
+    """Signed mode numbers in FFT order, Nyquist at -n/2: the layout of ``SpectralField.coeffs``."""
+    return (np.fft.fftfreq(grid.num_points) * grid.num_points).astype(np.int64)
+
+
+def sampled_spacetime(grid, t_a, t_b, values):
+    """SpacetimeField of real samples values[j] at the j-th of nt uniform times on [t_a, t_b]."""
+    return SpacetimeField(SpectralField(grid, grid.to_half(values)), t_a, t_b)
+
+
 def keep_mask_formula(grid, fraction=2.0 / 3.0):
-    """The 2/3-rule keep-mask written out: |k| <= fraction * Nyquist, Nyquist dropped."""
-    k = np.abs(grid.k_index)
+    """The 2/3-rule keep-mask in FFT order written out: |k| <= fraction * Nyquist, Nyquist
+    dropped."""
+    k = np.abs(fft_order_k(grid))
     mask = k <= int(np.floor(fraction * (grid.num_points // 2)))
     mask[k == grid.num_points // 2] = False
     return mask

@@ -17,7 +17,7 @@ from kdvrad.solver import (SolverConfig, Trajectory, airy_propagate, classical_i
                            evolve, soliton)
 from kdvrad.spacetime import airy_spacetime, inverse_spacetime_transform, spacetime_transform
 
-from conftest import complex_dealiased_product, keep_mask_formula, random_band_field
+from conftest import complex_dealiased_product, fft_order_k, keep_mask_formula, random_band_field
 
 
 def wavepacket(grid, seed, reflect_x=False):
@@ -45,7 +45,7 @@ def convolution_oracle(w, sigma, fraction=2.0 / 3.0):
     """
     g = w.grid
     n = g.num_points
-    K = int(np.max(np.abs(g.k_index[keep_mask_formula(g, fraction)])))
+    K = int(np.max(np.abs(fft_order_k(g)[keep_mask_formula(g, fraction)])))
     k = np.arange(-K, K + 1)
     k2 = k[:, None] - k[None, :]                      # output row, first factor column
     c2 = np.where(np.abs(k2) <= K, w.coeffs[k2 % n], 0.0)
@@ -61,7 +61,7 @@ def smoothed_soliton_coeffs(grid, sigma):
     xi = grid.xi
     safe = np.where(xi == 0, 1.0, xi)
     sech2 = np.where(xi == 0, 12.0, 12.0 * np.pi * safe / np.sinh(np.pi * safe))
-    return (np.exp(sigma * np.abs(xi)) * sech2)[:grid.num_points // 2 + 1]
+    return np.exp(sigma * xi) * sech2
 
 
 def per_snapshot_report(traj, sigma):
@@ -95,7 +95,7 @@ def per_snapshot_residual(traj, sigma):
     ||w_t + w_xxx + w w_x - f(w)||_L2, w = exp(sigma|D|) u, w_t by centred differences.
     A small value certifies that ``commutator_term`` is the true f(w)."""
     g, t, worst = traj.grid, traj.times, 0.0
-    ixi = 1j * g.xi[:g.num_points // 2 + 1]
+    ixi = 1j * g.xi
     w = [smooth(s, sigma) for s in traj.snapshots]
     for i in range(1, len(w) - 1):
         w_t = (w[i + 1].half - w[i - 1].half) * (1.0 / (t[i + 1] - t[i - 1]))
@@ -201,7 +201,7 @@ class TestCommutatorTerm:
         g = GridSpec(128, 20.0)
         w = random_band_field(g, rng, max_mode=12)
         # band-limit so the circular and truncated convolutions coincide
-        w.half[g.k_index[:w.half.size] > 20] = 0.0
+        w.half[g.k_index > 20] = 0.0
         fast = commutator_term(w, 0.15, dealias=1.0)
         slow = convolution_oracle(w, 0.15, 1.0)
         scale = max(np.max(np.abs(slow.coeffs)), 1e-300)
@@ -231,7 +231,8 @@ class TestCommutatorTerm:
         for sigma in (0.025, 0.1, 0.4):
             wm = smooth(w, -sigma)
             lifted = smooth(complex_dealiased_product(wm, wm), sigma)
-            ref = g.from_half(complex_dealiased_product(w, w).half - lifted.half) * (0.5j * g.xi)
+            ref = g.from_half(complex_dealiased_product(w, w).half - lifted.half) \
+                * (0.5j * np.pi * fft_order_k(g) / g.half_length)
             got = commutator_term(w, sigma).coeffs
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -298,7 +299,7 @@ class TestModifiedResidual:
         # of the centred time derivative with the linear generator directly
         t = np.arange(21) * (4e-5 / 20)
         w = [airy_propagate(f, ti).half for ti in t]
-        ixi = 1j * acl_grid.xi[:w[0].size]
+        ixi = 1j * acl_grid.xi
         worst = 0.0
         for i in range(1, len(w) - 1):
             w_t = (w[i + 1] - w[i - 1]) * (1.0 / (t[i + 1] - t[i - 1]))
@@ -380,7 +381,7 @@ class TestConservationDefect:
         assert 0.0 < floors[0] < floors[1] < floors[2]
         # eps max|u_hat| exp(sigma xi_band) / max|w_hat|, maxima over the 2/3 band |k| < m
         band = keep_mask_formula(acl_grid)[:acl_grid.num_points // 2 + 1]
-        xi_band = np.max(acl_grid.xi[:band.size][band])
+        xi_band = np.max(acl_grid.xi[band])
         for sigma, rep in zip(sigmas, reports):
             ratio = max(np.max(np.abs(s.half[band])) / np.max(np.abs(smooth(s, sigma).half[band]))
                         for s in traj.snapshots)
@@ -403,7 +404,7 @@ class TestConservationDefect:
             rep = measure_conservation(mixed, 0.4)
         # the floor of the other snapshots, as in the sampled-soliton test
         band = keep_mask_formula(acl_grid)[:acl_grid.num_points // 2 + 1]
-        xi_band = np.max(acl_grid.xi[:band.size][band])
+        xi_band = np.max(acl_grid.xi[band])
         ratio = max(np.max(np.abs(s.half[band])) / np.max(np.abs(smooth(s, 0.4).half[band]))
                     for i, s in enumerate(mixed.snapshots) if i != 3)
         assert rep.floor_rel == pytest.approx(
@@ -511,6 +512,15 @@ class TestRealFftOnly:
         project_pn(f, 4)
         inverse_spacetime_transform(spacetime_transform(st))
         assert calls.count("fft") == 3 and calls.count("ifft") == 2
+
+    def test_space_time_rows_need_no_x_transform(self, monkeypatch):
+        # the Airy rows are half-spectra and the norm reads them as they are: the low block's
+        # samples are the one real FFT of the pair
+        g = GridSpec(256, 40.0)
+        f = random_band_field(g, np.random.default_rng(3), max_mode=24)
+        calls = count_real_ffts(monkeypatch)
+        xbar_norm(airy_spacetime(f, -2.0, 2.0, 96), 0.5)
+        assert calls == {"rfft": 0, "irfft": 1}
 
     @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
     def test_one_irfft_and_one_rfft_per_stage(self, acl_grid, monkeypatch, scheme):

@@ -771,6 +771,12 @@ class TestFitExponent:
         with pytest.raises(ValueError, match=re.escape(where)):
             fit_exponent([8, 16, 32, 64], values)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_a_band_index_without_a_finite_log_is_refused(self, bad):
+        where = f"band index {bad} at index 2 (n = {bad:g})"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            fit_exponent([8, 16, bad, 64], [1.0, 0.5, 0.2, 0.1])
+
     def test_a_length_mismatch_is_refused(self):
         with pytest.raises(ValueError, match="4 band indices but 3 values"):
             fit_exponent([8, 16, 32, 64], [1.0, 0.5, 0.2])

@@ -14,10 +14,10 @@ from kdvrad.dyadic import (NormReport, free_evolution_norm_ratio, modulation_mas
                            project_ql, x_sum, xbar_norm)
 from kdvrad.errors import TimeWindowTooShortError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.spacetime import (PAD, SpacetimeField, SpacetimeSpectrum, airy_spacetime,
-                              inverse_spacetime_transform, spacetime_transform)
+from kdvrad.spacetime import (PAD, SpacetimeSpectrum, airy_spacetime,
+                              inverse_spacetime_transform, spacetime_transform, temporal_taper)
 
-from conftest import complex_dealiased_product, random_band_field
+from conftest import complex_dealiased_product, random_band_field, sampled_spacetime
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ class TestProjectPN:
         xi_mode = st_grid.xi[39]  # on-grid frequency ~3.06
         f = forward_transform(np.cos(xi_mode * st_grid.x), st_grid)
         # xi ~ 3 sits in the overlap of the N=2 and N=4 bands
-        xi_bin = st_grid.xi[np.argmax(np.abs(f.coeffs))]
+        xi_bin = st_grid.xi[np.argmax(np.abs(f.half))]
         b2, b4 = dyadic_bump(2, xi_bin), dyadic_bump(4, xi_bin)
         assert b2 + b4 == pytest.approx(1.0, abs=1e-14)
         p2 = project_pn(f, 2).l2_norm()
@@ -163,7 +163,7 @@ class TestProjectPN:
         f = random_band_field(st_grid, rng)
         f.half[0] = 0.7  # include a mean component
         total = np.zeros_like(f.coeffs)
-        for n in covering_indices(st_grid.nyquist_xi):
+        for n in covering_indices(st_grid.xi[-1]):
             total += project_pn(f, n).coeffs
         assert np.max(np.abs(total - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
@@ -177,12 +177,9 @@ class TestProjectPN:
         # double projection keeps at least half the single-projection norm
         n = 16
         lo, hi = n / np.sqrt(2), np.sqrt(2) * n
-        coeffs = np.zeros(st_grid.num_points, dtype=complex)
-        sel = (np.abs(st_grid.xi) >= lo) & (np.abs(st_grid.xi) <= hi)
-        coeffs[sel] = 1.0
-        idx = np.flatnonzero(sel)
-        coeffs[idx] *= np.exp(1j * rng.uniform(0, 2 * np.pi, idx.size))
-        f = SpectralField(st_grid, coeffs[:st_grid.num_points // 2 + 1])
+        sel = (st_grid.xi >= lo) & (st_grid.xi <= hi)
+        half = np.where(sel, np.exp(1j * rng.uniform(0, 2 * np.pi, sel.size)), 0.0)
+        f = SpectralField(st_grid, half)
         once = project_pn(f, n)
         twice = project_pn(once, n)
         assert twice.l2_norm() >= 0.5 * once.l2_norm()
@@ -206,7 +203,7 @@ def single_airy_mode(grid, mode=8, extra_phase_rate=0.0, nt=128, window=2.0):
     t = np.linspace(-window, window, nt)
     tt, xx = np.meshgrid(t, grid.x, indexing="ij")
     vals = np.cos(xi0 * xx + (xi0 ** 3 + extra_phase_rate) * tt)
-    return SpacetimeField(grid, -window, window, vals), xi0
+    return sampled_spacetime(grid, -window, window, vals), xi0
 
 
 class TestProjectQL:
@@ -227,8 +224,7 @@ class TestProjectQL:
         assert max(norms, key=norms.get) == 64
 
     def test_zero_field(self, st_grid):
-        f = SpacetimeField(st_grid, -2.0, 2.0,
-                           np.zeros((64, st_grid.num_points)))
+        f = sampled_spacetime(st_grid, -2.0, 2.0, np.zeros((64, st_grid.num_points)))
         assert project_ql(f, 4).l2_norm() == 0.0
 
     def test_block_sum_reconstructs_tapered_field(self, st_grid):
@@ -236,12 +232,12 @@ class TestProjectQL:
         t = np.linspace(-2, 2, 64)
         tt, xx = np.meshgrid(t, st_grid.x, indexing="ij")
         vals = np.cos(0.9 * xx - 2.0 * tt) * np.exp(-(xx / 15.0) ** 2)
-        f = SpacetimeField(st_grid, -2.0, 2.0, vals)
+        f = sampled_spacetime(st_grid, -2.0, 2.0, vals)
         spec = spacetime_transform(f)
-        total = np.zeros_like(f.tapered_values())
+        total = np.zeros_like(vals)
         for l in covering_indices(np.max(np.abs(spec.modulation()))):
-            total += project_ql(f, l).values
-        ref = f.tapered_values()
+            total += project_ql(f, l).field.values()
+        ref = vals * temporal_taper(f.times, f.t_a, f.t_b)[:, None]
         assert np.max(np.abs(total - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_contraction(self, st_grid):
@@ -252,7 +248,7 @@ class TestProjectQL:
     def test_coarse_window_rejected(self, st_grid):
         t = np.linspace(0.0, 0.5, 16)
         vals = np.cos(st_grid.x)[None, :] * np.cos(t)[:, None]
-        f = SpacetimeField(st_grid, 0.0, 0.5, vals)
+        f = sampled_spacetime(st_grid, 0.0, 0.5, vals)
         with pytest.raises(TimeWindowTooShortError):
             project_ql(f, 1)
 
@@ -317,12 +313,12 @@ def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
     step = bumps.smooth_step
     monkeypatch.setattr(bumps, "smooth_step", lambda t: calls.append(np.size(t)) or step(t))
     xbar_norm(st, 0.0)
-    # the time taper (one x transform serves the tau transform and the low block), the xi
-    # bands, then the modulation plane in blocks of two columns or more: every cell once
+    # the xi bands, the time taper of the low block and of the tau transform, then the
+    # modulation plane in blocks of two columns or more: every cell once
     nt, cols = 96, st_grid.num_points // 2 + 1
-    assert calls[:2] == [nt, cols]
-    assert all(size % (PAD * nt) == 0 and size >= 2 * PAD * nt for size in calls[2:])
-    assert sum(calls[2:]) == PAD * nt * cols
+    assert calls[:3] == [cols, nt, nt]
+    assert all(size % (PAD * nt) == 0 and size >= 2 * PAD * nt for size in calls[3:])
+    assert sum(calls[3:]) == PAD * nt * cols
     calls.clear()
     cloud.x_norm()
     assert calls == [3]
@@ -330,8 +326,7 @@ def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
 
 class TestXNorm:
     def test_zero(self, st_grid):
-        f = SpacetimeField(st_grid, -2.0, 2.0,
-                           np.zeros((64, st_grid.num_points)))
+        f = sampled_spacetime(st_grid, -2.0, 2.0, np.zeros((64, st_grid.num_points)))
         assert plane_x_norm(f) == 0.0
 
     def test_single_band_value(self, st_grid):
@@ -349,16 +344,21 @@ class TestXNorm:
 
 class TestXbarNorm:
     def test_zero_report(self, st_grid):
-        f = SpacetimeField(st_grid, -2.0, 2.0,
-                           np.zeros((64, st_grid.num_points)))
+        f = sampled_spacetime(st_grid, -2.0, 2.0, np.zeros((64, st_grid.num_points)))
         rep = xbar_norm(f, s=-0.75)
         assert rep.xbar_s == 0.0 and rep.low_freq_maximal == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_s_is_refused(self, st_grid, bad):
+        f, _ = single_airy_mode(st_grid)
+        with pytest.raises(ValueError, match=f"s must be finite, got {bad}"):
+            xbar_norm(f, bad)
 
     def test_low_frequency_only_content(self, st_grid):
         t = np.linspace(-2, 2, 64)
         tt, xx = np.meshgrid(t, st_grid.x, indexing="ij")
         vals = np.cos(0.3 * xx) * np.exp(-(xx / 15.0) ** 2) * (1.0 + 0 * tt)
-        f = SpacetimeField(st_grid, -2.0, 2.0, vals)
+        f = sampled_spacetime(st_grid, -2.0, 2.0, vals)
         rep_a = xbar_norm(f, s=-0.75)
         rep_b = xbar_norm(f, s=2.0)
         # content at |xi| <= 0.4 sits mostly in the N = 1 block
@@ -409,12 +409,12 @@ def brute_xbar(field, s):
     lam = spec.modulation()
     l_list = covering_indices(np.max(np.abs(lam)))
     per_n = {}
-    for n in covering_indices(field.grid.nyquist_xi):
+    for n in covering_indices(field.grid.xi[-1]):
         blocked = spec.values * dyadic_bump(n, spec.xi)[None, :]
         if n == 1:
             low = SpacetimeSpectrum(values=blocked, tau=spec.tau, xi=spec.xi,
                                     dtau=spec.dtau, dxi=spec.dxi, field=spec.field)
-            sup_t = np.max(np.abs(inverse_spacetime_transform(low).values), axis=0)
+            sup_t = np.max(np.abs(inverse_spacetime_transform(low).field.values()), axis=0)
             per_n[1] = np.sqrt(np.sum(sup_t ** 2) * field.grid.dx)
             continue
         power = np.abs(blocked) ** 2 * column_weights(spec)
@@ -433,7 +433,7 @@ def full_plane_norms(field, s):
     normalization dt dx (-1)^k exp(-i tau t_a) written out."""
     g, nt, dt = field.grid, field.num_time_samples, field.dt
     padded = np.zeros((4 * nt, g.num_points))
-    padded[:nt] = field.tapered_values()
+    padded[:nt] = field.field.values() * temporal_taper(field.times, field.t_a, field.t_b)[:, None]
     tau = 2 * np.pi * np.fft.fftfreq(4 * nt, d=dt)
     k = np.fft.fftfreq(g.num_points) * g.num_points
     xi = np.pi * k / g.half_length
@@ -448,7 +448,7 @@ def full_plane_norms(field, s):
 
     power = np.abs(v) ** 2
     total = 0.0
-    for n in covering_indices(g.nyquist_xi):
+    for n in covering_indices(np.max(np.abs(xi))):
         beta = dyadic_bump(n, xi)
         if n == 1:
             u1 = np.real(np.fft.ifft2(v * beta / factor))[:nt]
@@ -511,12 +511,12 @@ def whole_plane_xbar(field, s):
     planes, the other steps as ``xbar_norm`` takes them."""
     g, nt = field.grid, field.num_time_samples
     tau = 2.0 * np.pi * np.fft.fftfreq(PAD * nt, d=field.dt)
-    half = g.to_half(field.tapered_values())
+    half = field.tapered()
     values = field.dt * np.exp(-1j * tau * field.t_a)[:, None] * np.fft.fft(half, n=PAD * nt,
                                                                            axis=0)
-    spec = SpacetimeSpectrum(values=values, tau=tau, xi=g.xi[:values.shape[1]],
-                             dtau=float(tau[1] - tau[0]), dxi=g.dxi, field=field)
-    n_list = covering_indices(g.nyquist_xi)
+    spec = SpacetimeSpectrum(values=values, tau=tau, xi=g.xi, dtau=float(tau[1] - tau[0]),
+                             dxi=g.dxi, field=field)
+    n_list = covering_indices(g.xi[-1])
     j, c = band_split(spec.xi)
     betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
     u1 = g.half_to_values(half * betas[0])

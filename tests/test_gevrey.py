@@ -9,12 +9,12 @@ from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, hs_norm, s
 from kdvrad.grid import GridSpec, SpectralField, check_boundary_smallness, forward_transform
 from kdvrad.solver import airy_propagate, soliton
 
-from conftest import complex_dealiased_product, random_band_field
+from conftest import complex_dealiased_product, fft_order_k, random_band_field
 
 
 def exponential_tail_field(grid, a):
     """Field with coeff(k) = exp(-a |xi_k|) (Hermitian by construction)."""
-    return SpectralField(grid, np.exp(-a * np.abs(grid.xi[:grid.num_points // 2 + 1])) + 0j)
+    return SpectralField(grid, np.exp(-a * grid.xi) + 0j)
 
 
 class TestGevreyNorm:
@@ -33,7 +33,7 @@ class TestGevreyNorm:
         # over the grid band, written without the package's weighting code
         a, sig = 1.0, 0.5
         f = exponential_tail_field(small_grid, a)
-        xi = small_grid.xi
+        xi = np.pi * fft_order_k(small_grid) / small_grid.half_length  # all n modes
         dxi = np.pi / small_grid.half_length
         oracle = np.sqrt(np.sum(np.exp((2 * sig - 2 * a) * np.abs(xi))) * dxi / (2 * np.pi))
         assert gevrey_norm(f, GevreyParams(sig, 0.0)) == pytest.approx(oracle, rel=1e-8)
@@ -103,7 +103,7 @@ class TestSmooth:
         # reduces the tail slope by exactly sigma.  Band-limit first: past the
         # roundoff floor exp(sigma*|xi|) amplifies noise into a rising tail.
         f = forward_transform(1.0 / np.cosh(default_grid.x), default_grid)
-        f = SpectralField(f.grid, f.half * (np.abs(f.grid.xi[:f.half.size]) <= 18.0))
+        f = SpectralField(f.grid, f.half * (f.grid.xi <= 18.0))
         sm = smooth(f, 1.0)
         assert np.all(np.isfinite(sm.coeffs))
         est = estimate_radius(sm)
@@ -156,8 +156,9 @@ class TestSmooth:
         # the product is zero past the 2/3 band, where exp(20|xi|) is inf
         p = complex_dealiased_product(soliton(default_grid, 1.0), soliton(default_grid, 1.0))
         zero = p.coeffs == 0
+        xi = np.pi * fft_order_k(default_grid) / default_grid.half_length  # FFT order
         with np.errstate(over="ignore"):
-            weight = np.exp(20.0 * np.abs(default_grid.xi))
+            weight = np.exp(20.0 * np.abs(xi))
         assert np.isinf(weight[zero]).sum() == 121
         out = smooth(p, 20.0)
         assert np.all(np.isfinite(out.coeffs)) and np.all(out.coeffs[zero] == 0)

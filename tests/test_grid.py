@@ -17,8 +17,8 @@ from kdvrad.gevrey import smooth
 from kdvrad.grid import (GridSpec, SpectralField, check_boundary_smallness, forward_transform,
                          irfft, rfft)
 
-from conftest import (complex_dealiased_product, hermitian_defect, keep_mask_formula,
-                      random_band_field, sign_formula)
+from conftest import (complex_dealiased_product, fft_order_k, hermitian_defect,
+                      keep_mask_formula, random_band_field, sign_formula)
 
 # oracle: scipy.integrate.quad of 2*cos(x*xi)/cosh(x) on [0, 60], abs tol ~1e-12
 SECH_TRANSFORM_ORACLE = {
@@ -36,18 +36,31 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1024, -1.0)
 
+    @pytest.mark.parametrize("half_length", [np.nan, np.inf])
+    def test_non_finite_half_length_refused(self, half_length):
+        with pytest.raises(ValueError, match="half_length must be positive and finite"):
+            GridSpec(64, half_length)
+
     def test_frequency_set(self, default_grid):
         xi = default_grid.xi
         assert xi[0] == 0.0
         assert xi[1] == pytest.approx(np.pi / 40.0)
-        # symmetric about zero except the lone Nyquist mode
+        # k = 0..n/2, the Nyquist mode at +n/2
         k = default_grid.k_index
-        assert np.min(k) == -512 and np.max(k) == 511
+        assert k[0] == 0 and k[-1] == 512 and np.all(np.diff(k) == 1)
+        assert xi[-1] == pytest.approx(512 * np.pi / 40.0)
         assert default_grid.dx > 0
+
+    @pytest.mark.parametrize("n, half_length", [(2, 1.0), (64, 10.0), (1024, 40.0)])
+    def test_every_frequency_array_is_the_half_spectrum(self, n, half_length):
+        g = GridSpec(n, half_length)
+        for a in (g.xi, g.k_index, g._sign, g.half_weight):
+            assert a.shape == (n // 2 + 1,)
+        assert np.all(g.xi >= 0.0)
 
     def test_arrays_equal_formulas_bitwise_and_reject_writes(self):
         g = GridSpec(512, 30.0)
-        k = (np.fft.fftfreq(512) * 512).astype(np.int64)
+        k = np.arange(257, dtype=np.int64)
         assert g.k_index.dtype == np.int64
         assert g.k_index.tobytes() == k.tobytes()
         assert g.xi.tobytes() == (np.pi * k / 30.0).tobytes()
@@ -195,7 +208,7 @@ class TestForwardTransform:
         c = forward_transform(v, g)
         mags = np.abs(c.coeffs)
         nonzero = np.flatnonzero(mags > 1e-9 * mags.max())
-        assert set(g.k_index[nonzero]) == {-1, 1}
+        assert set(fft_order_k(g)[nonzero]) == {-1, 1}
         assert mags[1] == pytest.approx(g.half_length, rel=1e-12)
 
     def test_sech_matches_continuous_transform(self, default_grid):
@@ -204,9 +217,9 @@ class TestForwardTransform:
         for xi0, ref in SECH_TRANSFORM_ORACLE.items():
             assert np.pi / np.cosh(np.pi * xi0 / 2.0) == pytest.approx(ref, abs=2e-9)
         c = forward_transform(1.0 / np.cosh(g.x), g)
-        sel = np.abs(g.xi) <= 10.0
-        closed = np.pi / np.cosh(np.pi * np.abs(g.xi[sel]) / 2.0)
-        assert np.max(np.abs(np.abs(c.coeffs[sel]) - closed) / closed) < 1e-8
+        sel = g.xi <= 10.0
+        closed = np.pi / np.cosh(np.pi * g.xi[sel] / 2.0)
+        assert np.max(np.abs(np.abs(c.half[sel]) - closed) / closed) < 1e-8
 
     def test_rejects_non_finite(self, small_grid):
         v = np.zeros(small_grid.num_points)
@@ -235,7 +248,7 @@ class TestForwardTransform:
 
 
 class TestApplyMultiplier:
-    """Multipliers act on the half-spectrum, at the frequencies ``xi[:n/2 + 1]``."""
+    """Multipliers act on the half-spectrum, at the grid's frequencies ``xi``."""
 
     def test_identity(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
@@ -245,7 +258,7 @@ class TestApplyMultiplier:
         # the (1j xi)^k * half derivative of the residual oracle
         g = default_grid
         f = forward_transform(np.sin(np.pi * g.x / g.half_length), g)
-        d = g.half_to_values(1j * g.xi[:f.half.size] * f.half)
+        d = g.half_to_values(1j * g.xi * f.half)
         expected = (np.pi / g.half_length) * np.cos(np.pi * g.x / g.half_length)
         assert np.max(np.abs(d - expected)) < 1e-12
 
@@ -257,7 +270,7 @@ class TestApplyMultiplier:
     def test_real_even_multiplier_preserves_reality(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
         g = smooth(f, -1.0)
-        v = np.fft.ifft(g.coeffs * small_grid._sign) / small_grid.dx
+        v = np.fft.ifft(g.coeffs * sign_formula(small_grid.num_points)) / small_grid.dx
         assert np.max(np.abs(v.imag)) < 1e-12 * np.max(np.abs(v.real))
 
 
@@ -265,7 +278,7 @@ def truncated_convolution(f, g, fraction=2.0 / 3.0):
     """O(n^2) sum over k1 + k2 = k of the kept coefficients (no wrap-around), on the kept band:
     FT(u v)(xi) = (1/2pi) int f_hat(xi1) g_hat(xi - xi1) dxi1 with continuous normalization."""
     grid, n = f.grid, f.grid.num_points
-    kept = grid.k_index[keep_mask_formula(grid, fraction)]
+    kept = fft_order_k(grid)[keep_mask_formula(grid, fraction)]
     out = np.zeros(n, dtype=complex)
     for k in kept:
         out[k % n] = sum(f.coeffs[k1 % n] * g.coeffs[(k - k1) % n]
@@ -299,7 +312,7 @@ class TestDealiasedProduct:
     def test_band_is_truncated(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
         prod = complex_dealiased_product(f, f)
-        k = np.abs(small_grid.k_index)
+        k = np.abs(fft_order_k(small_grid))
         cut = int((2 / 3) * (small_grid.num_points // 2))
         assert np.all(prod.coeffs[k > cut] == 0)
 

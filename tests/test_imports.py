@@ -3,7 +3,8 @@ package and the tests import only at module level, the package never
 reads the derived full coefficient array, every defaulted parameter of
 a public function is set by some call, every public function is used and
 named unlike any class member, every real FFT goes through grid's two
-pocketfft helpers, and every band weight through bumps."""
+pocketfft helpers, every band weight through bumps, and the grid's
+half-spectrum is the one spectral layout."""
 import ast
 from pathlib import Path
 
@@ -209,3 +210,24 @@ def test_band_weights_go_through_bumps_only():
                 if name in ("chi", "smooth_step"):
                     callers.add(f"{path.stem}.{scopes.get(id(node), '<module>')}")
     assert callers == {"spacetime.temporal_taper"}, f"chi / smooth_step called from {callers}"
+
+
+def test_one_spectral_layout():
+    # the grid's frequencies are the k = 0..n/2 half-spectrum, so no |xi| is taken of them; the
+    # space-time rows are half-spectra, so spacetime.py makes no x transform; dyadic reads
+    # spacetime through its public names
+    found = []
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if name == "abs" and getattr(node.func.value, "id", None) == "np" and any(
+                        isinstance(n, ast.Attribute) and n.attr == "xi"
+                        for a in node.args for n in ast.walk(a)):
+                    found.append(f"{path.name}:{node.lineno} np.abs of .xi")
+                if path.name == "spacetime.py" and name in ("to_half", "half_to_values"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+            elif path.name == "dyadic.py" and isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} imports {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert not found, f"second spectral layouts: {found}"

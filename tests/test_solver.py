@@ -11,7 +11,7 @@ from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
 from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants,
                            evolve, soliton)
 
-from conftest import hermitian_defect, random_band_field
+from conftest import fft_order_k, hermitian_defect, random_band_field
 
 
 def soliton_values(grid, speed, center):
@@ -28,10 +28,10 @@ class TestAiryPropagate:
         # keeps the cos(t xi^3) part of its phase there, all that the grid samples see
         f = random_band_field(small_grid, rng)
         g = airy_propagate(airy_propagate(f, 2.3), -2.3)
-        below = np.abs(small_grid.k_index) != small_grid.num_points // 2
+        below = np.abs(fft_order_k(small_grid)) != small_grid.num_points // 2
         assert np.max(np.abs(g.coeffs[below] - f.coeffs[below])) \
             <= 1e-13 * np.max(np.abs(f.coeffs))
-        xi_n = small_grid.xi[small_grid.num_points // 2]
+        xi_n = small_grid.xi[-1]
         assert g.half[-1] == f.half[-1] * airy_phase(xi_n, 2.3).real * airy_phase(xi_n, -2.3).real
 
     def test_l2_preserved(self, small_grid, rng):
@@ -41,10 +41,10 @@ class TestAiryPropagate:
     def test_modulus_invariant(self, small_grid, rng):
         f = random_band_field(small_grid, rng)
         g = airy_propagate(f, 5.0)
-        below = np.abs(small_grid.k_index) != small_grid.num_points // 2
+        below = np.abs(fft_order_k(small_grid)) != small_grid.num_points // 2
         assert np.max(np.abs(np.abs(g.coeffs[below]) - np.abs(f.coeffs[below]))) \
             <= 1e-14 * np.max(np.abs(f.coeffs))
-        xi_n = small_grid.xi[small_grid.num_points // 2]
+        xi_n = small_grid.xi[-1]
         assert g.half[-1] == f.half[-1] * airy_phase(xi_n, 5.0).real
 
     def test_stack_rows_equal_one_row_calls(self, rng):
@@ -372,6 +372,14 @@ class TestEvolve:
             SolverConfig(dt=bad)
         with pytest.raises(ConfigError, match="finite"):
             evolve(soliton(small_grid, 1.0), bad, SolverConfig(dt=1e-3))
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, 0, -3])
+    def test_record_every_must_be_a_positive_integer(self, small_grid, bad):
+        with pytest.raises(ConfigError, match="record_every must be a positive integer"):
+            SolverConfig(record_every=bad)
+        # numpy integers are integers
+        config = SolverConfig(dt=1e-3, record_every=np.int64(2), check_boundary=False)
+        assert len(evolve(soliton(small_grid, 1.0), 4e-3, config)) == 3
 
     def test_blowup_reports_last_valid_time(self, default_grid):
         g = default_grid

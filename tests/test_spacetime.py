@@ -5,9 +5,10 @@ import pytest
 from kdvrad.errors import KdvradError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import airy_propagate
-from kdvrad.spacetime import (SpacetimeField, airy_spacetime,
-                              inverse_spacetime_transform, spacetime_transform,
+from kdvrad.spacetime import (airy_spacetime, inverse_spacetime_transform, spacetime_transform,
                               temporal_taper)
+
+from conftest import sampled_spacetime
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def st_grid():
 def make_field(grid, func, t_a=-2.0, t_b=2.0, nt=128):
     t = np.linspace(t_a, t_b, nt)
     tt, xx = np.meshgrid(t, grid.x, indexing="ij")
-    return SpacetimeField(grid, t_a, t_b, func(tt, xx))
+    return sampled_spacetime(grid, t_a, t_b, func(tt, xx))
 
 
 class TestTaper:
@@ -120,7 +121,8 @@ class TestSpacetimeTransform:
                        np.cos(0.8 * x - 1.3 * t) * np.exp(-(x / 15.0) ** 2))
         spec = spacetime_transform(f)
         back = inverse_spacetime_transform(spec)
-        assert np.max(np.abs(back.values - f.tapered_values())) < 1e-12
+        tapered = f.field.values() * temporal_taper(f.times, f.t_a, f.t_b)[:, None]
+        assert np.max(np.abs(back.field.values() - tapered)) < 1e-12
 
 
 class TestBuilders:
@@ -130,14 +132,14 @@ class TestBuilders:
                                * np.exp(-(g.x / 12.0) ** 2), g)
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=33)
         expected = airy_propagate(f0, st.times[5]).values()
-        assert np.max(np.abs(st.values[5] - expected)) < 1e-11
+        assert np.max(np.abs(st.field.values()[5] - expected)) < 1e-11
 
     def test_airy_spacetime_rows_equal_free_flow_bitwise(self, st_grid):
-        # one Airy phase and one normalization serve both builders
+        # one Airy phase serves both builders, and both store the real k = 0 and Nyquist parts
         f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=9)
-        for t, row in zip(np.linspace(-1.0, 1.0, 9), st.values):
-            assert row.tobytes() == airy_propagate(f0, t).values().tobytes()
+        for t, row in zip(np.linspace(-1.0, 1.0, 9), st.field.half):
+            assert row.tobytes() == airy_propagate(f0, t).half.tobytes()
 
     def test_airy_spacetime_refuses_a_stack(self, st_grid):
         f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
