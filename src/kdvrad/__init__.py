@@ -1,6 +1,6 @@
 """Spectral verification suite for the radius of spatial analyticity of KdV flows."""
 
-from .bumps import chi, dyadic_bump, is_dyadic, smooth_step
+from .bumps import chi, dyadic_bump, smooth_step
 from .errors import (BlowupError, ConfigError, DomainTooSmallError,
                      InsufficientSpectralRangeError, KdvradError,
                      SpectralOverflowError, TimeWindowTooShortError,
@@ -9,12 +9,10 @@ from .gevrey import (GevreyParams, RadiusEstimate, estimate_radius, gevrey_norm,
                      hs_norm, smooth)
 from .grid import (GridSpec, SpectralField, check_boundary_smallness,
                    forward_transform)
-from .solver import (SolverConfig, Trajectory, airy_propagate,
-                     classical_invariants, evolve, soliton)
+from .solver import SolverConfig, Trajectory, classical_invariants, evolve, soliton
 from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
                         inverse_spacetime_transform, spacetime_transform,
                         temporal_taper)
-from .dyadic import (NormReport, free_evolution_norm_ratio, project_pn,
-                     project_ql, xbar_norm)
+from .dyadic import NormReport, xbar_norm
 
 __version__ = "0.1.0"

@@ -64,6 +64,18 @@ def _row_sums(x, ends):
     return np.stack([np.sum(x[..., a:b], -1) for a, b in zip([0, *ends[:-1]], ends)], -1)
 
 
+def _band_masses(lam, power, ends):
+    """(bands, M): M_L per row of the cells' beta_L(lam)^2 power.  Each cell's two shares go
+    into one zero (bands + 1, cells) stack, at rows j and j + 1; the row past the top band
+    holds exact zeros and is left out of the row sums."""
+    l_list, j, lower, upper = band_shares(lam, power)
+    stack = np.zeros((len(l_list) + 1, j.size))
+    cells = np.arange(j.size)
+    stack[j, cells] = lower
+    stack[j + 1, cells] = upper
+    return l_list, _row_sums(stack[:-1], ends)
+
+
 @dataclass
 class WavePacketField:
     """Sparse space-time Fourier amplitude clouds, one row after another: row r holds the
@@ -111,8 +123,8 @@ class WavePacketField:
     def x_norm(self) -> np.ndarray:
         """sum_L L^(1/2) ||Q_L .|| over the bands covering every row: a band beyond a row's
         own cover holds exactly 0 of its mass and adds exactly 0."""
-        l_list, shares = band_shares(self.modulation, np.abs(self.amp) ** 2)
-        return x_sum(l_list, _row_sums(np.array([*shares]), self.ends), self.cell_weight)
+        return x_sum(*_band_masses(self.modulation, np.abs(self.amp) ** 2, self.ends),
+                     self.cell_weight)
 
     def band_l2_norm(self, n, l) -> np.ndarray:
         """||P_n Q_l .|| with the smooth bumps."""

@@ -10,10 +10,11 @@ with the zero frequency assigned to the N = 1 block.
 
 A point with 2^j <= |s| < 2^(j+1) lies in two bands only: beta_(2^j)(s) = chi(s/2^j) and
 beta_(2^(j+1))(s) = 1 - chi(s/2^j), the other cutoff being exactly 0 or 1 there; |s| < 1 lies
-in band 1 alone.  ``band_split`` (j from ``frexp``, c = chi(|s|/2^j) from one chi call) and
-``band_share`` are the one evaluation of beta: ``dyadic_bump`` reads one band from them, and
-``band_shares`` beta_L^2 power for every band, the summand of both X-norm reductions.
-``frexp`` and ``ldexp`` are exact, so the weights equal chi(s/n) - chi(2s/n) bit for bit.
+in band 1 alone.  ``band_split`` (j from ``frexp``, c = chi(|s|/2^j) from one chi call) is the
+one evaluation of beta.  ``dyadic_bump`` reads one band from it through ``band_share``;
+``band_shares`` gives each point's two shares of beta^2 power, c^2 power to band 2^j and
+(1 - c)^2 power to band 2^(j+1), which both X-norm layouts place in one scatter.  ``frexp`` and
+``ldexp`` are exact, so the weights equal chi(s/n) - chi(2s/n) bit for bit.
 """
 from __future__ import annotations
 
@@ -34,16 +35,8 @@ def chi(s):
     return smooth_step(2.0 - np.abs(s))
 
 
-def is_dyadic(value) -> bool:
-    """True if ``value`` is a (possibly fractional) power of two."""
-    if value <= 0:
-        return False
-    m, e = np.frexp(value)
-    return m == 0.5
-
-
 def validate_dyadic(value, name="index"):
-    if not is_dyadic(value) or value < 1:
+    if not (value >= 1 and np.frexp(value)[0] == 0.5):
         raise ValueError(f"{name} must be a power of two >= 1, got {value}")
 
 
@@ -72,12 +65,12 @@ def band_share(j, k, lower, upper):
 
 
 def band_shares(lam, power):
-    """(bands, shares): the bands L covering max|lam| and, lazily, beta_L(lam)^2 power per
-    band, from one ``band_split``.  A non-finite lam raises ValueError."""
+    """(bands, j, lower, upper): the bands L covering max|lam|, and each point's shares of
+    beta_L(lam)^2 power, ``lower`` in band 2^j and ``upper`` in band 2^(j+1), from one
+    ``band_split``.  A point in the top band has upper = 0.  A non-finite lam raises ValueError."""
     l_list = covering_indices(float(np.max(np.abs(lam), initial=1.0)))
     j, c = band_split(lam)
-    lower, upper = c * c * power, (1.0 - c) * (1.0 - c) * power
-    return l_list, (band_share(j, l.bit_length() - 1, lower, upper) for l in l_list)
+    return l_list, j, c * c * power, (1.0 - c) * (1.0 - c) * power
 
 
 def covering_indices(max_abs):

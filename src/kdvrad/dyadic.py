@@ -6,51 +6,32 @@ modulation band |tau - xi^3| ~ L.  The X norm is the l1-over-modulation,
 L2-in-spacetime combination sum_L L^(1/2) ||Q_L v||, and the xbar^s norm
 replaces the N = 1 block by the maximal-in-time L_x^2 L_t^inf norm.
 
-Every X norm is one reduction, M_L = sum of the shares beta_L(lam)^2 power of
-``bumps.band_shares``, in one of two layouts: on the tau x xi plane ``modulation_masses`` sums
-over tau (each xi >= 0 column with its multiplicity), ``bilinear.WavePacketField.x_norm`` over
-the cells of each cloud row; ``x_sum`` adds L^(1/2) (M_L weight)^(1/2) in order of L for both.
-Each cell lies in two dyadic bands, so one chi per cell (``bumps.band_split``) gives both of
-its weights, for the modulation and the frequency bands alike; the projections'
-``dyadic_bump`` reads the same split.  The N = 1 block of ``xbar_norm`` is a multiplier in xi
-alone, applied to the field's tapered half rows before ``spacetime_transform`` builds the
-plane: no tau round trip.
-
-``xbar_norm`` streams the plane through ``modulation_masses`` in blocks of xi columns, so the
-one complex transform is its only plane-sized array.  Whole-plane float temporaries (lam,
-power, the band split, the shares: 387 KiB each at 384 x 129) went back to the OS after
-every call and were faulted in again by the next: 3,300-4,100 minor page faults, at 3.1-3.4 us
-each on a 2-vCPU x86_64 VM, in the three calls of a dyadic_probes claim.  Blocks of at most
-``BLOCK_BYTES``, under glibc's 128 KiB mmap threshold, reuse heap memory (0-360 faults).  The
-blocks' M is the plane's bit for bit: a column's tau sum (row order) does not depend on the
-other columns, and a block's band list is a prefix of the plane's, the bands past it summing
-to exact zeros.  No block is one column wide: numpy sums a (rows, 1) block pairwise, not in
-row order, which changes the last bits.
+Every X norm is one reduction, M_L = sum of beta_L(lam)^2 power, in one of two layouts: on the
+tau x xi plane ``modulation_masses`` sums over tau (each xi >= 0 column with its multiplicity),
+``bilinear.WavePacketField.x_norm`` over the cells of each cloud row; ``x_sum`` adds
+L^(1/2) (M_L weight)^(1/2) in order of L for both.  Each cell lies in two dyadic bands, so one
+chi per cell (``bumps.band_shares``) gives both of its shares, and one scatter places them:
+no pass is made per band.  The N = 1 block of ``xbar_norm`` is a multiplier in xi alone,
+applied to the field's tapered half rows before ``spacetime_transform`` builds the plane.
+``xbar_norm`` streams the plane through ``modulation_masses`` in blocks of xi columns of at
+most ``BLOCK_BYTES``, so the one complex transform is its only plane-sized array; a column's
+tau sum does not depend on the other columns, so any blocking gives the plane's bits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bumps import (band_share, band_shares, band_split, covering_indices, dyadic_bump,
-                    validate_dyadic)
+from .bumps import band_share, band_shares, band_split, covering_indices
 from .errors import TimeWindowTooShortError
-from .gevrey import hs_norm
-from .grid import SpectralField
-from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
-                        inverse_spacetime_transform, spacetime_transform)
+from .spacetime import SpacetimeField, SpacetimeSpectrum, spacetime_transform
 
 #: coarsest tau spacing able to resolve the L = 1 modulation band
 MAX_DTAU = 2.0
 
 #: bytes of one float column block of the (tau x xi) plane in ``xbar_norm``
 BLOCK_BYTES = 96 * 1024
-
-
-def project_pn(field: SpectralField, n) -> SpectralField:
-    """Frequency block P_n: multiply the coefficients by beta_n(xi)."""
-    return SpectralField(field.grid, field.half * dyadic_bump(n, field.grid.xi))
 
 
 def _check_dtau(spec: SpacetimeSpectrum):
@@ -61,28 +42,25 @@ def _check_dtau(spec: SpacetimeSpectrum):
         )
 
 
-def project_ql(field: SpacetimeField, l) -> SpacetimeField:
-    """Modulation block Q_l of the tapered field."""
-    validate_dyadic(l, "modulation band")
-    spec = spacetime_transform(field)
-    _check_dtau(spec)
-    return inverse_spacetime_transform(
-        replace(spec, values=spec.values * dyadic_bump(l, spec.modulation())))
-
-
 def modulation_masses(lam, power):
-    """(bands, M): M_L = sum over the first (tau) axis of the plane of beta_L(lam)^2 power, for
-    the bands L covering max|lam|, one band at a time.  A non-finite lam raises ValueError.
-    ``xbar_norm`` passes one block of xi columns at a time (module docstring): a block two or
-    more columns wide sums each column in row order, so its M is those columns of the plane's."""
-    l_list, shares = band_shares(lam, power)
-    return l_list, np.array([np.sum(share, axis=0) for share in shares])
+    """(bands, M): M_L = sum over the tau rows of a (tau x xi) block of beta_L(lam)^2 power, for
+    the bands L covering max|lam|.  One bincount over the keys (j, column) and (j + 1, column),
+    interleaved in row-major order, adds each bucket's cells in row order: the bits of a column
+    sum per band.  The bucket row past the top band is dropped; it holds exact zeros.  A
+    non-finite lam raises ValueError."""
+    l_list, j, lower, upper = band_shares(lam, power)
+    cols = lam.shape[1]
+    keys = np.empty(lam.shape + (2,), dtype=np.intp)
+    np.add(j * cols, np.arange(cols), out=keys[..., 0])
+    np.add(keys[..., 0], cols, out=keys[..., 1])
+    m = np.bincount(keys.ravel(), np.stack([lower, upper], -1).ravel(),
+                    (len(l_list) + 1) * cols)
+    return l_list, m[:len(l_list) * cols].reshape(-1, cols)
 
 
 def _column_blocks(rows, cols):
-    """Near-equal slices of at most max(4, BLOCK_BYTES / (8 rows)) of ``cols`` columns.  A width
-    of at least 4 keeps every block at least 2 wide (unless cols is 1)."""
-    count = -(-cols // max(4, BLOCK_BYTES // (8 * rows)))
+    """Near-equal slices of at most max(1, BLOCK_BYTES / (8 rows)) of ``cols`` columns."""
+    count = -(-cols // max(1, BLOCK_BYTES // (8 * rows)))
     edges = [cols * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
@@ -144,16 +122,3 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     truncated = [l for l in l_list if 2 * l > tau_max]
     return NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
                       xbar_s=float(xbar), truncated_l=truncated)
-
-
-def free_evolution_norm_ratio(f: SpectralField, s: float,
-                              num_time_samples: int = 160) -> float:
-    """||chi(t) S(t) f||_{xbar^s} / ||f||_{H^s} on the discrete time window [-2, 2].
-
-    Measures the empirical constant of the free-evolution energy estimate.
-    """
-    denom = hs_norm(f, s)
-    if denom == 0.0:
-        raise ValueError("field must be nonzero")
-    st = airy_spacetime(f, -2.0, 2.0, num_time_samples)
-    return xbar_norm(st, s).xbar_s / denom

@@ -47,10 +47,6 @@ def irfft(half, n: int, out=None) -> np.ndarray:
     return np.fft._pocketfft_umath.irfft(half, 1.0 / n, out=out)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-half_length, half_length).
@@ -63,8 +59,9 @@ class GridSpec:
     half_length: float = 40.0
 
     def __post_init__(self):
-        if not _is_power_of_two(self.num_points):
-            raise ValueError(f"num_points must be a power of two, got {self.num_points}")
+        n = self.num_points
+        if n < 2 or n & (n - 1):  # n = 1 is 2^0, but pocketfft refuses every real FFT of it
+            raise ValueError(f"num_points must be a power of two >= 2, got {self.num_points}")
         if not 0 < self.half_length < np.inf:
             raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
         k = np.arange(self.num_points // 2 + 1, dtype=np.int64)

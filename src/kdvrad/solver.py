@@ -9,15 +9,12 @@ no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
 which commutes with squaring, so only the 1/dx is left, in the derivative factor.
 Only the 2/3 band k < ``grid.band``, all the nonlinear term reads or writes, runs the RK
 stages; the tail just rotates by the scheme's phase, and ``grid.irfft`` zero-pads: no mask
-multiply.  ``grid.irfft`` / ``rfft`` skip numpy's FFT wrapper, 3-5 us of each of a step's 8 calls.
+multiply.
 
 A step allocates nothing.  Each ``evolve`` call owns its buffers: the scheme's eight
 band-sized stage arrays, the FFT work arrays, and band and tail copies of the datum, which
 the step and the tail's phase rotation overwrite in place; ``f.half`` is never written.
-The loop enters ``np.errstate`` once per record interval, not once per step.  At N = 1024
-(best of 30 runs of 500 steps, numpy 2.4, a 2-vCPU x86_64 VM) an IFRK4 step takes about
-64 us, and its 8 real FFTs about 49 of them; the rest is the Python-level cost of the step's
-25 small ufunc calls and 13 function calls.
+The loop enters ``np.errstate`` once per record interval, not once per step.
 """
 from __future__ import annotations
 
@@ -80,11 +77,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-
-def airy_propagate(field: SpectralField, t: float) -> SpectralField:
-    """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi), row by row."""
-    return SpectralField(field.grid, field.half * airy_phase(field.grid.xi, t))
 
 
 def classical_invariants(field: SpectralField):

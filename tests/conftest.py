@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.spacetime import SpacetimeField
+from kdvrad.bumps import dyadic_bump
+from kdvrad.dyadic import xbar_norm
+from kdvrad.gevrey import hs_norm
+from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
+from kdvrad.spacetime import (SpacetimeField, airy_spacetime, inverse_spacetime_transform,
+                              spacetime_transform)
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +68,29 @@ def complex_dealiased_product(f, g, fraction=2.0 / 3.0):
     u = np.real(np.fft.ifft(f.coeffs * mask * sign)) / dx
     v = np.real(np.fft.ifft(g.coeffs * mask * sign)) / dx
     return SpectralField(grid, (dx * sign * np.fft.fft(u * v) * mask)[:n // 2 + 1])
+
+
+def airy_propagate(field, t):
+    """Exact free (Airy) flow: coeff(xi) <- exp(i t xi^3) coeff(xi), row by row."""
+    return SpectralField(field.grid, field.half * airy_phase(field.grid.xi, t))
+
+
+def project_pn(field, n):
+    """Frequency block P_n: multiply the coefficients by beta_n(xi)."""
+    return SpectralField(field.grid, field.half * dyadic_bump(n, field.grid.xi))
+
+
+def project_ql(field, l):
+    """Modulation block Q_l of the tapered field."""
+    spec = spacetime_transform(field)
+    spec.values *= dyadic_bump(l, spec.modulation())
+    return inverse_spacetime_transform(spec)
+
+
+def free_evolution_norm_ratio(f, s, num_time_samples=160):
+    """||chi(t) S(t) f||_{xbar^s} / ||f||_{H^s} on the discrete time window [-2, 2]: the
+    empirical constant of the free-evolution energy estimate."""
+    return xbar_norm(airy_spacetime(f, -2.0, 2.0, num_time_samples), s).xbar_s / hs_norm(f, s)
 
 
 def hermitian_defect(coeffs):

@@ -8,16 +8,17 @@ import pytest
 from kdvrad import almost_conservation, grid
 from kdvrad.almost_conservation import (commutator_term, measure_conservation,
                                         prepare_acl_trajectory, smoothing_multiplier_bounds)
-from kdvrad.dyadic import project_pn, project_ql, xbar_norm
+from kdvrad.dyadic import xbar_norm
 from kdvrad.errors import KdvradError, SpectralOverflowError
 from kdvrad.gevrey import GevreyParams, gevrey_norm, smooth
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.scheduler import ScheduleParams, empirical_schedule
-from kdvrad.solver import (SolverConfig, Trajectory, airy_propagate, classical_invariants,
+from kdvrad.solver import (SolverConfig, Trajectory, classical_invariants,
                            evolve, soliton)
 from kdvrad.spacetime import airy_spacetime, inverse_spacetime_transform, spacetime_transform
 
-from conftest import complex_dealiased_product, fft_order_k, keep_mask_formula, random_band_field
+from conftest import (airy_propagate, complex_dealiased_product, fft_order_k, keep_mask_formula,
+                      project_pn, project_ql, random_band_field)
 
 
 def wavepacket(grid, seed, reflect_x=False):

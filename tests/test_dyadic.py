@@ -6,18 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from kdvrad import bumps
+from kdvrad import bilinear, bumps, dyadic
 from kdvrad.bilinear import WavePacketField
 from kdvrad.bumps import (band_share, band_split, chi, covering_indices, dyadic_bump,
                           smooth_step)
-from kdvrad.dyadic import (NormReport, free_evolution_norm_ratio, modulation_masses, project_pn,
-                           project_ql, x_sum, xbar_norm)
+from kdvrad.dyadic import NormReport, modulation_masses, x_sum, xbar_norm
 from kdvrad.errors import TimeWindowTooShortError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.spacetime import (PAD, SpacetimeSpectrum, airy_spacetime,
                               inverse_spacetime_transform, spacetime_transform, temporal_taper)
 
-from conftest import complex_dealiased_product, random_band_field, sampled_spacetime
+from conftest import (complex_dealiased_product, free_evolution_norm_ratio, project_pn, project_ql,
+                      random_band_field, sampled_spacetime)
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +250,7 @@ class TestProjectQL:
         vals = np.cos(st_grid.x)[None, :] * np.cos(t)[:, None]
         f = sampled_spacetime(st_grid, 0.0, 0.5, vals)
         with pytest.raises(TimeWindowTooShortError):
-            project_ql(f, 1)
+            xbar_norm(f, 0.0)
 
 
 def plane_x_norm(field):
@@ -287,17 +287,57 @@ class TestModulationMasses:
         spec = spacetime_transform(airy_spacetime(field, -2.0, 2.0, nt))
         self.check(spec.modulation(), spec.power())
 
+    @staticmethod
+    def check_cloud(lam, power):
+        # the cloud layout: the band stack of one row, summed by the cloud row sums
+        l_list, masses = bilinear._band_masses(lam, power, np.array([lam.size]))
+        want = per_band_masses(lam, power)
+        assert l_list == list(want)
+        assert masses.shape == (len(l_list), 1)
+        for l, m in zip(l_list, masses):
+            assert np.array_equal(m[0], want[l])
+
     def test_clouds_equal_the_per_band_loop_bitwise(self, rng):
         # |lam| = 2^j exactly, |lam| < 1, 0 and the smallest subnormal
         edges = np.array([4.0, -8.0, 2.0 ** 20, 1.0, -1.0, 0.75, -0.5, 0.0, 5e-324, -5e-324])
         lam = np.concatenate([edges, rng.uniform(-300.0, 300.0, 200)])
         power = rng.uniform(0.0, 2.0, lam.size)
-        self.check(lam, power)
-        self.check(edges, power[:edges.size])
-        self.check(rng.uniform(8.0, 64.0, 30), power[:30])  # bands below 4 hold nothing
+        self.check_cloud(lam, power)
+        self.check_cloud(edges, power[:edges.size])
+        self.check_cloud(rng.uniform(8.0, 64.0, 30), power[:30])  # bands below 4 hold nothing
         for cell in (-64.0, 3.0, 0.5, 0.0):
-            self.check(np.array([cell]), np.array([1.5]))
-        self.check(np.array([]), np.array([]))
+            self.check_cloud(np.array([cell]), np.array([1.5]))
+        self.check_cloud(np.array([]), np.array([]))
+
+    def test_cloud_rows_equal_the_per_band_loop_bitwise(self, rng):
+        # ragged rows: each row's masses are its own, exact zeros past the row's own cover
+        lam = np.concatenate([rng.uniform(-3.0, 3.0, 10), rng.uniform(-300.0, 300.0, 37),
+                              [2.0 ** 12, 0.5]])
+        power = rng.uniform(0.0, 2.0, lam.size)
+        ends = np.array([10, 47, 49])
+        l_list, masses = bilinear._band_masses(lam, power, ends)
+        assert l_list == covering_indices(2.0 ** 12)
+        for r, (a, b) in enumerate(zip([0, *ends[:-1]], ends)):
+            want = per_band_masses(lam[a:b], power[a:b])
+            got = masses[:, r]
+            assert all(np.array_equal(got[i], want[l]) for i, l in enumerate(want))
+            assert not got[len(want):].any()
+
+    def test_one_band_split_and_no_band_share_per_reduction(self, monkeypatch, st_grid, rng):
+        calls = []
+        for module in (bumps, dyadic):
+            for name in ("band_split", "band_share"):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
+        st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24), -2.0, 2.0, 96)
+        spec = spacetime_transform(st)
+        modulation_masses(spec.modulation(), spec.power())
+        assert calls == ["band_split"]
+        calls.clear()
+        WavePacketField([0, 0, 1, 1], [1.5, 3.0, -4.0, 40.0], [1.0, 2.0, 1j, 3.0], 0.1,
+                        0.5).x_norm()
+        assert calls == ["band_split"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_a_non_finite_modulation(self, bad):
@@ -308,7 +348,7 @@ class TestModulationMasses:
 def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
     st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24), -2.0, 2.0, 96)
     cloud = WavePacketField([0, 0, 0], [1.5, 3.0, -4.0], [1.0, 2.0, 1j], 0.1, 0.5)
-    assert len(modulation_masses(cloud.modulation, np.ones(3))[0]) == 3
+    assert len(bilinear._band_masses(cloud.modulation, np.ones(3), cloud.ends)[0]) == 3
     calls = []
     step = bumps.smooth_step
     monkeypatch.setattr(bumps, "smooth_step", lambda t: calls.append(np.size(t)) or step(t))
@@ -549,6 +589,25 @@ class TestColumnBlocks:
             assert all(got.x_norm_per_n[k].hex() == v.hex() for k, v in want.x_norm_per_n.items())
             assert got.truncated_l == want.truncated_l
 
+    @pytest.mark.parametrize("block_bytes", [1, 8192, 96 * 1024, 2 ** 40])
+    @pytest.mark.parametrize("n, nt", [(64, 16), (256, 96)])
+    def test_any_block_width_equals_the_whole_plane_bitwise(self, monkeypatch, n, nt,
+                                                            block_bytes):
+        # one-column blocks (block_bytes = 1), a few columns, the default and the whole plane
+        monkeypatch.setattr(dyadic, "BLOCK_BYTES", block_bytes)
+        rows, cols = PAD * nt, n // 2 + 1
+        widths = {b.stop - b.start for b in dyadic._column_blocks(rows, cols)}
+        assert (widths == {1}) == (block_bytes == 1)
+        rng = np.random.default_rng(n + nt)
+        st = airy_spacetime(random_band_field(GridSpec(n, 40.0), rng, max_mode=n // 10),
+                            -2.0, 2.0, nt)
+        for s in (0.0, -0.75):
+            want = whole_plane_xbar(st, s)[1]
+            got = xbar_norm(st, s)
+            assert got.xbar_s.hex() == want.xbar_s.hex()
+            assert [v.hex() for v in got.x_norm_per_n.values()] == [
+                v.hex() for v in want.x_norm_per_n.values()]
+
     def test_peak_memory_within_three_planes(self, st_grid):
         # the complex plane, the x transform and float column blocks; each whole-plane float
         # temporary (lam, power, the band split, a share) would add half a plane
@@ -563,6 +622,51 @@ class TestColumnBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * plane_bytes
+
+
+def separable_x_norms(f, nt):
+    """{N: ||P_N u||_X} for N >= 2 of u = eta(t) S(t) f on nt samples of [-2, 2], with no FFT.
+    Free evolution makes the transform separable, spec(tau, xi) = f_hat(xi) E(tau - xi^3), with
+    E(lam) = dt sum_j eta(t_j) exp(-i lam t_j) summed directly over the taper samples, on the
+    padded tau grid; the real Nyquist row Re(c exp(i xi^3 t)) adds conj(c) E(tau + xi^3), halved.
+    The bumps are the two cutoffs."""
+    g = f.grid
+    t = np.linspace(-2.0, 2.0, nt)
+    dt = 4.0 / (nt - 1)
+    taper = temporal_taper(t, -2.0, 2.0)
+    tau = 2.0 * np.pi * np.fft.fftfreq(PAD * nt, d=dt)
+
+    def dtft(lam):
+        return dt * sum(eta * np.exp(-1j * lam * tj) for tj, eta in zip(t, taper))
+
+    lam = tau[:, None] - g.xi ** 3
+    spec = f.half * dtft(lam)
+    spec[:, -1] = 0.5 * (spec[:, -1] + np.conj(f.half[-1]) * dtft(tau + g.xi[-1] ** 3))
+    cell = (tau[1] - tau[0]) * g.dxi / (2.0 * np.pi) ** 2
+    power = np.abs(spec) ** 2 * column_weights(g) * cell
+    l_list = covering_indices(np.max(np.abs(lam)))
+    return {n: sum(np.sqrt(l) * np.sqrt(np.sum(two_cutoff_bump(l, lam) ** 2
+                                                * two_cutoff_bump(n, g.xi) ** 2 * power))
+                   for l in l_list)
+            for n in covering_indices(g.xi[-1])[1:]}
+
+
+@pytest.mark.parametrize("nt", [16, 96])
+@pytest.mark.parametrize("n", [64, 256])
+def test_block_norms_equal_the_separable_oracle(n, nt):
+    # a random half-spectrum puts mass in every block; the bound is 1.8e-15 on N <= 4 and
+    # N x 1e-15 above (8 seeds: 9.4e-16 on N <= 4, 5.9e-15 at N = 8, 1.2e-14 at N = 16), the
+    # rounding of the phases xi^3 t, which grow with N
+    rng = np.random.default_rng(n + nt)
+    f = SpectralField(GridSpec(n, 40.0), rng.standard_normal(n // 2 + 1)
+                      + 1j * rng.standard_normal(n // 2 + 1))
+    want = separable_x_norms(f, nt)
+    st = airy_spacetime(f, -2.0, 2.0, nt)
+    for s in (0.0, 0.5, -0.75):
+        got = xbar_norm(st, s).x_norm_per_n
+        assert got.keys() - {1} == want.keys()
+        for k, v in want.items():
+            assert abs(got[k] - v) <= (1.8e-15 if k <= 4 else 1e-15 * k) * v
 
 
 class TestFreeEvolutionRatio:

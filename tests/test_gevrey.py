@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from kdvrad.errors import InsufficientSpectralRangeError, SpectralOverflowError
 from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, hs_norm, smooth
 from kdvrad.grid import GridSpec, SpectralField, check_boundary_smallness, forward_transform
-from kdvrad.solver import airy_propagate, soliton
+from kdvrad.solver import soliton
 
-from conftest import complex_dealiased_product, fft_order_k, random_band_field
+from conftest import airy_propagate, complex_dealiased_product, fft_order_k, random_band_field
 
 
 def exponential_tail_field(grid, a):

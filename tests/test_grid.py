@@ -36,6 +36,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1024, -1.0)
 
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_fewer_than_two_points_refused(self, n):
+        # 1 = 2^0, but no real FFT of one point runs
+        with pytest.raises(ValueError, match="power of two >= 2"):
+            GridSpec(n, 40.0)
+
     @pytest.mark.parametrize("half_length", [np.nan, np.inf])
     def test_non_finite_half_length_refused(self, half_length):
         with pytest.raises(ValueError, match="half_length must be positive and finite"):

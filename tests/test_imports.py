@@ -108,10 +108,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 #: public functions that nothing in src/ or perfbench/ calls, each kept for what it serves
 ORACLE_EXPORTS = {
-    "airy_propagate": "the linear-limit oracle and the airy_spacetime oracle",
-    "project_pn": "physical-side frequency-block oracle",
-    "project_ql": "physical-side modulation-block oracle",
-    "free_evolution_norm_ratio": "the tier-1 free-evolution claim",
+    "inverse_spacetime_transform": "perfbench's layer list traces it",
     "smoothing_multiplier_bounds": "the theta = 3/4 symbol chain of a worst-case ACL probe",
     "doubling_condition_value": "closed-form oracle of the schedule's doubling check",
 }

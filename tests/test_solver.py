@@ -8,10 +8,9 @@ from kdvrad import solver
 from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
 from kdvrad.gevrey import estimate_radius
 from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
-from kdvrad.solver import (SolverConfig, airy_propagate, classical_invariants,
-                           evolve, soliton)
+from kdvrad.solver import SolverConfig, classical_invariants, evolve, soliton
 
-from conftest import fft_order_k, hermitian_defect, random_band_field
+from conftest import airy_propagate, fft_order_k, hermitian_defect, random_band_field
 
 
 def soliton_values(grid, speed, center):

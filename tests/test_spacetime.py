@@ -4,11 +4,10 @@ import pytest
 
 from kdvrad.errors import KdvradError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.solver import airy_propagate
 from kdvrad.spacetime import (airy_spacetime, inverse_spacetime_transform, spacetime_transform,
                               temporal_taper)
 
-from conftest import sampled_spacetime
+from conftest import airy_propagate, sampled_spacetime
 
 
 @pytest.fixture(scope="module")
