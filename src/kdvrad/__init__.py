@@ -10,9 +10,7 @@ from .gevrey import (GevreyParams, RadiusEstimate, estimate_radius, gevrey_norm,
 from .grid import (GridSpec, SpectralField, check_boundary_smallness,
                    forward_transform)
 from .solver import SolverConfig, Trajectory, classical_invariants, evolve, soliton
-from .spacetime import (SpacetimeField, SpacetimeSpectrum, airy_spacetime,
-                        inverse_spacetime_transform, spacetime_transform,
-                        temporal_taper)
+from .spacetime import SpacetimeSpectrum, airy_spacetime, spacetime_transform, temporal_taper
 from .dyadic import NormReport, xbar_norm
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ import numpy as np
 
 from .bumps import band_share, band_shares, band_split, covering_indices
 from .errors import TimeWindowTooShortError
-from .spacetime import SpacetimeField, SpacetimeSpectrum, spacetime_transform
+from .solver import Trajectory
+from .spacetime import SpacetimeSpectrum, spacetime_transform, tapered
 
 #: coarsest tau spacing able to resolve the L = 1 modulation band
 MAX_DTAU = 2.0
@@ -92,7 +93,7 @@ class NormReport:
         return abs(total - self.xbar_s ** 2) / max(self.xbar_s ** 2, 1e-300)
 
 
-def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
+def xbar_norm(field: Trajectory, s: float) -> NormReport:
     """xbar^s norm: maximal-in-time low block plus N^s-weighted X blocks; s must be finite."""
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
@@ -102,7 +103,7 @@ def xbar_norm(field: SpacetimeField, s: float) -> NormReport:
     betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
     # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the tapered half rows,
     # freed before the modulation plane (the peak of the call) is built
-    u1 = g.half_to_values(field.tapered() * betas[0])
+    u1 = g.half_to_values(tapered(field) * betas[0])
     low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
     del u1
     spec = spacetime_transform(field)

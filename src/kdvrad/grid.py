@@ -17,9 +17,8 @@ along the last axis.  The quadratic nonlinearity is dealiased by the 2/3 rule (t
 k < ``GridSpec.band``), the free (Airy) flow multiplies by ``airy_phase`` and the one Parseval
 sum is ``GridSpec.inner``.  A field may be a stack of snapshots, (..., n/2 + 1): its methods
 and the multipliers act row by row, bitwise as on each row alone.
-Every real FFT is ``rfft`` / ``irfft`` below, bitwise ``np.fft``'s: its pocketfft kernels without
-its per-call wrapper, 3-5 us of a 13-16 us call at n = 1024 (2-vCPU x86_64 VM, numpy 2.4).  They
-are looked up per call, not imported: importing numpy.fft with kdvrad raised peak RSS 0.4 MiB.
+Every real FFT is ``rfft`` / ``irfft`` below, bitwise ``np.fft``'s pocketfft kernels without its
+per-call wrapper; they are looked up per call, so that importing kdvrad does not import numpy.fft.
 """
 from __future__ import annotations
 
@@ -216,8 +215,14 @@ def check_boundary_smallness(field: SpectralField, time: float | None = None) ->
     edge = float(np.max(v[[0, 1, -1]]))
     if edge > BOUNDARY_TOLERANCE * peak:
         when = "" if time is None else f" at t = {time:.6g}"
+        # an under-resolved grid leaks to the edge too: blamed where its modes past the 2/3 band
+        # pass the tolerance and the edge value, which a datum on the edge outgrows
+        coeffs = np.abs(field.half)
+        share = float(np.max(coeffs[field.grid.band:]) / np.max(coeffs))
+        coarse = ": the grid may be too coarse" * (share > max(BOUNDARY_TOLERANCE, edge / peak))
         raise DomainTooSmallError(
             f"domain too small: |u| = {edge:.3e} at the domain edge{when} "
-            f"exceeds {BOUNDARY_TOLERANCE:.0e} of max |u| = {peak:.3e}",
+            f"exceeds {BOUNDARY_TOLERANCE:.0e} of max |u| = {peak:.3e}; the modes past the "
+            f"2/3 band hold {share:.2e} of the peak coefficient{coarse}",
             time=time,
         )

@@ -50,7 +50,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """The recorded snapshots as one (records x n/2+1) stack, row i at ``times[i]``; the
-    classical invariants, one per record, are computed from ``field`` on first access."""
+    classical invariants, one per record, are computed from ``field`` on first access.  On
+    uniform times it is also the space-time layer's field (``spacetime``, ``dyadic``)."""
 
     times: np.ndarray
     field: SpectralField

@@ -5,8 +5,8 @@ from kdvrad.bumps import dyadic_bump
 from kdvrad.dyadic import xbar_norm
 from kdvrad.gevrey import hs_norm
 from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
-from kdvrad.spacetime import (SpacetimeField, airy_spacetime, inverse_spacetime_transform,
-                              spacetime_transform)
+from kdvrad.solver import Trajectory
+from kdvrad.spacetime import SpacetimeSpectrum, airy_spacetime, spacetime_transform, tapered
 
 
 @pytest.fixture(scope="session")
@@ -41,8 +41,36 @@ def fft_order_k(grid):
 
 
 def sampled_spacetime(grid, t_a, t_b, values):
-    """SpacetimeField of real samples values[j] at the j-th of nt uniform times on [t_a, t_b]."""
-    return SpacetimeField(SpectralField(grid, grid.to_half(values)), t_a, t_b)
+    """Trajectory of real samples values[j] at the j-th of nt uniform times on [t_a, t_b]."""
+    return Trajectory(np.linspace(t_a, t_b, len(values)), SpectralField(grid, grid.to_half(values)))
+
+
+def window(field):
+    """(t_a, t_b, dt, taper times t_a + j dt) of a trajectory on uniform times."""
+    t_a, t_b = field.times[0], field.times[-1]
+    dt = (t_b - t_a) / (len(field) - 1)
+    return t_a, t_b, dt, t_a + dt * np.arange(len(field))
+
+
+def with_taper(field):
+    """The trajectory of the tapered rows of ``field``."""
+    return Trajectory(field.times, SpectralField(field.grid, tapered(field)))
+
+
+def inverse_spacetime_transform(spec):
+    """Invert the 2D transform and crop back to the window: the tapered rows as a trajectory."""
+    f = spec.field
+    t_a, _, dt, _ = window(f)
+    half = np.fft.ifft(spec.values * np.exp(1j * spec.tau * t_a)[:, None], axis=0)[:len(f)] / dt
+    return Trajectory(f.times, SpectralField(f.grid, half, copy=False))
+
+
+def spacetime_l2_norm(x):
+    """Space-time L2 norm: Parseval over the (tau, xi) cells of a spectrum, or over the rows of
+    a trajectory as stored (dt weights, Parseval in x)."""
+    if isinstance(x, SpacetimeSpectrum):
+        return float(np.sqrt(np.sum(x.power()) * x.weight))
+    return float(np.sqrt(np.sum(x.grid.inner(x.field.half)) * window(x)[2]))
 
 
 def keep_mask_formula(grid, fraction=2.0 / 3.0):
@@ -81,7 +109,7 @@ def project_pn(field, n):
 
 
 def project_ql(field, l):
-    """Modulation block Q_l of the tapered field."""
+    """Modulation block Q_l of the tapered field, as its tapered rows."""
     spec = spacetime_transform(field)
     spec.values *= dyadic_bump(l, spec.modulation())
     return inverse_spacetime_transform(spec)

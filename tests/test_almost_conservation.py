@@ -15,10 +15,11 @@ from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.scheduler import ScheduleParams, empirical_schedule
 from kdvrad.solver import (SolverConfig, Trajectory, classical_invariants,
                            evolve, soliton)
-from kdvrad.spacetime import airy_spacetime, inverse_spacetime_transform, spacetime_transform
+from kdvrad.spacetime import airy_spacetime, spacetime_transform
 
-from conftest import (airy_propagate, complex_dealiased_product, fft_order_k, keep_mask_formula,
-                      project_pn, project_ql, random_band_field)
+from conftest import (airy_propagate, complex_dealiased_product, fft_order_k,
+                      inverse_spacetime_transform, keep_mask_formula, project_pn, project_ql,
+                      random_band_field)
 
 
 def wavepacket(grid, seed, reflect_x=False):

@@ -16,6 +16,7 @@ from kdvrad.errors import DomainTooSmallError, KdvradError
 from kdvrad.gevrey import smooth
 from kdvrad.grid import (GridSpec, SpectralField, check_boundary_smallness, forward_transform,
                          irfft, rfft)
+from kdvrad.solver import SolverConfig, evolve, soliton
 
 from conftest import (complex_dealiased_product, fft_order_k, hermitian_defect,
                       keep_mask_formula, random_band_field, sign_formula)
@@ -333,3 +334,21 @@ class TestBoundaryGate:
         f = forward_transform(1.0 / np.cosh(g.x - 39.0) ** 2, g)
         with pytest.raises(DomainTooSmallError, match="domain too small"):
             check_boundary_smallness(f, time=0.5)
+
+    def test_under_resolved_soliton_names_the_grid(self, small_grid):
+        # the c = 1 soliton at N = 256 keeps 2.6e-8 of its peak coefficient past the 2/3 band
+        # (9e-17 at N = 512), and the semi-discrete flow carries that to the edge at once
+        with pytest.raises(DomainTooSmallError, match="domain too small") as err:
+            evolve(soliton(small_grid), 0.01, SolverConfig(dt=1e-3, record_every=1))
+        assert err.value.time == 0.001
+        assert "hold 2.58e-08 of the peak coefficient: the grid may be too coarse" in str(err.value)
+
+    @pytest.mark.parametrize("centers", [(40.0, -40.0), (39.0,)])
+    def test_datum_on_the_edge_does_not_blame_the_grid(self, default_grid, centers):
+        # a bump across the seam is periodic and resolved; one at x = 39 jumps at the seam, so its
+        # modes past the band hold 1e-2 of the peak, still far under its edge value
+        u = sum(1.0 / np.cosh(default_grid.x - c) ** 2 for c in centers)
+        with pytest.raises(DomainTooSmallError, match="domain too small") as err:
+            check_boundary_smallness(forward_transform(u, default_grid))
+        assert "of the peak coefficient" in str(err.value)
+        assert "too coarse" not in str(err.value)

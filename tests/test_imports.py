@@ -3,8 +3,9 @@ package and the tests import only at module level, the package never
 reads the derived full coefficient array, every defaulted parameter of
 a public function is set by some call, every public function is used and
 named unlike any class member, every real FFT goes through grid's two
-pocketfft helpers, every band weight through bumps, and the grid's
-half-spectrum is the one spectral layout."""
+pocketfft helpers, every band weight through bumps, the grid's
+half-spectrum is the one spectral layout and the solver's Trajectory the one
+time-sampled stack."""
 import ast
 from pathlib import Path
 
@@ -108,7 +109,6 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 #: public functions that nothing in src/ or perfbench/ calls, each kept for what it serves
 ORACLE_EXPORTS = {
-    "inverse_spacetime_transform": "perfbench's layer list traces it",
     "smoothing_multiplier_bounds": "the theta = 3/4 symbol chain of a worst-case ACL probe",
     "doubling_condition_value": "closed-form oracle of the schedule's doubling check",
 }
@@ -228,3 +228,20 @@ def test_one_spectral_layout():
                 found += [f"{path.name}:{node.lineno} imports {a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert not found, f"second spectral layouts: {found}"
+
+
+def test_one_time_sampled_stack():
+    # solver.Trajectory is the one stack of half-spectra at sample times: no other class holds a
+    # window t_a, t_b, or sample times next to a SpectralField; ScheduleComparison's times label
+    # per-record numbers, not the rows of a field
+    holders = []
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members = set(class_members(node))
+            holds_field = any(isinstance(item, ast.AnnAssign) and "SpectralField" in ast.unparse(
+                item.annotation) for item in node.body)
+            if members & {"t_a", "t_b"} or ("times" in members and holds_field):
+                holders.append(f"{path.stem}.{node.name}")
+    assert holders == ["solver.Trajectory"], f"classes holding sample times: {holders}"

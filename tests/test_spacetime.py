@@ -4,10 +4,11 @@ import pytest
 
 from kdvrad.errors import KdvradError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
-from kdvrad.spacetime import (airy_spacetime, inverse_spacetime_transform, spacetime_transform,
-                              temporal_taper)
+from kdvrad.solver import Trajectory
+from kdvrad.spacetime import airy_spacetime, spacetime_transform, temporal_taper
 
-from conftest import airy_propagate, sampled_spacetime
+from conftest import (airy_propagate, inverse_spacetime_transform, sampled_spacetime,
+                      spacetime_l2_norm, window, with_taper)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestTaper:
 
     def test_dt_uniform(self, st_grid):
         f = make_field(st_grid, lambda t, x: np.cos(x), nt=64)
-        assert f.dt == pytest.approx(4.0 / 63)
+        assert np.diff(f.times) == pytest.approx(np.full(63, 4.0 / 63))
         assert len(f.times) == 64
 
 
@@ -47,25 +48,26 @@ class TestSpacetimeTransform:
                        np.cos(0.8 * x + 0.3 * t) * np.exp(-(x / 15.0) ** 2)
                        + 0.1 * np.sin(2.1 * x - t))
         spec = spacetime_transform(f)
-        assert spec.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-10)
+        assert spacetime_l2_norm(spec) == pytest.approx(spacetime_l2_norm(with_taper(f)),
+                                                        rel=1e-10)
 
     def test_tau_spacing(self, st_grid):
         f = make_field(st_grid, lambda t, x: np.cos(x), nt=128)
         spec = spacetime_transform(f)
         # padded window length = PAD * nt * dt, PAD = 4
-        expected = 2 * np.pi / (4 * 128 * f.dt)
+        expected = 2 * np.pi / (4 * 128 * window(f)[2])
         assert spec.dtau == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
     def _taper_line(field, tau0=0.0, pad=4):
         """1D transform of taper(t)*exp(i tau0 t): the temporal line shape a
         separable signal component is smeared into (independent 1D oracle)."""
-        w = temporal_taper(field.times, field.t_a, field.t_b) \
-            * np.exp(1j * tau0 * field.times)
-        padded = np.zeros(pad * field.num_time_samples, dtype=complex)
-        padded[:field.num_time_samples] = w
-        tau = 2 * np.pi * np.fft.fftfreq(padded.size, d=field.dt)
-        line = field.dt * np.exp(-1j * tau * field.t_a) * np.fft.fft(padded)
+        t_a, t_b, dt, times = window(field)
+        w = temporal_taper(times, t_a, t_b) * np.exp(1j * tau0 * times)
+        padded = np.zeros(pad * len(times), dtype=complex)
+        padded[:len(times)] = w
+        tau = 2 * np.pi * np.fft.fftfreq(padded.size, d=dt)
+        line = dt * np.exp(-1j * tau * t_a) * np.fft.fft(padded)
         return tau, line
 
     def test_pure_exponential_concentrates(self, st_grid):
@@ -110,6 +112,20 @@ class TestSpacetimeTransform:
         assert np.sum(pl[np.abs(tau) <= b95]) / np.sum(pl) >= 0.95
         assert np.sum(power[lam <= b95]) >= 0.95 * np.sum(power)
 
+    @pytest.mark.parametrize("times, rows, match", [
+        (np.linspace(0.0, 1.0, 9), None, "must be a stack"),
+        (np.linspace(0.0, 1.0, 8), 9, "must be a stack"),
+        (np.array([0.0]), 1, "at least two samples"),
+        (np.zeros(9), 9, "positive time window"),
+        (np.linspace(1.0, 0.0, 9), 9, "positive time window"),
+        (np.r_[np.linspace(0.0, 1.0, 9), 1.05], 10, "not uniform"),
+    ])
+    def test_rejects_a_bad_window(self, st_grid, times, rows, match):
+        half = np.ones(st_grid.num_points // 2 + 1, dtype=complex)
+        field = SpectralField(st_grid, half if rows is None else np.tile(half, (rows, 1)))
+        with pytest.raises(ValueError, match=match):
+            spacetime_transform(Trajectory(times, field))
+
     def test_rejects_few_samples(self, st_grid):
         f = make_field(st_grid, lambda t, x: np.cos(x), nt=6)
         with pytest.raises(KdvradError, match="8 time samples"):
@@ -120,7 +136,8 @@ class TestSpacetimeTransform:
                        np.cos(0.8 * x - 1.3 * t) * np.exp(-(x / 15.0) ** 2))
         spec = spacetime_transform(f)
         back = inverse_spacetime_transform(spec)
-        tapered = f.field.values() * temporal_taper(f.times, f.t_a, f.t_b)[:, None]
+        t_a, t_b, _, times = window(f)
+        tapered = f.field.values() * temporal_taper(times, t_a, t_b)[:, None]
         assert np.max(np.abs(back.field.values() - tapered)) < 1e-12
 
 
