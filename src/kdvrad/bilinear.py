@@ -1,33 +1,32 @@
 """Empirical verification of the dyadic space-time bilinear estimates.
 
-Probes are sparse clouds of Fourier-cell amplitudes at (xi, tau) lattice
-points, interpreted as piecewise-constant densities on cells of size
-dxi x dtau; norms carry the Lebesgue cell weights, so measured ratios
-approximate their continuum counterparts.  Pointwise products become exact
-coherent convolutions of the clouds.  A ``WavePacketField`` is a stack of clouds: flat
-cell arrays holding one cloud (row) after another, row r ending at ``ends[r]``, and a
-single cloud is one row.  ``product`` multiplies stacks row by row, and every norm gives
-one value per row, bitwise the row's value as a cloud alone.
+Probes are sparse clouds of Fourier-cell amplitudes at (xi, tau) lattice points, interpreted
+as piecewise-constant densities on cells of size dxi x dtau; norms carry the Lebesgue cell
+weights, so measured ratios approximate their continuum counterparts.  Pointwise products
+become exact coherent convolutions of the clouds.  A ``WavePacketField`` is a stack of clouds:
+flat cell arrays holding one cloud (row) after another, row r ending at ``ends[r]``, and a
+single cloud is one row.  ``product`` multiplies stacks row by row, and every norm gives one
+value per row, bitwise the row's value as a cloud alone.
 
 The block probe (``measure_block_ratio``) and the X-norm product probe
-(``xnorm_product_ratio``) share one sampler core: a draw loop (``_max_ratio``)
-that takes the tube-pair parameters of every trial from one seeded stream
-(``_coherent_pair``), then one evaluation: every trial's tubes as one stack (``_tube``),
-one ``product`` call and the norms, a ratio per trial.  The tubes carry unit amplitudes, so
-``product`` counts the pairs landing in each output cell rather than summing their
-weights, and ``modulation`` cubes each lattice column once, not each cell: both give the
-bits of the per-pair sum and the per-cell cube.  The thin frequency tubes
-keep the spread of the resonance 3 xi1 xi2 xi3 below one tau cell, so they
-resolve the modulation scale at large N, where a dense grid cannot, and
-sample the operator norm from below.  The probes differ only in where they
-put (xi1, xi2).  The draw geometry is float arithmetic; numpy enters only at the stacked
-evaluation.
+(``xnorm_product_ratio``) share one sampler core: a draw loop (``_max_ratio``) that takes the
+tube-pair parameters of every trial from one seeded stream (``_coherent_pair``), then one
+evaluation: every trial's tubes as one stack (``_tube``), one ``product`` call and the norms,
+a ratio per trial.  The tubes carry unit amplitudes, so ``product`` counts the pairs landing
+in each output cell rather than summing their weights, and ``modulation`` cubes each lattice
+column once, not each cell: both give the bits of the per-pair sum and the per-cell cube.  The
+thin frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one tau cell, so
+they resolve the modulation scale at large N, where a dense grid cannot, and sample the
+operator norm from below.  The probes differ only in where they put (xi1, xi2).  The draw
+geometry is float arithmetic; numpy enters only at the stacked evaluation.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -135,37 +134,52 @@ class WavePacketField:
 def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
     """Pointwise product in physical space = coherent cloud convolution, row by row.
 
-    The rows of each operand must have one length (every tube stack, every single cloud),
-    else ValueError.  Each row's keys are offset past the previous row's, so one bincount
-    serves every row; row r of the result holds the cells, values and order of the product
-    of the rows r alone.  An operand without cells gives rows without cells.
+    The rows of each operand must have one length (every tube stack, every single cloud), and
+    every tau must be finite, else ValueError; an operand without cells gives rows without
+    cells.  A pair's key is its output cell (xi_u + xi_v, round((tau_u + tau_v) / dtau)) in
+    its row's xi-major box, past the previous rows' boxes, so one bincount serves every row;
+    row r of the result holds the cells, values and order of the product of the rows r alone.
+    The boxes come from the operands' row extrema, with no pass over the pairs: xi extrema add
+    exactly, and as the float sum, the division and round-half-even are monotone, the rounded
+    sums of the tau extrema are the extreme tau bins.  The keys (tau sums divided and rounded
+    in one float64 buffer, cast once to int64) are the only pair-grid array on the count path.
 
-    Every pair adds amp_u amp_v times the cell weight w to its output cell, in input order
-    from 0.  Where every amplitude is exactly 1 (every tube stack) and w is finite, the
-    cells are counted instead: a cell reached by c pairs holds entry c of the running sum
-    0, w, w + w, ... of its row's w, the bits of the weighted sum.
+    Every pair adds amp_u amp_v w (w the row's cell weight) to its output cell, in input order
+    from 0.  Where every amplitude is exactly 1 (every tube stack) and w is finite, the cells
+    are counted instead: a cell reached by c pairs holds entry c of the running sum 0, w,
+    w + w, ... of its row's w, the bits of the weighted sum.
     """
     if len(u.dxi) != len(v.dxi) or np.any(u.dxi != v.dxi) or u.dtau != v.dtau:
         raise ValueError("operands live on different cell lattices")
-    for f in (u, v):
+    for name, f in (("u", u), ("v", v)):
         if not _equal_rows(f.ends):
             raise ValueError("product takes rows of one length, got row lengths "
                              f"{np.diff(f.ends, prepend=0).tolist()}")
+        if (bad := np.flatnonzero(~np.isfinite(f.tau))).size:
+            row, cell = divmod(int(bad[0]), int(f.ends[0]))
+            raise ValueError(f"operand {name} has tau = {f.tau[bad[0]]} in row {row}, cell {cell}")
     rows = len(u.ends)
-    xu, tu, au = (a.reshape(rows, -1, 1) for a in (u.xi_index, u.tau, u.amp))
-    xv, tv, av = (a.reshape(rows, 1, -1) for a in (v.xi_index, v.tau, v.amp))
-    xi3 = (xu + xv).reshape(rows, -1)
-    if xi3.size == 0:
+    if u.amp.size == 0 or v.amp.size == 0:
         return WavePacketField([], [], [], u.dxi, u.dtau, np.zeros(rows, dtype=np.int64))
-    tbin = np.round((tu + tv).reshape(rows, -1) / u.dtau).astype(np.int64)
-    xmin, tmin = xi3.min(axis=1), tbin.min(axis=1)
-    span = tbin.max(axis=1) - tmin + 1
-    key = (xi3 - xmin[:, None]) * span[:, None] + (tbin - tmin[:, None])
-    n_keys = key.max(axis=1) + 1
+    (xu, tu, au), (xv, tv, av) = ([a.reshape(rows, -1) for a in (f.xi_index, f.tau, f.amp)]
+                                  for f in (u, v))
+    (xmin, xmax), (tlo, thi) = ((a.min(1) + b.min(1), a.max(1) + b.max(1))
+                                for a, b in ((xu, xv), (tu, tv)))
+    tmin, tmax = np.sort(np.rint(np.array([tlo, thi]) / u.dtau), 0).astype(np.int64)
+    span = tmax - tmin + 1
+    n_keys = (xmax - xmin + 1) * span  # each row's box, of which the keys may use less
     start = np.cumsum(n_keys) - n_keys
-    key = (key + start[:, None]).ravel()
-    if start[-1] + n_keys[-1] <= 4 * key.size:  # compact clouds (tubes): count every key, no sort
-        counts = np.bincount(key, minlength=start[-1] + n_keys[-1])
+    key = np.add(tu[:, :, None], tv[:, None, :])
+    key /= u.dtau
+    key = np.rint(key, out=np.empty(key.shape, np.int64), casting="unsafe")
+    key += (xu * span[:, None] + (start - tmin - xmin * span)[:, None])[:, :, None]
+    key += (xv * span[:, None])[:, None, :]
+    key = key.ravel()
+    # compact clouds (tubes): count every key, no sort; where the boxes are too loose to
+    # tell, the rows' actual key ranges decide
+    if (n_keys.sum() <= 4 * key.size
+            or (key.reshape(rows, -1).max(axis=1) - start + 1).sum() <= 4 * key.size):
+        counts = np.bincount(key)
         uniq = np.flatnonzero(counts)
         index, occupied, counts = key, uniq, counts[uniq]
     else:
@@ -179,14 +193,12 @@ def product(u: WavePacketField, v: WavePacketField) -> WavePacketField:
         sums[:, 1:] = weight
         acc.real = np.cumsum(sums, axis=1)[row, counts]
     else:
-        amp3 = (au * av).reshape(rows, -1) * weight
+        amp3 = (au[:, :, None] * av[:, None, :]).reshape(rows, -1) * weight
         acc.real = np.bincount(index, weights=amp3.real.ravel())[occupied]
         acc.imag = np.bincount(index, weights=amp3.imag.ravel())[occupied]
-    local = uniq - start[row]
-    xi_out = local // span[row] + xmin[row]
-    tau_out = (local % span[row] + tmin[row]).astype(np.float64) * u.dtau
-    return WavePacketField(xi_out, tau_out, acc, u.dxi, u.dtau,
-                           np.cumsum(np.bincount(row, minlength=rows)))
+    xi_out, tau_bin = np.divmod(uniq - start[row], span[row])
+    return WavePacketField(xi_out + xmin[row], (tau_bin + tmin[row]).astype(np.float64) * u.dtau,
+                           acc, u.dxi, u.dtau, np.cumsum(np.bincount(row, minlength=rows)))
 
 
 def _lam_centers(l):
@@ -208,14 +220,11 @@ def _tube(xi_lo, lam_values, dxi):
 
 
 def _validate_bands(n, l):
-    validate_dyadic(n, "frequency band")
-    validate_dyadic(l, "modulation band")
-    if n > MAX_BAND:
-        raise UnresolvableBandError(
-            f"frequency band N = {n} exceeds the configured cap {MAX_BAND}")
-    if l > MAX_MODULATION:
-        raise UnresolvableBandError(
-            f"modulation band L = {l} exceeds the configured cap {MAX_MODULATION}")
+    for value, what, symbol, cap in ((n, "frequency band", "N", MAX_BAND),
+                                     (l, "modulation band", "L", MAX_MODULATION)):
+        validate_dyadic(value, what)
+        if value > cap:
+            raise UnresolvableBandError(f"{what} {symbol} = {value} exceeds the configured cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -322,13 +331,12 @@ MAX_ATTEMPTS_PER_TRIAL = 64
 def _max_ratio(draw, ratios, lams, trials, seed, probe):
     """(max of ``ratios(u, v)`` over exactly ``trials`` admissible tube pairs, draws spent).
 
-    ``draw(rng)`` returns the parameters of a tube pair (see ``_coherent_pair``),
-    or None when inadmissible; the next draw from the one seeded stream replaces
-    it, so a run with more trials extends the run with fewer.  After
-    MAX_ATTEMPTS_PER_TRIAL * trials draws UnresolvableBandError reports the
-    requested, admissible and attempted counts.  Then every trial's tubes, at
-    the modulations ``lams``, are built as the stacks u and v, and ``ratios``
-    gives one ratio per trial.
+    ``draw(rng)`` returns the parameters of a tube pair (see ``_coherent_pair``), or None when
+    inadmissible; the next draw from the one seeded stream replaces it, so a run with more
+    trials extends the run with fewer.  After MAX_ATTEMPTS_PER_TRIAL * trials draws
+    UnresolvableBandError reports the requested, admissible and attempted counts.  Then every
+    trial's tubes, at the modulations ``lams``, are built as the stacks u and v, and
+    ``ratios`` gives one ratio per trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -359,19 +367,17 @@ def _coherent_pair(xi1, xi2, band1, band2):
     fiber_slope = 3.0 * x3 * abs(xi2 - xi1)
     delta_lin = DEFAULT_DTAU / (2.0 * fiber_slope) if fiber_slope > 0 else math.inf
     delta_quad = math.sqrt(DEFAULT_DTAU / (6.0 * x3))
-    delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0,
-                (band2[1] - band2[0]) / 4.0)
+    delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0, (band2[1] - band2[0]) / 4.0)
     return xi1 - delta / 2, xi2 - delta / 2, delta / 5.0
 
 
 def _resonance_range(band1, band2, xi3, signs):
     """[min, max] of H = 3 xi1 xi2 xi3 over xi_k in sign_k * band_k, xi3 = xi1 + xi2.
 
-    The domain is a rectangle cut by a strip, a convex polygon, and H has
-    no critical point in it (only at 0), so the extremes sit at its vertices
-    or at the critical points of H along its edges (xi2 = -xi1 / 2 on
-    xi1 = const, xi1 = -xi2 / 2 on xi2 = const, xi1 = xi2 on xi3 = const).
-    Returns None when the polygon is empty.
+    The domain is a rectangle cut by a strip, a convex polygon, and H has no critical point in
+    it (only at 0), so the extremes sit at its vertices or at the critical points of H along
+    its edges (xi2 = -xi1 / 2 on xi1 = const, xi1 = -xi2 / 2 on xi2 = const, xi1 = xi2 on
+    xi3 = const).  Returns None when the polygon is empty.
     """
     (a1, b1), (a2, b2), (c, d) = (sorted((sg * lo, sg * hi)) for sg, (lo, hi)
                                   in zip(signs, (band1, band2, xi3)))
@@ -463,22 +469,22 @@ def _admissible_xi3(big_h, band1, band2, xi3, edge_terms):
 LAM3_BINS = 8
 
 
-def _tube_targets(triple: DyadicTriple) -> dict:
-    """Per-triple constants of the tube-pair construction.
+@lru_cache(maxsize=64)
+def _tube_targets(triple: DyadicTriple) -> MappingProxyType:
+    """Per-triple constants of the tube-pair construction, built once per triple, read-only.
 
-    ``xi3`` is the |xi3| range the output is aimed at: where beta_N3 and
-    beta_L3 are both at least 1/2 when the resonance can reach that, else
-    their whole supports.  ``lam3`` splits the reachable signed lam3 into
-    bins weighted (``lam3_weights``) by the admissible xi3 length at their
-    centres, so the draws are close to uniform on the admissible (lam3, xi3)
-    region.  ``lam_in`` = lam1 + lam2 of the middle input cells: with a cell
-    pair rather than the means, the output cloud has a cell at the aimed lam3.
+    ``xi3`` is the |xi3| range the output is aimed at: where beta_N3 and beta_L3 are both at
+    least 1/2 when the resonance can reach that, else their whole supports.  ``lam3`` splits
+    the reachable signed lam3 into bins weighted (``lam3_weights``) by the admissible xi3
+    length at their centres, so the draws are close to uniform on the admissible (lam3, xi3)
+    region.  ``lam_in`` = lam1 + lam2 of the middle input cells: with a cell pair rather than
+    the means, the output cloud has a cell at the aimed lam3.
     """
     lam1, lam2 = _lam_centers(triple.l1), _lam_centers(triple.l2)
     lam_in = float(lam1[lam1.size // 2] + lam2[lam2.size // 2])
     band1, band2 = _band(triple.n1, 0.1), _band(triple.n2, 0.1)
-    edge_terms = [(9.0 * e ** 4, 12.0 * e, 3.0 * e ** 2, 6.0 * e)
-                  for edge in (*band1, *band2) for e in (edge, -edge)]
+    edge_terms = tuple((9.0 * e ** 4, 12.0 * e, 3.0 * e ** 2, 6.0 * e)
+                       for edge in (*band1, *band2) for e in (edge, -edge))
     for scale in ((0.75, 1.5), (0.5, 2.0)):  # half height, then the supports
         xi3 = _band(triple.n3, 0.1, *scale)
         reach = _reachable_lam3(band1, band2, xi3, _band(triple.l3, 0.0, *scale), lam_in)
@@ -493,18 +499,19 @@ def _tube_targets(triple: DyadicTriple) -> dict:
             if length > 0:
                 bins.append((lo, hi))
                 weights.append((hi - lo) * length)
-    return {"band1": band1, "band2": band2, "edge_terms": edge_terms, "xi3": xi3, "lam3": bins,
-            "lam3_weights": weights, "lam1": lam1, "lam2": lam2, "lam_in": lam_in}
+    lam1.flags.writeable = lam2.flags.writeable = False
+    return MappingProxyType({"band1": band1, "band2": band2, "edge_terms": edge_terms, "xi3": xi3,
+                             "lam3": tuple(bins), "lam3_weights": tuple(weights), "lam1": lam1,
+                             "lam2": lam2, "lam_in": lam_in})
 
 
 def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac):
     """Parameters of a tube pair whose product lands coherently where the output bumps peak.
 
-    lam3 is drawn (at ``lam3_frac``) from the reachable part of the target
-    range (see ``_tube_targets``), then xi3 (at ``xi3_frac``) from the signed
-    pieces of the target |xi3| range on which the resonance
-    lam1 + lam2 - lam3 = 3 xi1 xi2 xi3 has its two roots (xi1, xi2) inside
-    the N1 and N2 bands, so every draw is admissible.  Returns None when
+    lam3 is drawn (at ``lam3_frac``) from the reachable part of the target range (see
+    ``_tube_targets``), then xi3 (at ``xi3_frac``) from the signed pieces of the target |xi3|
+    range on which the resonance lam1 + lam2 - lam3 = 3 xi1 xi2 xi3 has its two roots
+    (xi1, xi2) inside the N1 and N2 bands, so every draw is admissible.  Returns None when
     nothing is reachable or a draw rounds off a cut.
     """
     if not tg["lam3"]:
@@ -526,19 +533,17 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
                         seed: int = 0) -> RatioRecord:
     """Max over trials of ||P_N3 Q_L3 (u1 u2)|| / (C_pred ||u1|| ||u2||).
 
-    Exactly ``trials`` admissible trials are performed (see ``_max_ratio``),
-    two uniforms per tube draw.  The uniforms are fractions of the target
-    ranges, not absolute positions, so an N-sweep with one seed reuses the
-    same trial family at every N (common random numbers), which keeps the
-    max over trials a smooth function of N.  See ``_targeted_tube_pair`` for
+    Exactly ``trials`` admissible trials are performed (see ``_max_ratio``), two uniforms per
+    tube draw.  The uniforms are fractions of the target ranges, not absolute positions, so an
+    N-sweep with one seed reuses the same trial family at every N (common random numbers),
+    which keeps the max over trials a smooth function of N.  See ``_targeted_tube_pair`` for
     where the output is aimed.
 
     A triple that fails a factor-4 "~" support condition raises VanishingConfigurationError
     (from ``predicted_block_constant``), naming the condition: no constant is predicted to
     measure against.  The block need not vanish there: "~" is tighter than the bump supports.
     """
-    for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2),
-                 (triple.n3, triple.l3)):
+    for n, l in ((triple.n1, triple.l1), (triple.n2, triple.l2), (triple.n3, triple.l3)):
         _validate_bands(n, l)
     c = predicted_block_constant(triple)
     targets = _tube_targets(triple)

@@ -1,6 +1,7 @@
 """Dyadic bilinear block constants: regimes, support conditions, exponents."""
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,23 @@ class TestMeasureBlockRatio:
         measure_block_ratio(DyadicTriple(2, n, n, 1, 1, 2 * n ** 2), trials=32, seed=3)
         assert sum(rows) == 32
 
+    def test_targets_are_built_once_per_triple(self, monkeypatch):
+        reached = []
+        reach = bilinear._reachable_lam3
+        monkeypatch.setattr(bilinear, "_reachable_lam3", lambda *a: reached.append(a) or reach(*a))
+        bilinear._tube_targets.cache_clear()
+        t = DyadicTriple(2, 16, 16, 1, 1, 512)
+        first, second = [measure_block_ratio(t, trials=8, seed=3) for _ in range(2)]
+        assert len(reached) == 1
+        assert first == second and (first.measured_lhs.hex(), first.ratio.hex()) == \
+            (second.measured_lhs.hex(), second.ratio.hex())
+        tg = bilinear._tube_targets(t)
+        with pytest.raises(TypeError):
+            tg["lam_in"] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tg["lam1"][0] = 0.0
+        assert all(isinstance(tg[k], tuple) for k in ("edge_terms", "lam3", "lam3_weights"))
+
     def test_more_trials_never_decrease_max(self):
         t = DyadicTriple(2, 16, 16, 1, 1, 512)
         r8 = measure_block_ratio(t, trials=8, seed=7)
@@ -413,6 +431,19 @@ class TestProductBookkeeping:
             w = product(u, v)
             assert w.xi_index.size == w.tau.size == w.amp.size == w.xi.size == 0
             assert w.ends.dtype == np.int64 and w.ends.tolist() == [0, 0, 0]
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_tau_is_refused(self, bad):
+        # named by operand, row and cell; found among the operand cells, not the pairs
+        lo1, lo2, dxi = np.array([3.1, -7.4]), np.array([2.2, 1.5]), np.array([0.01, 0.002])
+        u = bilinear._tube(lo1, bilinear._lam_centers(2), dxi)
+        v = bilinear._tube(lo2, bilinear._lam_centers(8), dxi)
+        v.tau[v.ends[0] + 7] = bad
+        for args, name in (((u, v), "v"), ((v, u), "u")):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"operand {name} has tau = {bad} in row 1, cell 7")):
+                product(*args)
 
 
 class TestBatchedTrials:
@@ -610,6 +641,53 @@ class TestProductOracle:
         self.assert_equals_oracle(stack(us), stack(vs), False, True, monkeypatch)
         self.assert_equals_oracle(random_cloud(rng, 30, 5, 3.0, 0.1),
                                   random_cloud(rng, 20, 5, 3.0, 0.1), False, False, monkeypatch)
+
+
+    def test_row_boxes_come_from_the_operand_extrema(self, monkeypatch):
+        # every tau sum an odd multiple of dtau / 2 (a tie, rounded to even), tau of both
+        # signs, and in each u row the extreme xi and the extreme tau at four distinct cells
+        u = WavePacketField([0, 4, -3, 2, -1, -5, 1, -2],
+                            [-1.75, 0.25, 0.75, 2.75, -4.25, -2.25, -3.25, -0.75],
+                            np.ones(8), [0.1, 0.3], 0.5, [4, 8])
+        v = WavePacketField([2, -1, 0, 0, 3, 1], [-1.0, 1.5, 0.5, -2.5, 0.0, -0.5],
+                            np.ones(6), [0.1, 0.3], 0.5, [3, 6])
+        sums = (u.tau.reshape(2, -1, 1) + v.tau.reshape(2, 1, -1)) / 0.5
+        assert (sums % 1 == 0.5).all() and (sums < 0).any() and (sums > 0).any()
+        # each row's top xi column reaches only its row's lowest tau bin: the boxes hold
+        # 2 x 18 keys for 6 pairs, more than 4 x, while the keys span 2 x 10, so the dense count
+        a = WavePacketField([0, 0, 1, 2, 3, 3], [-0.25, -4.25, -4.25, 1.75, -2.25, -2.25],
+                            np.ones(6), [0.1, 0.3], 0.5, [3, 6])
+        b = WavePacketField([0, -1], [-0.5, 0.5], np.ones(2), [0.1, 0.3], 0.5, [1, 2])
+        rng = np.random.default_rng(15)
+        for f, g, sparse in ((u, v, True), (a, b, False)):
+            self.assert_equals_oracle(f, g, True, sparse, monkeypatch)
+            amp = rng.standard_normal(f.amp.size) + 1j * rng.standard_normal(f.amp.size)
+            weighted = WavePacketField(f.xi_index, f.tau, amp, f.dxi, f.dtau, f.ends)
+            self.assert_equals_oracle(weighted, g, False, sparse, monkeypatch)
+            self.assert_equals_oracle(g, weighted, False, sparse, monkeypatch)
+
+    def test_peak_memory_of_a_tube_stack_product(self):
+        # 32 rows of unit tubes at 8 lam centres, as measure_block_ratio builds them: the
+        # traced peak stays within 3.5 pair grids of float64 (the keys are the only one)
+        tg = bilinear._tube_targets(DyadicTriple(2, 16, 16, 1, 1, 512))
+        rng = np.random.default_rng(2)
+        pairs = [bilinear._targeted_tube_pair(tg, *rng.random(2).tolist()) for _ in range(64)]
+        lo1, lo2, dxi = np.array([p for p in pairs if p is not None][:32]).T
+        u, v = bilinear._tube(lo1, tg["lam1"], dxi), bilinear._tube(lo2, tg["lam2"], dxi)
+        assert (len(u.ends), u.ends[0], v.ends[0]) == (32, 40, 40)
+        grid_bytes = 32 * 40 * 40 * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            product(u, v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 3.5 * grid_bytes, peak / grid_bytes
 
 
 def resonance_range_by_arrays(band1, band2, xi3, signs):
