@@ -16,15 +16,24 @@ applied to the field's tapered half rows before ``spacetime_transform`` builds t
 ``xbar_norm`` streams the plane through ``modulation_masses`` in blocks of xi columns of at
 most ``BLOCK_BYTES``, so the one complex transform is its only plane-sized array; a column's
 tau sum does not depend on the other columns, so any blocking gives the plane's bits.
+
+The modulation tau - xi^3 of a cell depends on the window, not on the field, and so does its
+band split.  ``xbar_norm`` reads each column block's ``band_cover`` from a cache keyed by
+(grid, tau grid, ``BLOCK_BYTES``): the tau grid is fixed by nt and dt, and with the grid and
+``BLOCK_BYTES`` it fixes the column blocks.  The cache holds the last window only, j as uint8
+and c as float64, 9 bytes per plane cell (435 KiB at N = 256, nt = 96), all read-only; per
+call only the shares of the field's power, their keys and the bincount are built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .bumps import band_share, band_shares, band_split, covering_indices
+from .bumps import band_cover, band_share, band_shares, band_split, covering_indices
 from .errors import TimeWindowTooShortError
+from .grid import GridSpec
 from .solver import Trajectory
 from .spacetime import SpacetimeSpectrum, spacetime_transform, tapered
 
@@ -45,14 +54,16 @@ def _check_dtau(spec: SpacetimeSpectrum):
 
 def modulation_masses(lam, power):
     """(bands, M): M_L = sum over the tau rows of a (tau x xi) block of beta_L(lam)^2 power, for
-    the bands L covering max|lam|.  One bincount over the keys (j, column) and (j + 1, column),
-    interleaved in row-major order, adds each bucket's cells in row order: the bits of a column
-    sum per band.  The bucket row past the top band is dropped; it holds exact zeros.  A
-    non-finite lam raises ValueError."""
-    l_list, j, lower, upper = band_shares(lam, power)
-    cols = lam.shape[1]
-    keys = np.empty(lam.shape + (2,), dtype=np.intp)
-    np.add(j * cols, np.arange(cols), out=keys[..., 0])
+    the bands L covering max|lam|; lam may be given as its ``band_cover``.  One bincount over the
+    keys (j, column) and (j + 1, column), interleaved in row-major order, adds each bucket's
+    cells in row order: the bits of a column sum per band.  The bucket row past the top band is
+    dropped; it holds exact zeros.  A non-finite lam raises ValueError."""
+    l_list, j, lower, upper = band_shares(
+        lam if isinstance(lam, tuple) else band_cover(lam), power)
+    cols = j.shape[1]
+    keys = np.empty(j.shape + (2,), dtype=np.intp)
+    np.multiply(j, cols, out=keys[..., 0], dtype=np.intp)
+    keys[..., 0] += np.arange(cols)
     np.add(keys[..., 0], cols, out=keys[..., 1])
     m = np.bincount(keys.ravel(), np.stack([lower, upper], -1).ravel(),
                     (len(l_list) + 1) * cols)
@@ -66,6 +77,23 @@ def _column_blocks(rows, cols):
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
+@lru_cache(maxsize=1)
+def _plane_geometry(grid: GridSpec, tau: bytes, block_bytes: int) -> tuple:
+    """(max|tau|, ((cols, split), ...)): the column blocks of the plane of ``grid``'s xi >= 0
+    columns and the tau grid whose float64 bytes are ``tau``, each with the ``band_cover`` of
+    its modulation tau - xi^3 (as ``SpacetimeSpectrum.modulation``), j stored as uint8 while
+    the bands allow; read-only.  ``block_bytes`` is ``BLOCK_BYTES``, which sets the blocks."""
+    tau = np.frombuffer(tau)
+    layout = []
+    for cols in _column_blocks(tau.size, grid.xi.size):
+        l_list, j, c = band_cover(tau[:, None] - grid.xi[None, cols] ** 3)
+        j = j.astype(np.min_scalar_type(len(l_list)))
+        j.setflags(write=False)
+        c.setflags(write=False)
+        layout.append((cols, (tuple(l_list), j, c)))
+    return float(np.max(np.abs(tau))), tuple(layout)
+
+
 def x_sum(l_list, masses, weight):
     """sum_L L^(1/2) (M_L weight)^(1/2), added in order of L; one value per column of M."""
     total = 0.0
@@ -76,13 +104,16 @@ def x_sum(l_list, masses, weight):
 
 @dataclass
 class NormReport:
-    """Per-block decomposition of the xbar^s norm."""
+    """Per-block decomposition of the xbar^s norm.  ``truncated_l`` lists the modulation bands
+    that reach past max|tau|; ``unresolved_n`` the frequency blocks N that the time sampling
+    does not resolve, (2N)^3 > max|tau| = pi/dt, whose waves alias in tau."""
 
     s: float
     x_norm_per_n: dict
     low_freq_maximal: float
     xbar_s: float
     truncated_l: list = dc_field(default_factory=list)
+    unresolved_n: list = dc_field(default_factory=list)
 
     def reconstruction_defect(self) -> float:
         """|xbar_s^2 - the sum xbar_s was built from| / xbar_s^2: round-off on any ``xbar_norm``
@@ -108,18 +139,18 @@ def xbar_norm(field: Trajectory, s: float) -> NormReport:
     del u1
     spec = spacetime_transform(field)
     _check_dtau(spec)
-    blocks = _column_blocks(*spec.values.shape)
-    parts = [modulation_masses(spec.modulation(cols), spec.power(cols)) for cols in blocks]
+    tau_max, layout = _plane_geometry(g, spec.tau.tobytes(), BLOCK_BYTES)
+    parts = [modulation_masses(split, spec.power(cols)) for cols, split in layout]
     l_list = max((bands for bands, _ in parts), key=len)
     masses = np.zeros((len(l_list), spec.xi.size))
-    for cols, (bands, m) in zip(blocks, parts):
+    for (cols, _), (bands, m) in zip(layout, parts):
         masses[:len(bands), cols] = m
     x_high = x_sum(l_list, masses @ (betas[1:] * betas[1:]).T, spec.weight)
     x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2
                                   for n, v in x_per_n.items() if n > 1))
-    # bands reaching past max|tau| are cut off by the tau grid
-    tau_max = float(np.max(np.abs(spec.tau)))
-    truncated = [l for l in l_list if 2 * l > tau_max]
-    return NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
-                      xbar_s=float(xbar), truncated_l=truncated)
+    # bands reaching past max|tau| are cut off by the tau grid; blocks whose top frequency's
+    # tau = xi^3 passes it alias
+    return NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low, xbar_s=float(xbar),
+                      truncated_l=[l for l in l_list if 2 * l > tau_max],
+                      unresolved_n=[n for n in n_list if (2 * n) ** 3 > tau_max])

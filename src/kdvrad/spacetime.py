@@ -5,16 +5,22 @@ The trajectory's rows are the grid's k = 0..n/2 half-spectra at the uniform samp
 inner half of the window and 0 at its ends, and zero-padded in time by ``PAD``, which refines
 the tau sampling of the same compactly supported signal.  The field is real and x transformed
 already, so ``spacetime_transform`` is one complex FFT along tau on the xi >= 0 half plane.
+
+``airy_spacetime`` reads its sample times and the Airy phases exp(i t xi^3) of a window from a
+cache keyed by (grid, t_a, t_b, nt) that holds the last window only: read-only arrays of 16
+bytes per (time, xi) cell, 194 KiB at N = 256 and nt = 96.  Only the field's rows are built
+per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from .bumps import chi
 from .errors import KdvradError
-from .grid import SpectralField, airy_phase, require_one_field
+from .grid import GridSpec, SpectralField, airy_phase, require_one_field
 from .solver import Trajectory
 
 #: zero-padding factor of the time axis before the tau transform
@@ -27,15 +33,20 @@ def temporal_taper(t, t_a: float, t_b: float) -> np.ndarray:
     return chi(s)
 
 
+def _check_window(t_a: float, t_b: float, nt: int):
+    if nt < 2 or not (np.isfinite(t_a) and np.isfinite(t_b) and t_b > t_a):
+        raise ValueError("need at least two samples on a finite positive time window, got "
+                         f"t_a = {t_a}, t_b = {t_b}, nt = {nt}")
+
+
 def _window(field: Trajectory):
     """(t_a, dt, taper) of a trajectory on [t_a, t_b] = [times[0], times[-1]], sampled every
     dt = (t_b - t_a)/(nt - 1) to 1e-6 dt; the taper is read at t_a + j dt."""
     times, nt = field.times, len(field)
     if field.field.half.shape[:-1] != (nt,):
         raise ValueError("field must be a stack: (num_time_samples, n/2 + 1)")
-    if nt < 2 or not times[-1] > times[0]:
-        raise ValueError("need at least two samples on a positive time window")
-    t_a, t_b = float(times[0]), float(times[-1])
+    t_a, t_b = (float(times[0]), float(times[-1])) if nt else (np.nan, np.nan)
+    _check_window(t_a, t_b, nt)
     dt = (t_b - t_a) / (nt - 1)
     if (deviation := float(np.max(np.abs(np.diff(times) - dt)))) > 1e-6 * dt:
         raise ValueError(f"sample times are not uniform: a spacing departs by {deviation:.3g} "
@@ -64,9 +75,9 @@ class SpacetimeSpectrum:
         """Cell weight in Parseval sums: dtau*dxi/(2 pi)^2."""
         return self.dtau * self.dxi / (2.0 * np.pi) ** 2
 
-    def modulation(self, cols=slice(None)) -> np.ndarray:
-        """lambda = tau - xi^3 on the (tau, xi) grid, or on its xi columns ``cols``."""
-        return self.tau[:, None] - self.xi[None, cols] ** 3
+    def modulation(self) -> np.ndarray:
+        """lambda = tau - xi^3 on the (tau, xi) grid."""
+        return self.tau[:, None] - self.xi[None, :] ** 3
 
     def power(self, cols=slice(None)) -> np.ndarray:
         """|values|^2 times each column's multiplicity (a xi > 0 column stands for +-xi), on
@@ -90,10 +101,22 @@ def spacetime_transform(field: Trajectory) -> SpacetimeSpectrum:
                              dtau=float(tau[1] - tau[0]), dxi=field.grid.dxi, field=field)
 
 
+@lru_cache(maxsize=1)
+def _airy_window(grid: GridSpec, t_a: float, t_b: float, nt: int):
+    """(times, phase): the nt uniform times of [t_a, t_b] and exp(i t xi^3) at each, read-only."""
+    times = np.linspace(t_a, t_b, nt)
+    phase = airy_phase(grid.xi, times[:, None])
+    times.setflags(write=False)
+    phase.setflags(write=False)
+    return times, phase
+
+
 def airy_spacetime(f: SpectralField, t_a: float, t_b: float,
                    num_time_samples: int = 160) -> Trajectory:
-    """The free (Airy) evolution of f at the times of a uniform window, one row each."""
+    """The free (Airy) evolution of f at the times of a uniform window, one row each; the
+    times are the cached window's read-only array."""
     require_one_field(f, "airy_spacetime")
-    times = np.linspace(t_a, t_b, num_time_samples)
-    rows = f.half * airy_phase(f.grid.xi, times[:, None])
-    return Trajectory(times, SpectralField(f.grid, rows, copy=False))
+    t_a, t_b = float(t_a), float(t_b)
+    _check_window(t_a, t_b, num_time_samples)
+    times, phase = _airy_window(f.grid, t_a, t_b, num_time_samples)
+    return Trajectory(times, SpectralField(f.grid, f.half * phase, copy=False))

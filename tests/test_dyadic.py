@@ -6,13 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from kdvrad import bilinear, bumps, dyadic
+from kdvrad import bilinear, bumps, dyadic, spacetime
 from kdvrad.bilinear import WavePacketField
 from kdvrad.bumps import (band_share, band_split, chi, covering_indices, dyadic_bump,
                           smooth_step)
 from kdvrad.dyadic import NormReport, modulation_masses, x_sum, xbar_norm
 from kdvrad.errors import TimeWindowTooShortError
-from kdvrad.grid import GridSpec, SpectralField, forward_transform
+from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
 from kdvrad.solver import SolverConfig, evolve
 from kdvrad.spacetime import (PAD, SpacetimeSpectrum, airy_spacetime, spacetime_transform, tapered,
                               temporal_taper)
@@ -356,16 +356,78 @@ def test_one_chi_call_per_cell(monkeypatch, st_grid, rng):
     calls = []
     step = bumps.smooth_step
     monkeypatch.setattr(bumps, "smooth_step", lambda t: calls.append(np.size(t)) or step(t))
-    xbar_norm(st, 0.0)
-    # the xi bands, the time taper of the low block and of the tau transform, then the
-    # modulation plane in blocks of two columns or more: every cell once
-    nt, cols = 96, st_grid.num_points // 2 + 1
-    assert calls[:3] == [cols, nt, nt]
-    assert all(size % (PAD * nt) == 0 and size >= 2 * PAD * nt for size in calls[3:])
-    assert sum(calls[3:]) == PAD * nt * cols
+
+    def plane_calls(st):
+        # the xi bands, the time taper of the low block and of the tau transform, then the
+        # modulation plane in blocks of two columns or more: every cell once, or none
+        calls.clear()
+        xbar_norm(st, 0.0)
+        nt, cols = len(st), st.grid.num_points // 2 + 1
+        assert calls[:3] == [cols, nt, nt]
+        assert all(size % (PAD * nt) == 0 and size >= 2 * PAD * nt for size in calls[3:])
+        return sum(calls[3:]) // (PAD * nt * cols)
+
+    dyadic._plane_geometry.cache_clear()
+    assert plane_calls(st) == 1
+    assert plane_calls(st) == 0  # the same window: the cached split
+    # a new BLOCK_BYTES, then a new nt, then a new grid: each splits its plane afresh
+    monkeypatch.setattr(dyadic, "BLOCK_BYTES", 32 * 1024)
+    assert plane_calls(st) == 1
+    assert plane_calls(airy_spacetime(st.field[0], -2.0, 2.0, 16)) == 1
+    assert plane_calls(airy_spacetime(random_band_field(GridSpec(64, 40.0), rng, max_mode=6),
+                                      -2.0, 2.0, 16)) == 1
     calls.clear()
     cloud.x_norm()
     assert calls == [3]
+
+
+def report_bits(rep):
+    """Every value of a NormReport, floats as hex."""
+    return (rep.s, rep.low_freq_maximal.hex(), rep.xbar_s.hex(),
+            [(n, v.hex()) for n, v in rep.x_norm_per_n.items()], rep.truncated_l,
+            rep.unresolved_n)
+
+
+class TestWindowGeometry:
+    @pytest.mark.parametrize("nt", [16, 96])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_cold_and_warm_calls_equal_the_uncached_formulas_bitwise(self, n, nt):
+        g = GridSpec(n, 40.0)
+        f = random_band_field(g, np.random.default_rng(n + nt), max_mode=n // 10)
+        rows = SpectralField(g, f.half * airy_phase(g.xi, np.linspace(-2.0, 2.0, nt)[:, None]))
+        spacetime._airy_window.cache_clear()
+        dyadic._plane_geometry.cache_clear()
+        for warm in (False, True):
+            st = airy_spacetime(f, -2.0, 2.0, nt)
+            assert st.field.half.tobytes() == rows.half.tobytes()
+            for s in (0.0, 0.5, -0.75):
+                assert report_bits(xbar_norm(st, s)) == report_bits(whole_plane_xbar(st, s)[1])
+            assert spacetime._airy_window.cache_info().hits == warm
+        assert dyadic._plane_geometry.cache_info()[:2] == (5, 1)
+
+    def test_cached_arrays_and_times_are_read_only(self, st_grid, rng):
+        st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24), -2.0, 2.0, 96)
+        xbar_norm(st, 0.0)
+        times, phase = spacetime._airy_window(st_grid, -2.0, 2.0, 96)
+        assert st.times is times
+        tau = spacetime_transform(st).tau
+        tau_max, layout = dyadic._plane_geometry(st_grid, tau.tobytes(), dyadic.BLOCK_BYTES)
+        assert tau_max == np.max(np.abs(tau))
+        assert [cols for cols, _ in layout] == dyadic._column_blocks(tau.size, st_grid.xi.size)
+        arrays = [times, phase] + [a for _, (_, j, c) in layout for a in (j, c)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+        assert all(j.dtype == np.uint8 and c.dtype == np.float64 for _, (_, j, c) in layout)
+
+    @pytest.mark.parametrize("nt, unresolved", [(96, [4, 8, 16]), (960, [8, 16])])
+    def test_unresolved_blocks_are_named(self, st_grid, rng, nt, unresolved):
+        # block N is resolved when its top frequency's tau = (2N)^3 is at most pi/dt: 74.6 at
+        # nt = 96 on [-2, 2], 753 at nt = 960
+        st = airy_spacetime(random_band_field(st_grid, rng, max_mode=24), -2.0, 2.0, nt)
+        rep = xbar_norm(st, 0.5)
+        assert list(rep.x_norm_per_n) == [1, 2, 4, 8, 16]
+        assert rep.unresolved_n == unresolved
 
 
 class TestXNorm:
@@ -599,8 +661,9 @@ def whole_plane_xbar(field, s):
     x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2 for n, v in x_per_n.items() if n > 1))
     truncated = [l for l in l_list if 2 * l > float(np.max(np.abs(tau)))]
+    unresolved = [n for n in n_list if (2 * n) ** 3 > np.pi / dt]
     return values, NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
-                              xbar_s=float(xbar), truncated_l=truncated)
+                              xbar_s=float(xbar), truncated_l=truncated, unresolved_n=unresolved)
 
 
 class TestColumnBlocks:
@@ -640,6 +703,12 @@ class TestColumnBlocks:
             assert got.xbar_s.hex() == want.xbar_s.hex()
             assert [v.hex() for v in got.x_norm_per_n.values()] == [
                 v.hex() for v in want.x_norm_per_n.values()]
+        # xbar_norm read the layout this width sets, cached under it: reading it back hits
+        hits = dyadic._plane_geometry.cache_info().hits
+        tau = spacetime_transform(st).tau
+        layout = dyadic._plane_geometry(st.grid, tau.tobytes(), block_bytes)[1]
+        assert dyadic._plane_geometry.cache_info().hits == hits + 1
+        assert [cols for cols, _ in layout] == dyadic._column_blocks(rows, cols)
 
     def test_peak_memory_within_three_planes(self, st_grid):
         # the complex plane, the x transform and float column blocks; each whole-plane float

@@ -5,9 +5,16 @@ a public function is set by some call, every public function is used and
 named unlike any class member, every real FFT goes through grid's two
 pocketfft helpers, every band weight through bumps, the grid's
 half-spectrum is the one spectral layout and the solver's Trajectory the one
-time-sampled stack."""
+time-sampled stack, and every cache is small and hands out read-only values."""
 import ast
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
+
+from kdvrad import bilinear, dyadic, spacetime
+from kdvrad.grid import GridSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -245,3 +252,50 @@ def test_one_time_sampled_stack():
             if members & {"t_a", "t_b"} or ("times" in members and holds_field):
                 holders.append(f"{path.stem}.{node.name}")
     assert holders == ["solver.Trajectory"], f"classes holding sample times: {holders}"
+
+
+#: one call of each cached function; the caches are found in the source, so a new one needs a row
+CACHE_CALLS = {
+    "bilinear._tube_targets": lambda: bilinear._tube_targets(
+        bilinear.DyadicTriple(2, 8, 8, 1, 1, 128)),
+    "spacetime._airy_window": lambda: spacetime._airy_window(GridSpec(64), -2.0, 2.0, 16),
+    "dyadic._plane_geometry": lambda: dyadic._plane_geometry(
+        GridSpec(64), (2.0 * np.pi * np.fft.fftfreq(64, d=4.0 / 15.0)).tobytes(),
+        dyadic.BLOCK_BYTES),
+}
+
+
+def mutable_parts(value, where="value"):
+    """Paths to the parts of ``value`` a caller could change in place: writeable arrays, lists,
+    sets, dicts and other mappings than a MappingProxyType."""
+    if isinstance(value, np.ndarray):
+        return [] if not value.flags.writeable else [where]
+    if isinstance(value, MappingProxyType):
+        return [p for k, v in value.items() for p in mutable_parts(v, f"{where}[{k!r}]")]
+    if isinstance(value, (list, set, dict, Mapping)):
+        return [where]
+    if isinstance(value, tuple):
+        return [p for i, v in enumerate(value) for p in mutable_parts(v, f"{where}[{i}]")]
+    return []
+
+
+def test_every_cache_is_small_and_read_only():
+    # a cache hands the same object to every caller, so one caller's write would change what
+    # the others read; and it retains what it holds, so its bound is written out and small
+    found, unbounded = set(), []
+    for path in sorted((ROOT / "src" / "kdvrad").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for d in getattr(fn, "decorator_list", []):
+                call = d if isinstance(d, ast.Call) else ast.Call(d, [], [])
+                if ast.unparse(call.func).split(".")[-1] not in ("lru_cache", "cache"):
+                    continue
+                found.add(f"{path.stem}.{fn.name}")
+                size = call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
+                if not (size and isinstance(size[0], ast.Constant)
+                        and type(size[0].value) is int and 1 <= size[0].value <= 64):
+                    unbounded.append(f"{path.stem}.{fn.name}")
+    assert not unbounded, f"caches without an explicit maxsize of 1-64: {unbounded}"
+    assert found == CACHE_CALLS.keys(), f"cached functions: {sorted(found)}"
+    mutable = {name: parts for name, call in CACHE_CALLS.items()
+               if (parts := mutable_parts(call()))}
+    assert not mutable, f"cached values a caller could change: {mutable}"

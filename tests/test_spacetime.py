@@ -1,7 +1,10 @@
 """Space-time sampling, taper and 2D transform."""
+import re
+
 import numpy as np
 import pytest
 
+from kdvrad import spacetime
 from kdvrad.errors import KdvradError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import Trajectory
@@ -119,6 +122,7 @@ class TestSpacetimeTransform:
         (np.zeros(9), 9, "positive time window"),
         (np.linspace(1.0, 0.0, 9), 9, "positive time window"),
         (np.r_[np.linspace(0.0, 1.0, 9), 1.05], 10, "not uniform"),
+        (np.r_[np.linspace(0.0, 1.0, 8), np.inf], 9, "finite positive time window"),
     ])
     def test_rejects_a_bad_window(self, st_grid, times, rows, match):
         half = np.ones(st_grid.num_points // 2 + 1, dtype=complex)
@@ -156,6 +160,17 @@ class TestBuilders:
         st = airy_spacetime(f0, -1.0, 1.0, num_time_samples=9)
         for t, row in zip(np.linspace(-1.0, 1.0, 9), st.field.half):
             assert row.tobytes() == airy_propagate(f0, t).half.tobytes()
+
+    @pytest.mark.parametrize("t_a, t_b, nt", [
+        (0.0, np.nan, 16), (np.nan, 1.0, 16), (0.0, np.inf, 16), (-np.inf, 0.0, 16),
+        (1.0, 1.0, 16), (1.0, 0.0, 16), (0.0, 1.0, 1), (0.0, 1.0, 0), (0.0, 1.0, -3),
+    ])
+    def test_airy_spacetime_refuses_a_bad_window_before_caching(self, st_grid, t_a, t_b, nt):
+        f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
+        spacetime._airy_window.cache_clear()
+        with pytest.raises(ValueError, match=re.escape(f"t_a = {t_a}, t_b = {t_b}, nt = {nt}")):
+            airy_spacetime(f0, t_a, t_b, nt)
+        assert spacetime._airy_window.cache_info().currsize == 0
 
     def test_airy_spacetime_refuses_a_stack(self, st_grid):
         f0 = forward_transform(np.exp(-(st_grid.x / 6.0) ** 2), st_grid)
