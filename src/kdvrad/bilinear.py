@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bumps import band_cover, band_shares, dyadic_bump, validate_dyadic
+from .bumps import band_stack, dyadic_bump, validate_dyadic
 from .dyadic import x_sum
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
@@ -64,15 +64,10 @@ def _row_sums(x, ends):
 
 
 def _band_masses(lam, power, ends):
-    """(bands, M): M_L per row of the cells' beta_L(lam)^2 power.  Each cell's two shares go
-    into one zero (bands + 1, cells) stack, at rows j and j + 1; the row past the top band
-    holds exact zeros and is left out of the row sums."""
-    l_list, j, lower, upper = band_shares(band_cover(lam), power)
-    stack = np.zeros((len(l_list) + 1, j.size))
-    cells = np.arange(j.size)
-    stack[j, cells] = lower
-    stack[j + 1, cells] = upper
-    return l_list, _row_sums(stack[:-1], ends)
+    """(bands, M): M_L per row of the cells' beta_L(lam)^2 power, the row sums of their
+    ``band_stack``."""
+    l_list, stack = band_stack(lam, power)
+    return l_list, _row_sums(stack, ends)
 
 
 @dataclass

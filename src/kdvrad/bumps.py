@@ -12,9 +12,9 @@ A point with 2^j <= |s| < 2^(j+1) lies in two bands only: beta_(2^j)(s) = chi(s/
 beta_(2^(j+1))(s) = 1 - chi(s/2^j), the other cutoff being exactly 0 or 1 there; |s| < 1 lies
 in band 1 alone.  ``band_split`` (j from ``frexp``, c = chi(|s|/2^j) from one chi call) is the
 one evaluation of beta.  ``dyadic_bump`` reads one band from it through ``band_share``;
-``band_cover`` adds the bands covering a set of points; ``band_shares`` gives each point's two
-shares of beta^2 power, c^2 power to band 2^j and (1 - c)^2 power to band 2^(j+1), which both
-X-norm layouts place in one scatter.  ``frexp`` and ``ldexp`` are exact, so the weights equal
+``band_stack`` places each point's two shares of beta^2 power, c^2 power in band 2^j and
+(1 - c)^2 power in band 2^(j+1), in one scatter over the bands covering the points: the one
+reduction of both X-norm layouts.  ``frexp`` and ``ldexp`` are exact, so the weights equal
 chi(s/n) - chi(2s/n) bit for bit.
 """
 from __future__ import annotations
@@ -65,18 +65,18 @@ def band_share(j, k, lower, upper):
     return np.where(j == k, lower, np.where(j == k - 1, upper, 0.0))
 
 
-def band_cover(lam):
-    """(bands, j, c): the bands L covering max|lam| and lam's ``band_split``.  A non-finite lam
+def band_stack(lam, power):
+    """(bands, S): the bands L covering max|lam| and the (bands x points) stack of each point's
+    beta_L(lam)^2 power.  One scatter puts c^2 power in row j and (1 - c)^2 power in row j + 1
+    of the point's ``band_split``; the zero row past the top band is dropped.  A non-finite lam
     raises ValueError."""
-    return (covering_indices(float(np.max(np.abs(lam), initial=1.0))), *band_split(lam))
-
-
-def band_shares(cover, power):
-    """(bands, j, lower, upper) from the ``band_cover`` of points lam: the bands L covering
-    max|lam|, and each point's shares of beta_L(lam)^2 power, ``lower`` in band 2^j and
-    ``upper`` in band 2^(j+1).  A point in the top band has upper = 0."""
-    l_list, j, c = cover
-    return list(l_list), j, c * c * power, (1.0 - c) * (1.0 - c) * power
+    l_list = covering_indices(float(np.max(np.abs(lam), initial=1.0)))
+    j, c = band_split(lam)
+    stack = np.zeros((len(l_list) + 1, j.size))
+    points = np.arange(j.size)
+    stack[j, points] = c * c * power
+    stack[j + 1, points] = (1.0 - c) * (1.0 - c) * power
+    return l_list, stack[:-1]
 
 
 def covering_indices(max_abs):

@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from kdvrad import bilinear, dyadic, spacetime
+from kdvrad import bilinear, spacetime
 from kdvrad.grid import GridSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -259,9 +259,6 @@ CACHE_CALLS = {
     "bilinear._tube_targets": lambda: bilinear._tube_targets(
         bilinear.DyadicTriple(2, 8, 8, 1, 1, 128)),
     "spacetime._airy_window": lambda: spacetime._airy_window(GridSpec(64), -2.0, 2.0, 16),
-    "dyadic._plane_geometry": lambda: dyadic._plane_geometry(
-        GridSpec(64), (2.0 * np.pi * np.fft.fftfreq(64, d=4.0 / 15.0)).tobytes(),
-        dyadic.BLOCK_BYTES),
 }
 
 

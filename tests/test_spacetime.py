@@ -1,11 +1,11 @@
-"""Space-time sampling, taper and 2D transform."""
+"""Space-time sampling, taper and the 2D transform in the modulation frame."""
 import re
 
 import numpy as np
 import pytest
 
 from kdvrad import spacetime
-from kdvrad.errors import KdvradError
+from kdvrad.errors import KdvradError, TimeWindowTooShortError
 from kdvrad.grid import GridSpec, SpectralField, forward_transform
 from kdvrad.solver import Trajectory
 from kdvrad.spacetime import airy_spacetime, spacetime_transform, temporal_taper
@@ -55,11 +55,13 @@ class TestSpacetimeTransform:
                                                         rel=1e-10)
 
     def test_tau_spacing(self, st_grid):
+        # lam = tau - xi^3 column by column, so the lam grid has the tau grid's spacing:
+        # padded window length = PAD * nt * dt, PAD = 4
         f = make_field(st_grid, lambda t, x: np.cos(x), nt=128)
         spec = spacetime_transform(f)
-        # padded window length = PAD * nt * dt, PAD = 4
         expected = 2 * np.pi / (4 * 128 * window(f)[2])
-        assert spec.dtau == pytest.approx(expected, rel=1e-12)
+        assert spec.dlam == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(spec.lam, 2 * np.pi * np.fft.fftfreq(4 * 128, d=window(f)[2]))
 
     @staticmethod
     def _taper_line(field, tau0=0.0, pad=4):
@@ -76,37 +78,39 @@ class TestSpacetimeTransform:
     def test_pure_exponential_concentrates(self, st_grid):
         # the windowed transform of cos(xi0 x + tau0 t) factorizes into
         # spatial lines at +-xi0 times the taper line shape at tau = -+tau0;
-        # the exp(i tau0 t) component pairs with the +xi0 spatial mode
+        # the exp(i tau0 t) component pairs with the +xi0 spatial mode, which the
+        # demodulation moves to lam = tau0 - xi0^3
         g = st_grid
         xi0 = 16 * np.pi / g.half_length
         tau0 = 2.0
+        lam0 = tau0 - xi0 ** 3
         f = make_field(g, lambda t, x: np.cos(xi0 * x + tau0 * t))
         spec = spacetime_transform(f)
         power = np.abs(spec.values) ** 2
         j_pos = int(np.flatnonzero(np.isclose(spec.xi, xi0))[0])
-        _, line = self._taper_line(f, tau0=tau0)
+        _, line = self._taper_line(f, tau0=lam0)
         oracle_col = g.half_length * line
         scale = np.max(np.abs(oracle_col))
         assert np.max(np.abs(spec.values[:, j_pos] - oracle_col)) < 1e-10 * scale
-        # dominant bin sits at (tau0, xi0); side-lobe mass beyond the taper's
+        # dominant bin sits at (lam0, xi0); side-lobe mass beyond the taper's
         # 99 % bandwidth (~6 for this window) stays below 1 %
         i, j = np.unravel_index(np.argmax(power), power.shape)
         assert abs(abs(spec.xi[j]) - xi0) < 1e-12
-        assert abs(abs(spec.tau[i]) - tau0) <= spec.dtau
-        far = np.minimum(np.abs(spec.tau - tau0), np.abs(spec.tau + tau0)) > 6.0
+        assert abs(spec.lam[i] - lam0) <= spec.dlam
+        far = np.abs(spec.lam - lam0) > 6.0
         assert np.sum(power[far, :]) < 0.01 * np.sum(power)
 
     def test_airy_wave_has_zero_modulation(self, st_grid):
-        # free waves live on the characteristic tau = xi^3; the tapered
+        # free waves live on the characteristic tau = xi^3, lam = 0; the tapered
         # transform spreads each by the taper line shape only
         g = st_grid
         xi0 = 8 * np.pi / g.half_length
         f = make_field(g, lambda t, x: np.cos(xi0 * x + xi0 ** 3 * t))
         spec = spacetime_transform(f)
         power = np.abs(spec.values) ** 2
-        lam = np.abs(spec.modulation())
+        lam = np.abs(spec.lam)
         i, j = np.unravel_index(np.argmax(power), power.shape)
-        assert lam[i, j] <= spec.dtau
+        assert lam[i] <= spec.dlam
         # >= 95 % of the mass within the taper's own 95 % bandwidth of the
         # characteristic (measured from the taper: ~2.0 for this window)
         tau, line = self._taper_line(f)
@@ -114,6 +118,17 @@ class TestSpacetimeTransform:
         b95 = 2.0
         assert np.sum(pl[np.abs(tau) <= b95]) / np.sum(pl) >= 0.95
         assert np.sum(power[lam <= b95]) >= 0.95 * np.sum(power)
+
+    def test_free_wave_sits_at_zero_modulation_at_any_sampling(self, st_grid):
+        # xi0^3 = 1000 is far past pi/dt = 11.8 at nt = 16: the tau grid aliases such a wave,
+        # the demodulated rows do not, and every column is f_hat(xi) times one taper line
+        f0 = forward_transform(np.cos(10.0 * st_grid.x) * np.exp(-(st_grid.x / 8.0) ** 2),
+                               st_grid)
+        spec = spacetime_transform(airy_spacetime(f0, -2.0, 2.0, 16))
+        _, line = self._taper_line(spec.field)
+        cols = slice(0, -1)  # the real Nyquist column aliases
+        want = line[:, None] * f0.half[cols]
+        assert np.max(np.abs(spec.values[:, cols] - want)) < 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("times, rows, match", [
         (np.linspace(0.0, 1.0, 9), None, "must be a stack"),
@@ -133,6 +148,12 @@ class TestSpacetimeTransform:
     def test_rejects_few_samples(self, st_grid):
         f = make_field(st_grid, lambda t, x: np.cos(x), nt=6)
         with pytest.raises(KdvradError, match="8 time samples"):
+            spacetime_transform(f)
+
+    @pytest.mark.parametrize("nt", [2, 7])
+    def test_few_samples_raise_a_typed_error_naming_nt(self, st_grid, nt):
+        f = make_field(st_grid, lambda t, x: np.cos(x), nt=nt)
+        with pytest.raises(TimeWindowTooShortError, match=f"8 time samples .* nt = {nt}$"):
             spacetime_transform(f)
 
     def test_inverse_round_trip(self, st_grid):
