@@ -10,21 +10,24 @@ value per row, bitwise the row's value as a cloud alone.
 
 The block probe (``measure_block_ratio``) and the X-norm product probe
 (``xnorm_product_ratio``) share one sampler core: a draw loop (``_max_ratio``) that takes the
-tube-pair parameters of every trial from one seeded stream (``_coherent_pair``), then one
-evaluation: every trial's tubes as one stack (``_tube``), one ``product`` call and the norms,
-a ratio per trial.  The tubes carry unit amplitudes, so ``product`` counts the pairs landing
-in each output cell rather than summing their weights, and ``modulation`` cubes each lattice
-column once, not each cell: both give the bits of the per-pair sum and the per-cell cube.  The
-thin frequency tubes keep the spread of the resonance 3 xi1 xi2 xi3 below one tau cell, so
-they resolve the modulation scale at large N, where a dense grid cannot, and sample the
-operator norm from below.  The probes differ only in where they put (xi1, xi2).  The draw
-geometry is float arithmetic; numpy enters only at the stacked evaluation.
+tube-pair parameters of every trial from one seeded stream (``_coherent_pair``), as many draws
+at a time as trials are still needed, then one evaluation: every trial's tubes as one stack
+(``_tube``), one ``product`` call and the norms, a ratio per trial.  The tubes carry unit
+amplitudes, so ``product`` counts the pairs landing in each output cell rather than summing
+their weights, and ``modulation`` cubes each lattice column once, not each cell: both give the
+bits of the per-pair sum and the per-cell cube.  The thin frequency tubes keep the spread of the
+resonance 3 xi1 xi2 xi3 below one tau cell, so they resolve the modulation scale at large N,
+where a dense grid cannot, and sample the operator norm from below.  The probes differ only in
+where they put (xi1, xi2).  The targeted draws of a batch run through the geometry as float64
+arrays, a row per draw, with the bits of the per-draw float loop kept in the tests: sums and
+walks along a row are sequential accumulates, each row's cuts are sorted with +inf padding, and
+the cube-root cut is Python's ``**`` per element.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -35,6 +38,7 @@ from .dyadic import x_sum
 from .errors import UnresolvableBandError, VanishingConfigurationError
 
 TWO_PI = 2.0 * np.pi
+TINY = np.finfo(float).tiny
 
 #: practical resolution caps for probe construction
 MAX_BAND = 4096
@@ -326,43 +330,44 @@ MAX_ATTEMPTS_PER_TRIAL = 64
 def _max_ratio(draw, ratios, lams, trials, seed, probe):
     """(max of ``ratios(u, v)`` over exactly ``trials`` admissible tube pairs, draws spent).
 
-    ``draw(rng)`` returns the parameters of a tube pair (see ``_coherent_pair``), or None when
-    inadmissible; the next draw from the one seeded stream replaces it, so a run with more
-    trials extends the run with fewer.  After MAX_ATTEMPTS_PER_TRIAL * trials draws
-    UnresolvableBandError reports the requested, admissible and attempted counts.  Then every
-    trial's tubes, at the modulations ``lams``, are built as the stacks u and v, and
+    ``draw(rng, count)`` takes ``count`` draws from the one seeded stream and returns the
+    parameter rows of the admissible ones (see ``_coherent_pair``), in stream order.  Taking
+    only as many as are still needed, the draws keep the first ``trials`` admissible ones, so a
+    run with more trials extends the run with fewer.  After MAX_ATTEMPTS_PER_TRIAL * trials
+    draws UnresolvableBandError reports the requested, admissible and attempted counts.  Then
+    every trial's tubes, at the modulations ``lams``, are built as the stacks u and v, and
     ``ratios`` gives one ratio per trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    pairs, attempts = [], 0
+    pairs, attempts, budget = [], 0, MAX_ATTEMPTS_PER_TRIAL * trials
     while len(pairs) < trials:
-        if attempts == MAX_ATTEMPTS_PER_TRIAL * trials:
+        if attempts == budget:
             raise UnresolvableBandError(
                 f"no admissible probe pair for {probe}: {len(pairs)} of {trials} "
                 f"requested trials admissible after {attempts} attempts")
-        attempts += 1
-        pair = draw(rng)
-        if pair is not None:
-            pairs.append(pair)
+        count = min(trials - len(pairs), budget - attempts)
+        attempts += count
+        pairs.extend(draw(rng, count))
     lo1, lo2, dxi = np.array(pairs).T
     values = ratios(_tube(lo1, lams[0], dxi), _tube(lo2, lams[1], dxi))
     return max(0.0, *map(float, values)), attempts
 
 
 def _coherent_pair(xi1, xi2, band1, band2):
-    """(xi_lo1, xi_lo2, dxi): the tubes centred on xi1 and xi2 whose product stays coherent.
+    """(xi_lo1, xi_lo2, dxi): the tubes centred on xi1 and xi2 whose product stays coherent,
+    elementwise over arrays or numbers.
 
     The width keeps both the linear and the quadratic spread of the
     resonance along the output fiber below one tau cell, and a quarter of
-    either band.  Needs x3 = |xi1 + xi2| > 0: on floats, x3 = 0 raises ZeroDivisionError.
+    either band.  Needs x3 = |xi1 + xi2| > 0.  A fiber slope under the smallest normal float
+    (xi1 = xi2) counts as that float, whose linear bound (2e307) binds no more than inf.
     """
     x3 = abs(xi1 + xi2)
-    fiber_slope = 3.0 * x3 * abs(xi2 - xi1)
-    delta_lin = DEFAULT_DTAU / (2.0 * fiber_slope) if fiber_slope > 0 else math.inf
-    delta_quad = math.sqrt(DEFAULT_DTAU / (6.0 * x3))
-    delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0, (band2[1] - band2[0]) / 4.0)
+    slope = 2.0 * (3.0 * x3 * abs(xi2 - xi1))
+    delta = np.minimum(DEFAULT_DTAU / np.maximum(slope, TINY), np.sqrt(DEFAULT_DTAU / (6.0 * x3)))
+    delta = np.minimum(delta, min(band1[1] - band1[0], band2[1] - band2[0]) / 4.0)
     return xi1 - delta / 2, xi2 - delta / 2, delta / 5.0
 
 
@@ -408,56 +413,73 @@ def _reachable_lam3(band1, band2, xi3, lam3, lam_in):
     return merged
 
 
-def _pick(pieces, frac, weights=None):
-    """Point at fraction ``frac`` of disjoint intervals weighted by ``weights`` (default: length)."""
-    weights = [b - a for a, b in pieces] if weights is None else weights
-    pos = frac * sum(weights)
-    for (a, b), w in zip(pieces, weights):
-        if pos <= w:
-            break
-        pos -= w
-    return min(a + (b - a) * pos / w, b)
+def _pick(slots, frac):
+    """Point at fraction ``frac`` of each row's disjoint intervals, held as (lower, upper,
+    weight) along the last axis of ``slots`` (rows or 1, slots, 3); slots of weight 0 are
+    skipped, and a row without an interval gives its first slot.
+
+    The total and the walk along a row are sequential (``np.add.accumulate``,
+    ``np.subtract.accumulate``), and a walk past the last interval ends in it, so each point has
+    the bits of the loop over the row's intervals (the reference in the tests)."""
+    slots = np.broadcast_to(slots, (frac.size, *np.shape(slots)[-2:]))
+    weights = slots[..., 2]
+    pos = frac * np.add.accumulate(weights, -1)[:, -1]
+    left = np.subtract.accumulate(np.column_stack([pos, weights]), -1)
+    held = weights > 0
+    stop = held & (left[:, :-1] <= weights)
+    past = ~stop.any(-1)
+    rows = np.arange(frac.size)
+    i = np.where(past, np.argmax(np.cumsum(held, -1), -1), np.argmax(stop, -1))
+    a, b, w = slots[rows, i].T
+    # past the last held slot, only zeros are taken off
+    return np.minimum(a + (b - a) * left[rows, i + past] / np.where(w > 0, w, 1.0), b)
 
 
 def _resonance_roots(x3, h, band1, band2):
-    """(xi1, xi2) with xi1 + xi2 = x3 and 3 xi1 xi2 x3 = h, each in its band; else None.
-    Needs x3 > 0: on floats, x3 = 0 raises ZeroDivisionError."""
+    """(xi1, xi2, ok) elementwise: xi1 + xi2 = x3 and 3 xi1 xi2 x3 = h, each in its band where
+    ``ok``.  Needs x3 > 0, so the root ``big`` is positive."""
     disc = x3 * x3 - 4.0 * h / (3.0 * x3)
-    if disc < 0:
-        return None
-    big = (x3 + math.sqrt(disc)) / 2.0
+    big = (x3 + np.sqrt(np.maximum(disc, 0.0))) / 2.0
     small = h / (3.0 * x3 * big)  # the other root, free of cancellation
-    for z1, z2 in ((big, small), (small, big)):
-        if band1[0] <= abs(z1) <= band1[1] and band2[0] <= abs(z2) <= band2[1]:
-            return z1, z2
-    return None
+    size = np.abs(small)
+    fits = [(band1[0] <= z1) & (z1 <= band1[1]) & (band2[0] <= z2) & (z2 <= band2[1])
+            for z1, z2 in ((big, size), (size, big))]
+    return (np.where(fits[0], big, small), np.where(fits[0], small, big),
+            (disc >= 0) & (fits[0] | fits[1]))
 
 
 def _admissible_xi3(big_h, band1, band2, xi3, edge_terms):
-    """Signed xi3 intervals, |xi3| in xi3, on which both roots fit their bands.
+    """For each entry of ``big_h``, the signed xi3 intervals, |xi3| in xi3, on which both roots
+    fit their bands: (rows, 36, 3) slots of (lower, upper, length) in increasing order, the
+    slots between them of length 0.
 
     Mirroring xi -> -xi flips the resonance, so xi3 < 0 is solved as |xi3|
     with h = -H.  The admissible set can only change where a root crosses a
     band edge e, i.e. at the roots x3 of 3 e x3 (x3 - e) = h, or where the
     two roots merge (x3^3 = 4 h / 3); each piece between cuts is tested once.
     ``edge_terms`` holds that quadratic's terms (9 e^4, 12 e, 3 e^2, 6 e) for each signed edge.
+    The 19 cuts of a row and sign (lo, hi, the merge point, two per edge) are sorted with +inf
+    in place of those that do not exist or fall outside [lo, hi].  The merge point takes
+    Python's ``**`` per element: numpy's vectorised power sets other last bits.
     """
     lo, hi = xi3
-    pieces = []
-    for sign3 in (-1.0, 1.0):
-        h = sign3 * big_h
-        cuts = [lo, hi]
-        if h > 0:
-            cuts.append((4.0 * h / 3.0) ** (1.0 / 3.0))
-        for nine_e4, twelve_e, three_e2, six_e in edge_terms:
-            disc = nine_e4 + twelve_e * h
-            if disc >= 0:
-                root = math.sqrt(disc)
-                cuts += [(three_e2 + root) / six_e, (three_e2 - root) / six_e]
-        cuts = sorted(c for c in cuts if lo <= c <= hi)
-        pieces += [(a, b) if sign3 > 0 else (-b, -a) for a, b in zip(cuts, cuts[1:])
-                   if b > a and _resonance_roots((a + b) / 2.0, h, band1, band2)]
-    return sorted(pieces)
+    h = np.stack([-big_h, big_h], -1)[..., None]  # (rows, sign3 = -1 and +1, 1)
+    nine_e4, twelve_e, three_e2, six_e = np.array(edge_terms).T
+    disc = nine_e4 + twelve_e * h
+    root = np.sqrt(np.where(disc >= 0, disc, np.inf))  # no edge cut: both cuts infinite
+    merge = np.full(h.shape, np.inf)
+    merge[h > 0] = [q ** (1.0 / 3.0) for q in (4.0 * h[h > 0] / 3.0).tolist()]
+    cuts = np.concatenate([np.broadcast_to([lo, hi], (*h.shape[:2], 2)), merge,
+                           (three_e2 + root) / six_e, (three_e2 - root) / six_e], -1)
+    cuts[(cuts < lo) | (cuts > hi)] = np.inf
+    cuts.sort(-1)
+    a, b = cuts[..., :-1], cuts[..., 1:]
+    fits = (b > a) & (b <= hi)
+    fits &= _resonance_roots(np.where(fits, (a + b) / 2.0, lo), h, band1, band2)[2]
+    a, b = np.where(fits, a, lo), np.where(fits, b, lo)
+    lower = np.concatenate([-b[:, 0, ::-1], a[:, 1]], -1)
+    upper = np.concatenate([-a[:, 0, ::-1], b[:, 1]], -1)
+    return np.stack([lower, upper, upper - lower], -1)
 
 
 #: lam3 histogram bins per reachable interval
@@ -485,43 +507,38 @@ def _tube_targets(triple: DyadicTriple) -> MappingProxyType:
         reach = _reachable_lam3(band1, band2, xi3, _band(triple.l3, 0.0, *scale), lam_in)
         if reach:
             break
-    bins, weights = [], []
-    for a, b in reach:
-        edges = np.linspace(a, b, LAM3_BINS + 1).tolist()
-        for lo, hi in zip(edges, edges[1:]):
-            pieces = _admissible_xi3(lam_in - (lo + hi) / 2.0, band1, band2, xi3, edge_terms)
-            length = sum(q - p for p, q in pieces)
-            if length > 0:
-                bins.append((lo, hi))
-                weights.append((hi - lo) * length)
+    edges = np.linspace(*np.reshape(reach, (-1, 2)).T, LAM3_BINS + 1, axis=-1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    pieces = _admissible_xi3(lam_in - (lo + hi) / 2.0, band1, band2, xi3, edge_terms)
+    length = np.add.accumulate(pieces[..., 2], -1)[:, -1]
+    keep = length > 0
     lam1.flags.writeable = lam2.flags.writeable = False
     return MappingProxyType({"band1": band1, "band2": band2, "edge_terms": edge_terms, "xi3": xi3,
-                             "lam3": tuple(bins), "lam3_weights": tuple(weights), "lam1": lam1,
-                             "lam2": lam2, "lam_in": lam_in})
+                             "lam3": tuple(zip(lo[keep].tolist(), hi[keep].tolist())),
+                             "lam3_weights": tuple(((hi - lo) * length)[keep].tolist()),
+                             "lam1": lam1, "lam2": lam2, "lam_in": lam_in})
 
 
-def _targeted_tube_pair(tg: dict, lam3_frac, xi3_frac):
-    """Parameters of a tube pair whose product lands coherently where the output bumps peak.
+def _targeted_tube_pairs(tg: dict, fracs):
+    """(k, 3): the parameters of the tube pairs whose products land coherently where the output
+    bumps peak, one per admissible row of ``fracs``, in order.
 
-    lam3 is drawn (at ``lam3_frac``) from the reachable part of the target range (see
-    ``_tube_targets``), then xi3 (at ``xi3_frac``) from the signed pieces of the target |xi3|
+    lam3 is drawn (at ``fracs[:, 0]``) from the reachable part of the target range (see
+    ``_tube_targets``), then xi3 (at ``fracs[:, 1]``) from the signed pieces of the target |xi3|
     range on which the resonance lam1 + lam2 - lam3 = 3 xi1 xi2 xi3 has its two roots
-    (xi1, xi2) inside the N1 and N2 bands, so every draw is admissible.  Returns None when
-    nothing is reachable or a draw rounds off a cut.
+    (xi1, xi2) inside the N1 and N2 bands, so every draw is admissible unless nothing is
+    reachable or it rounds off a cut.
     """
     if not tg["lam3"]:
-        return None
+        return np.empty((0, 3))
     band1, band2 = tg["band1"], tg["band2"]
-    big_h = tg["lam_in"] - _pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
+    big_h = tg["lam_in"] - _pick(np.column_stack([tg["lam3"], tg["lam3_weights"]]), fracs[:, 0])
     pieces = _admissible_xi3(big_h, band1, band2, tg["xi3"], tg["edge_terms"])
-    if not pieces:
-        return None
-    xi3 = _pick(pieces, xi3_frac)
-    sign3 = 1.0 if xi3 > 0 else -1.0
-    roots = _resonance_roots(abs(xi3), sign3 * big_h, band1, band2)
-    if roots is None:
-        return None
-    return _coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2)
+    xi3 = _pick(pieces, fracs[:, 1])
+    sign3 = np.where(xi3 > 0, 1.0, -1.0)
+    xi1, xi2, ok = _resonance_roots(np.abs(xi3), sign3 * big_h, band1, band2)
+    ok &= pieces[..., 2].any(-1)
+    return np.column_stack(_coherent_pair(sign3[ok] * xi1[ok], sign3[ok] * xi2[ok], band1, band2))
 
 
 def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
@@ -529,10 +546,10 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
     """Max over trials of ||P_N3 Q_L3 (u1 u2)|| / (C_pred ||u1|| ||u2||).
 
     Exactly ``trials`` admissible trials are performed (see ``_max_ratio``), two uniforms per
-    tube draw.  The uniforms are fractions of the target ranges, not absolute positions, so an
-    N-sweep with one seed reuses the same trial family at every N (common random numbers),
-    which keeps the max over trials a smooth function of N.  See ``_targeted_tube_pair`` for
-    where the output is aimed.
+    tube draw, a batch's from one ``rng.random((count, 2))``.  The uniforms are fractions of the
+    target ranges, not absolute positions, so an N-sweep with one seed reuses the same trial
+    family at every N (common random numbers), which keeps the max over trials a smooth function
+    of N.  See ``_targeted_tube_pairs`` for where the output is aimed.
 
     A triple that fails a factor-4 "~" support condition raises VanishingConfigurationError
     (from ``predicted_block_constant``), naming the condition: no constant is predicted to
@@ -546,7 +563,8 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
     def ratios(u, v):
         return product(u, v).band_l2_norm(triple.n3, triple.l3) / (u.l2_norm() * v.l2_norm())
 
-    best, attempts = _max_ratio(lambda rng: _targeted_tube_pair(targets, *rng.random(2).tolist()),
+    best, attempts = _max_ratio(lambda rng, count: _targeted_tube_pairs(targets,
+                                                                         rng.random((count, 2))),
                                 ratios, (targets["lam1"], targets["lam2"]), trials, seed,
                                 triple)
     return RatioRecord(triple, best, c, best / c, trials, attempts)
@@ -555,22 +573,21 @@ def measure_block_ratio(triple: DyadicTriple, trials: int = 32,
 def _xnorm_tube_pair(bands, rng):
     """Parameters of a coherent tube pair for the X-norm ratio, output anywhere in band 3.
 
-    Six random numbers per draw: xi3 across band 3 with a random sign, then xi1 at
-    the stationary point xi3 / 2, jittered within the quadratic coherence
-    scale, with probability 0.7 when both input bands hold it, else uniform
-    in band 1 with a random sign.  None when xi2 = xi3 - xi1 leaves band 2.
+    xi3 across band 3 with a random sign, then xi1 at the stationary point xi3 / 2, jittered
+    within the quadratic coherence scale, with probability 0.7 when both input bands hold it,
+    else uniform in band 1 with a random sign.  None when xi2 = xi3 - xi1 leaves band 2.  Four
+    generator calls per draw: ``uniform(a, b)`` is the generator's a + (b - a) u, and a sign
+    from ``integers(2)`` is the draw of ``rng.choice((-1.0, 1.0))``, about 4x cheaper.
     """
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = bands
-    xi3 = lo3 + rng.uniform(0.05, 0.95) * (hi3 - lo3)
-    sign3 = (-1.0, 1.0)[rng.integers(2)]  # the draw of rng.choice((-1.0, 1.0)), about 4x cheaper
-    prefer_stationary = rng.uniform() < 0.7
-    jitter = rng.uniform(-1.0, 1.0)
-    xi1_frac = rng.uniform(0.1, 0.9)
+    xi3 = lo3 + (0.05 + (0.95 - 0.05) * rng.random()) * (hi3 - lo3)
+    sign3 = (-1.0, 1.0)[rng.integers(2)]
+    stationary, jitter, xi1_frac = rng.random(3).tolist()
     sign1 = (-1.0, 1.0)[rng.integers(2)]
-    if prefer_stationary and lo1 <= xi3 / 2 <= hi1 and lo2 <= xi3 / 2 <= hi2:
-        xi1 = xi3 / 2 + jitter * math.sqrt(DEFAULT_DTAU / (3.0 * xi3))
+    if stationary < 0.7 and lo1 <= xi3 / 2 <= hi1 and lo2 <= xi3 / 2 <= hi2:
+        xi1 = xi3 / 2 + (-1.0 + 2.0 * jitter) * math.sqrt(DEFAULT_DTAU / (3.0 * xi3))
     else:
-        xi1 = (lo1 + xi1_frac * (hi1 - lo1)) * sign1
+        xi1 = (lo1 + (0.1 + (0.9 - 0.1) * xi1_frac) * (hi1 - lo1)) * sign1
     xi2 = xi3 - xi1
     if not (lo1 <= abs(xi1) <= hi1 and lo2 <= abs(xi2) <= hi2):
         return None
@@ -591,12 +608,19 @@ def xnorm_product_ratio(n1, n2, n3, trials: int = 32, seed: int = 0) -> float:
 
     def ratios(u, v):
         w = product(u, v)
-        f = replace(w, amp=w.amp * (1j * w.xi) * dyadic_bump(n3, w.xi) / (1j + w.modulation))
-        return f.x_norm() / (u.x_norm() * v.x_norm())
+        xi, lam = w.xi, w.modulation
+        power = np.abs(w.amp * (1j * xi) * dyadic_bump(n3, xi) / (1j + lam)) ** 2
+        # the rows of u, then of v, as one stack: one x_norm pass
+        uv = WavePacketField(*(np.concatenate([getattr(u, k), getattr(v, k)])
+                               for k in ("xi_index", "tau", "amp", "dxi")),
+                             u.dtau, np.concatenate([u.ends, u.ends[-1] + v.ends])).x_norm()
+        return (x_sum(*_band_masses(lam, power, w.ends), w.cell_weight)
+                / (uv[:len(u.ends)] * uv[len(u.ends):]))
 
     lam = _lam_centers(1)
-    return _max_ratio(lambda rng: _xnorm_tube_pair(bands, rng), ratios, (lam, lam), trials,
-                      seed, f"bands ({n1}, {n2}, {n3})")[0]
+    return _max_ratio(lambda rng, count: filter(None, (_xnorm_tube_pair(bands, rng)
+                                                       for _ in range(count))),
+                      ratios, (lam, lam), trials, seed, f"bands ({n1}, {n2}, {n3})")[0]
 
 
 def fit_exponent(ns, values):

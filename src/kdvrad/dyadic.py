@@ -42,14 +42,17 @@ def x_sum(l_list, masses, weight):
 class NormReport:
     """Per-block decomposition of the xbar^s norm.  ``nyquist_share`` is the real Nyquist
     column's share of the tapered rows' L^2 mass: that column aliases in lam, so it is left out
-    of the N >= 2 blocks.  ``truncated_l`` lists the modulation bands that reach past
-    max|lam| = pi/dt."""
+    of the N >= 2 blocks.  ``top_band_share`` is the top modulation band's share of the N >= 2
+    X mass, which falls with nt as a trajectory's Duhamel part gets resolved.  ``truncated_l``
+    lists the bands whose support [L/2, 2L] reaches past max|lam| = pi/dt, where the lam grid
+    cuts them off: never empty, as the cover's top band always does."""
 
     s: float
     x_norm_per_n: dict
     low_freq_maximal: float
     xbar_s: float
     nyquist_share: float
+    top_band_share: float
     truncated_l: list = dc_field(default_factory=list)
 
     def reconstruction_defect(self) -> float:
@@ -78,7 +81,8 @@ def xbar_norm(field: Trajectory, s: float) -> NormReport:
     betas = np.array([band_share(j, n.bit_length() - 1, c, 1.0 - c) for n in n_list])
     l_list, bands = band_stack(spec.lam, 1.0)
     masses = (bands @ spec.power())[:, :-1]  # without the Nyquist column
-    x_high = x_sum(l_list, masses @ (betas[1:, :-1] ** 2).T, spec.weight)
+    high = masses @ (betas[1:, :-1] ** 2).T  # (bands, N >= 2 blocks)
+    x_high = x_sum(l_list, high, spec.weight)
     # L_x^2 L_t^inf of the low block: P_1 acts on xi alone, so on the tapered half rows
     u1 = g.half_to_values(spec.tapered * betas[0])
     low = float(np.sqrt(np.sum(np.max(np.abs(u1), axis=0) ** 2) * g.dx))
@@ -90,4 +94,6 @@ def xbar_norm(field: Trajectory, s: float) -> NormReport:
     # bands reaching past max|lam| are cut off by the lam grid
     lam_max = float(np.max(np.abs(spec.lam)))
     return NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low, xbar_s=float(xbar),
-                      nyquist_share=nyquist, truncated_l=[l for l in l_list if 2 * l > lam_max])
+                      nyquist_share=nyquist,
+                      top_band_share=float(high[-1].sum() / max(high.sum(), 1e-300)),
+                      truncated_l=[l for l in l_list if 2 * l > lam_max])

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from kdvrad.bilinear import DEFAULT_DTAU
 from kdvrad.bumps import covering_indices, dyadic_bump
 from kdvrad.dyadic import xbar_norm
 from kdvrad.gevrey import hs_norm
@@ -157,3 +160,117 @@ def hermitian_defect(coeffs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# The tube-pair geometry of ``kdvrad.bilinear`` one draw at a time on Python floats: the
+# reference for its array forms, which must give the same bits.  Sums run left to right from 0.0
+# (the ``sum`` of Python 3.11; later versions compensate).
+
+def pick(pieces, frac, weights=None):
+    """Point at fraction ``frac`` of disjoint intervals weighted by ``weights`` (default: length)."""
+    weights = [b - a for a, b in pieces] if weights is None else weights
+    total = 0.0
+    for w in weights:
+        total += w
+    pos = frac * total
+    for (a, b), w in zip(pieces, weights):
+        if pos <= w:
+            break
+        pos -= w
+    return min(a + (b - a) * pos / w, b)
+
+
+def resonance_roots(x3, h, band1, band2):
+    """(xi1, xi2) with xi1 + xi2 = x3 and 3 xi1 xi2 x3 = h, each in its band; else None."""
+    disc = x3 * x3 - 4.0 * h / (3.0 * x3)
+    if disc < 0:
+        return None
+    big = (x3 + math.sqrt(disc)) / 2.0
+    small = h / (3.0 * x3 * big)
+    for z1, z2 in ((big, small), (small, big)):
+        if band1[0] <= abs(z1) <= band1[1] and band2[0] <= abs(z2) <= band2[1]:
+            return z1, z2
+    return None
+
+
+def admissible_xi3(big_h, band1, band2, xi3, edge_terms):
+    """Sorted signed xi3 intervals, |xi3| in xi3, on which both roots fit their bands: the
+    pieces between the sorted cuts (lo, hi, the merge point, two per signed band edge)."""
+    lo, hi = xi3
+    pieces = []
+    for sign3 in (-1.0, 1.0):
+        h = sign3 * big_h
+        cuts = [lo, hi]
+        if h > 0:
+            cuts.append((4.0 * h / 3.0) ** (1.0 / 3.0))
+        for nine_e4, twelve_e, three_e2, six_e in edge_terms:
+            disc = nine_e4 + twelve_e * h
+            if disc >= 0:
+                root = math.sqrt(disc)
+                cuts += [(three_e2 + root) / six_e, (three_e2 - root) / six_e]
+        cuts = sorted(c for c in cuts if lo <= c <= hi)
+        pieces += [(a, b) if sign3 > 0 else (-b, -a) for a, b in zip(cuts, cuts[1:])
+                   if b > a and resonance_roots((a + b) / 2.0, h, band1, band2)]
+    return sorted(pieces)
+
+
+def coherent_pair(xi1, xi2, band1, band2):
+    """(xi_lo1, xi_lo2, dxi) of one tube pair; x3 = |xi1 + xi2| > 0."""
+    x3 = abs(xi1 + xi2)
+    fiber_slope = 3.0 * x3 * abs(xi2 - xi1)
+    delta_lin = DEFAULT_DTAU / (2.0 * fiber_slope) if fiber_slope > 0 else math.inf
+    delta_quad = math.sqrt(DEFAULT_DTAU / (6.0 * x3))
+    delta = min(delta_lin, delta_quad, (band1[1] - band1[0]) / 4.0, (band2[1] - band2[0]) / 4.0)
+    return xi1 - delta / 2, xi2 - delta / 2, delta / 5.0
+
+
+def targeted_tube_pair(tg, lam3_frac, xi3_frac):
+    """``bilinear._targeted_tube_pairs`` for one draw on floats: its parameters, or None when
+    nothing is reachable or the draw rounds off a cut."""
+    if not tg["lam3"]:
+        return None
+    band1, band2 = tg["band1"], tg["band2"]
+    big_h = tg["lam_in"] - pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
+    pieces = admissible_xi3(big_h, band1, band2, tg["xi3"], tg["edge_terms"])
+    if not pieces:
+        return None
+    xi3 = pick(pieces, xi3_frac)
+    sign3 = 1.0 if xi3 > 0 else -1.0
+    roots = resonance_roots(abs(xi3), sign3 * big_h, band1, band2)
+    if roots is None:
+        return None
+    return coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2)
+
+
+def elliptic_k_kp_e(k, iterations=10):
+    """(K, K', E) of the modulus 0 < k < 1 from the arithmetic-geometric mean after a fixed
+    number of iterations: K = pi / (2 M(1, k')), K' = pi / (2 M(1, k)) and
+    E = K (1 - sum_n 2^(n-1) c_n^2), with c_0 = k and c_(n+1) = (a_n - b_n) / 2.  Ten iterations
+    reach round-off for k' down to 1e-5 (about 1e-15 off the closed forms at k = 0.99999)."""
+    def agm(b):
+        a, c2, total = 1.0, 1.0 - b * b, 0.0
+        for n in range(iterations):
+            total += 2.0 ** (n - 1) * c2
+            a, b, c2 = (a + b) / 2.0, math.sqrt(a * b), ((a - b) / 2.0) ** 2
+        return a, total
+
+    m, total = agm(math.sqrt(1.0 - k * k))
+    big_k = math.pi / (2.0 * m)
+    return big_k, math.pi / (2.0 * agm(k)[0]), big_k * (1.0 - total)
+
+
+def cnoidal_wave(grid, k, j, delta=0.0):
+    """(samples, speed, radius) of the cnoidal wave u = 12 beta^2 dn^2(beta x, k) + delta with
+    beta = j K / L, j periods on the grid: a travelling wave of u_t + u_xxx + u u_x = 0 at speed
+    c = 4 beta^2 (1 + k'^2) + delta, analytic in the strip |Im x| < K' / beta.  The samples sum
+    the Fourier series dn^2(z) = E/K + (2 pi^2 / K^2) sum_n n q^n / (1 - q^(2n)) cos(n pi z / K),
+    q = exp(-pi K' / K) (DLMF 22.11.13), up to q^n < e^-40."""
+    big_k, big_kp, e = elliptic_k_kp_e(k)
+    beta = j * big_k / grid.half_length
+    q = math.exp(-math.pi * big_kp / big_k)
+    n = np.arange(1, 1 + math.ceil(40.0 / -math.log(q)))
+    series = (n * q ** n / (1.0 - q ** (2 * n))) @ np.cos(np.outer(n, math.pi * beta / big_k
+                                                                * grid.x))
+    dn2 = e / big_k + 2.0 * math.pi ** 2 / big_k ** 2 * series
+    return (12.0 * beta ** 2 * dn2 + delta, 4.0 * beta ** 2 * (2.0 - k * k) + delta,
+            big_kp / beta)

@@ -13,6 +13,8 @@ from kdvrad.bilinear import (DyadicTriple, WavePacketField, fit_exponent,
 from kdvrad.bumps import dyadic_bump
 from kdvrad.errors import UnresolvableBandError, VanishingConfigurationError
 
+from conftest import admissible_xi3, pick, resonance_roots, targeted_tube_pair
+
 
 def support(n):
     """|s| range of supp beta_n: [n/2, 2n], or [0, 2] for n = 1; beta_n > 0 inside."""
@@ -81,7 +83,7 @@ def block_oracle(t, trials, seed):
     """``measure_block_ratio``'s (measured_lhs, attempts), one trial at a time."""
     tg = bilinear._tube_targets(t)
     return trial_by_trial(
-        lambda rng: bilinear._targeted_tube_pair(tg, *rng.random(2)),
+        lambda rng: targeted_tube_pair(tg, *rng.random(2).tolist()),
         lambda u, v: product(u, v).band_l2_norm(t.n3, t.l3) / (u.l2_norm() * v.l2_norm()),
         (tg["lam1"], tg["lam2"]), trials, seed)
 
@@ -671,8 +673,7 @@ class TestProductOracle:
         # traced peak stays within 3.5 pair grids of float64 (the keys are the only one)
         tg = bilinear._tube_targets(DyadicTriple(2, 16, 16, 1, 1, 512))
         rng = np.random.default_rng(2)
-        pairs = [bilinear._targeted_tube_pair(tg, *rng.random(2).tolist()) for _ in range(64)]
-        lo1, lo2, dxi = np.array([p for p in pairs if p is not None][:32]).T
+        lo1, lo2, dxi = bilinear._targeted_tube_pairs(tg, rng.random((64, 2)))[:32].T
         u, v = bilinear._tube(lo1, tg["lam1"], dxi), bilinear._tube(lo2, tg["lam2"], dxi)
         assert (len(u.ends), u.ends[0], v.ends[0]) == (32, 40, 40)
         grid_bytes = 32 * 40 * 40 * 8
@@ -720,8 +721,34 @@ def assert_floats(*values):
             assert type(v) is float, (v, type(v))
 
 
+def regime_triples(n):
+    """One triple per regime at N = n: generic, balanced and low-peak."""
+    return (DyadicTriple(2, n, n, 1, 1, 2 * n ** 2), DyadicTriple(n, n, n, 1, 4, n ** 3),
+            DyadicTriple(1, n, n, n * n, 1, 4))
+
+
+def draw_stages(tg, fracs):
+    """The stages of ``_targeted_tube_pairs`` on the rows of ``fracs``: (H = lam_in - lam3,
+    the xi3 slots (lower, upper, length), the picked xi3, the roots xi1, xi2 and where they
+    fit)."""
+    band1, band2 = tg["band1"], tg["band2"]
+    big_h = tg["lam_in"] - bilinear._pick(np.column_stack([tg["lam3"], tg["lam3_weights"]]),
+                                          fracs[:, 0])
+    pieces = bilinear._admissible_xi3(big_h, band1, band2, tg["xi3"], tg["edge_terms"])
+    x3 = bilinear._pick(pieces, fracs[:, 1])
+    sign3 = np.where(x3 > 0, 1.0, -1.0)
+    return (big_h, pieces, x3, *bilinear._resonance_roots(np.abs(x3), sign3 * big_h, band1, band2))
+
+
+def bits(*values):
+    """The hex of every number in ``values``, tuples and lists flattened."""
+    return [bits(*v) if isinstance(v, (tuple, list)) else float(v).hex() for v in values]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFloatGeometry:
-    """The tube-pair geometry runs on Python floats, with the bits of the numpy forms."""
+    """The tube-pair geometry runs on float64 arrays, a row per draw, with the bits of the
+    per-draw Python-float reference in conftest; its padded slots raise no warning."""
 
     def test_resonance_range_equals_the_array_form(self):
         # the n = 1 floor, both xi3 scales, and empty polygons (far-apart bands)
@@ -753,7 +780,7 @@ class TestFloatGeometry:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
-    def test_geometry_returns_python_floats(self, n):
+    def test_geometry_returns_float64_arrays(self, n):
         tg = bilinear._tube_targets(DyadicTriple(2, n, n, 1, 1, 2 * n ** 2))
         band1, band2, xi3 = tg["band1"], tg["band2"], tg["xi3"]
         assert_floats(band1, band2, xi3, tg["lam3"], tg["lam3_weights"], tg["lam_in"])
@@ -762,20 +789,110 @@ class TestFloatGeometry:
         assert reach and tg["lam3"]
         assert_floats(reach, bilinear._resonance_range(band1, band2, xi3, (1.0, 1.0, 1.0)))
         rng = np.random.default_rng(n)
-        for _ in range(32):
-            lam3_frac, xi3_frac = rng.random(2).tolist()
-            big_h = tg["lam_in"] - bilinear._pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
-            pieces = bilinear._admissible_xi3(big_h, band1, band2, xi3, tg["edge_terms"])
-            x3 = bilinear._pick(pieces, xi3_frac)
-            sign3 = 1.0 if x3 > 0 else -1.0
-            roots = bilinear._resonance_roots(abs(x3), sign3 * big_h, band1, band2)
-            pair = bilinear._coherent_pair(sign3 * roots[0], sign3 * roots[1], band1, band2)
-            assert_floats(big_h, pieces, x3, roots, pair)
-            assert pair == bilinear._targeted_tube_pair(tg, lam3_frac, xi3_frac)
+        fracs = rng.random((32, 2))
+        big_h, pieces, x3, xi1, xi2, ok = draw_stages(tg, fracs)
+        sign3 = np.where(x3 > 0, 1.0, -1.0)
+        pair = np.column_stack(bilinear._coherent_pair(sign3[ok] * xi1[ok], sign3[ok] * xi2[ok],
+                                                       band1, band2))
+        for a, shape in ((big_h, (32,)), (pieces, (32, 36, 3)), (x3, (32,)), (xi1, (32,)),
+                         (xi2, (32,)), (pair, (ok.sum(), 3))):
+            assert a.dtype == np.float64 and a.shape == shape
+        assert ok.dtype == bool and ok.any()
+        assert pair.tobytes() == bilinear._targeted_tube_pairs(tg, fracs).tobytes()
         bands = [bilinear._band(n, 0.1)] * 3
-        pairs = [bilinear._xnorm_tube_pair(bands, rng) for _ in range(32)]
-        assert any(pairs)
-        assert_floats([p for p in pairs if p is not None])
+        pairs = [p for p in (bilinear._xnorm_tube_pair(bands, rng) for _ in range(32)) if p]
+        assert pairs and all(len(p) == 3 and all(type(x) is np.float64 for x in p) for p in pairs)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_batched_draws_equal_the_float_reference_bitwise(self, n):
+        # 20 seeds per regime, and in each batch four draws exactly on a cut (xi3 fraction 0
+        # or 1), where a root can round off its band: the reference gives None there
+        rounded_off = 0
+        for t in regime_triples(n):
+            tg = bilinear._tube_targets(t)
+            band1, band2 = tg["band1"], tg["band2"]
+            for lo, hi in tg["lam3"]:
+                h = tg["lam_in"] - (lo + hi) / 2.0
+                length = sum((b - a for a, b in admissible_xi3(h, band1, band2, tg["xi3"],
+                                                                tg["edge_terms"])), 0.0)
+                weight = tg["lam3_weights"][tg["lam3"].index((lo, hi))]
+                assert weight.hex() == ((hi - lo) * length).hex()
+            for seed in range(20):
+                fracs = np.random.default_rng(seed).random((32, 2))
+                fracs[:4, 1] = (0.0, 1.0, 0.0, 1.0)
+                big_h, slots, x3, xi1, xi2, ok = draw_stages(tg, fracs)
+                want = []
+                for r, (lam3_frac, xi3_frac) in enumerate(fracs.tolist()):
+                    h = tg["lam_in"] - pick(tg["lam3"], lam3_frac, tg["lam3_weights"])
+                    pieces = admissible_xi3(h, band1, band2, tg["xi3"], tg["edge_terms"])
+                    held = slots[r, :, 2] > 0
+                    assert bits(big_h[r]) == bits(h)
+                    assert bits(slots[r, held, :2].tolist()) == bits(pieces)
+                    assert bits(slots[r, held, 2].tolist()) == bits([b - a for a, b in pieces])
+                    assert pieces, "every targeted lam3 reaches some xi3"
+                    xi3 = pick(pieces, xi3_frac)
+                    sign3 = 1.0 if xi3 > 0 else -1.0
+                    roots = resonance_roots(abs(xi3), sign3 * h, band1, band2)
+                    assert bits(x3[r]) == bits(xi3) and ok[r] == (roots is not None)
+                    if roots is None:
+                        rounded_off += 1
+                    else:
+                        assert bits(xi1[r], xi2[r]) == bits(*roots)
+                    want.append(targeted_tube_pair(tg, lam3_frac, xi3_frac))
+                got = bilinear._targeted_tube_pairs(tg, fracs)
+                assert bits(got.tolist()) == bits([p for p in want if p is not None])
+        assert rounded_off > 0
+
+    def test_pick_equals_the_interval_loop_bitwise(self):
+        # rows of 1-5 intervals in 8 slots with zero-width slots between them, at fractions 0,
+        # 1 and random
+        rng = np.random.default_rng(5)
+        rows = [sorted(map(tuple, np.sort(rng.uniform(-9, 9, (k, 2)), 1).tolist()))
+                for k in rng.integers(1, 6, 200)]
+        rows = [r for r in rows if all(b > a for a, b in r)
+                and all(p[1] <= q[0] for p, q in zip(r, r[1:]))]
+        slots = np.zeros((len(rows), 8, 3))
+        for i, r in enumerate(rows):
+            taken = np.sort(rng.choice(8, len(r), replace=False))
+            slots[i, taken, :2] = r
+        slots[..., 2] = slots[..., 1] - slots[..., 0]
+        for frac in (np.zeros(len(rows)), np.ones(len(rows)), rng.random(len(rows))):
+            got = bilinear._pick(slots, frac)
+            assert bits(got.tolist()) == bits([pick(r, f) for r, f in zip(rows, frac.tolist())])
+        # weights 0.1, 0.2, 0.3: the whole total walked back leaves more than the last weight,
+        # so the walk runs past the last interval and ends in it
+        weights = [0.1, 0.2, 0.3]
+        assert (0.1 + 0.2 + 0.3) - 0.1 - 0.2 > 0.3
+        pieces = [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+        got = bilinear._pick(np.column_stack([pieces, weights]), np.ones(1))
+        assert bits(got[0]) == bits(pick(pieces, 1.0, weights))
+        # a row without an interval gives its first slot, with no warning
+        assert bilinear._pick(np.array([[[-2.0, -2.0, 0.0], [1.0, 1.0, 0.0]]]),
+                              np.array([0.5])).tolist() == [-2.0]
+
+    def test_a_draw_off_a_cut_is_skipped_and_counted(self):
+        # draws 2 and 5 sit exactly on a cut and round off it, so 7 trials take 9 draws: a
+        # batch of 7, then one of the 2 still needed
+        t = DyadicTriple(8, 8, 8, 1, 4, 512)
+        tg = bilinear._tube_targets(t)
+        fracs = np.random.default_rng(0).random((9, 2))
+        fracs[[2, 5]] = (0.6369616873214543, 0.0)
+        want = [targeted_tube_pair(tg, *row) for row in fracs.tolist()]
+        assert [r for r, p in enumerate(want) if p is None] == [2, 5]
+        rows, batches, stacks = iter(fracs), [], []
+
+        def draw(rng, count):
+            batches.append(count)
+            return bilinear._targeted_tube_pairs(tg, np.array([next(rows) for _ in range(count)]))
+
+        def ratios(u, v):
+            stacks.append((u, v))
+            return np.ones(len(u.ends))
+
+        assert bilinear._max_ratio(draw, ratios, (tg["lam1"], tg["lam2"]), 7, 0, t) == (1.0, 9)
+        assert batches == [7, 2]
+        (u, v), = stacks
+        assert bits(u.dxi.tolist()) == bits([p[2] for p in want if p is not None])
 
 
 #: measure_block_ratio (measured_lhs, ratio, attempts) of the generic triple

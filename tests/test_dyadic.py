@@ -27,6 +27,14 @@ def st_grid():
     return GridSpec(256, 40.0)
 
 
+@pytest.fixture(scope="module")
+def gauss_trajectory(st_grid):
+    """``evolve`` of 8 exp(-x^2) over [0, 2], recorded every step of dt = 2/2048.  The grid is
+    too coarse for the boundary gate, which is off: the blocks are the same on any grid run."""
+    f = forward_transform(8.0 * np.exp(-st_grid.x ** 2), st_grid)
+    return evolve(f, 2.0, SolverConfig(dt=2.0 / 2048, record_every=1, check_boundary=False))
+
+
 def two_cutoff_bump(n, s):
     """beta_n written out: chi(s) for n = 1, chi(s/n) - chi(2s/n) above."""
     s = np.asarray(s, dtype=float)
@@ -373,7 +381,7 @@ def report_bits(rep):
     """Every value of a NormReport, floats as hex."""
     return (rep.s, rep.low_freq_maximal.hex(), rep.xbar_s.hex(),
             [(n, v.hex()) for n, v in rep.x_norm_per_n.items()], rep.nyquist_share.hex(),
-            rep.truncated_l)
+            rep.top_band_share.hex(), rep.truncated_l)
 
 
 class TestWindowGeometry:
@@ -488,18 +496,31 @@ class TestXbarNorm:
         with pytest.raises(ValueError, match="not uniform: a spacing departs by 0.00495"):
             xbar_norm(traj, 0.5)
 
-    def test_evolve_blocks_converge_in_nt(self, st_grid):
-        # 8 exp(-x^2) over [0, 2], recorded every step of dt = 2/2048: the nt = 257 trajectory
-        # is every 8th record.  Measured at 257 against 2049: -5.0e-5 / -1.8e-4 / -1.0e-4 /
-        # -2.1e-4 at N = 1 / 2 / 4 / 8; the bound 3e-4 leaves 1.4x.  The grid is too coarse for
-        # the boundary gate, which is off: the blocks are the same on any grid run
-        f = forward_transform(8.0 * np.exp(-st_grid.x ** 2), st_grid)
-        traj = evolve(f, 2.0, SolverConfig(dt=2.0 / 2048, record_every=1, check_boundary=False))
+    def test_evolve_blocks_converge_in_nt(self, gauss_trajectory):
+        # the nt = 257 trajectory is every 8th record.  Measured at 257 against 2049:
+        # -5.0e-5 / -1.8e-4 / -1.0e-4 / -2.1e-4 at N = 1 / 2 / 4 / 8; the bound 3e-4 leaves 1.4x
+        traj = gauss_trajectory
         assert len(traj) == 2049
         fine = xbar_norm(traj, 0.5).x_norm_per_n
         coarse = xbar_norm(Trajectory(traj.times[::8], traj.field[::8]), 0.5).x_norm_per_n
         for n in (1, 2, 4, 8):
             assert abs(coarse[n] / fine[n] - 1.0) <= 3e-4
+
+    def test_top_band_share_falls_with_nt_on_an_evolve_trajectory(self, gauss_trajectory):
+        # nt = 129 / 257 / 2049 read 1.4e-7 / 4.8e-12 / 1.7e-25; at nt = 129 the N = 8 block is
+        # 11 % off its nt = 2049 value.  The threshold 1e-9 sits 140x below the first and 200x
+        # above the second
+        traj = gauss_trajectory
+        shares = [xbar_norm(Trajectory(traj.times[::k], traj.field[::k]), 0.5).top_band_share
+                  for k in (16, 8, 1)]
+        assert shares[0] > 1e-9 > shares[1] > shares[2] > 0.0
+
+    @pytest.mark.parametrize("t_a, nt", [(0.0, 129), (0.0, 257), (-2.0, 96)])
+    def test_top_band_share_is_near_zero_for_an_airy_wave(self, st_grid, t_a, nt):
+        # free evolution is resolved at any nt: only the taper's lam tail reaches the top band,
+        # 1.1e-13 / 7.3e-19 / 2.3e-17 of the mass, whatever the datum
+        f = forward_transform(8.0 * np.exp(-st_grid.x ** 2), st_grid)
+        assert 0.0 <= xbar_norm(airy_spacetime(f, t_a, 2.0, nt), 0.5).top_band_share <= 1e-12
 
 
 #: |relative error| of every N >= 2 block against the continuum oracle, per nt: the lam
@@ -672,12 +693,15 @@ def whole_plane_xbar(field, s):
     l_list = covering_indices(np.max(np.abs(lam)))
     bands = np.array([two_cutoff_bump(l, lam) ** 2 for l in l_list])
     weight = (lam[1] - lam[0]) * g.dxi / (2.0 * np.pi) ** 2
-    x_high = x_sum(l_list, bands @ power[:, :-1] @ (betas[1:, :-1] ** 2).T, weight)
+    high = bands @ power[:, :-1] @ (betas[1:, :-1] ** 2).T
+    x_high = x_sum(l_list, high, weight)
     x_per_n = {1: low, **{n: float(v) for n, v in zip(n_list[1:], x_high)}}
     xbar = np.sqrt(low ** 2 + sum(n ** (2 * s) * v ** 2 for n, v in x_per_n.items() if n > 1))
     truncated = [l for l in l_list if 2 * l > float(np.max(np.abs(lam)))]
     return values, NormReport(s=s, x_norm_per_n=x_per_n, low_freq_maximal=low,
-                              xbar_s=float(xbar), nyquist_share=nyquist, truncated_l=truncated)
+                              xbar_s=float(xbar), nyquist_share=nyquist,
+                              top_band_share=float(high[-1].sum() / max(high.sum(), 1e-300)),
+                              truncated_l=truncated)
 
 
 class TestColumnBlocks:

@@ -9,7 +9,8 @@ from kdvrad.gevrey import GevreyParams, estimate_radius, gevrey_norm, hs_norm, s
 from kdvrad.grid import GridSpec, SpectralField, check_boundary_smallness, forward_transform
 from kdvrad.solver import soliton
 
-from conftest import airy_propagate, complex_dealiased_product, fft_order_k, random_band_field
+from conftest import (airy_propagate, cnoidal_wave, complex_dealiased_product, fft_order_k,
+                      random_band_field)
 
 
 def exponential_tail_field(grid, a):
@@ -207,6 +208,35 @@ class TestEstimateRadius:
         base = estimate_radius(f).sigma_hat
         shifted = estimate_radius(smooth(f, -0.5)).sigma_hat
         assert shifted == pytest.approx(base + 0.5, abs=1e-6)
+
+
+#: (k, j) of the cnoidal waves: moduli from 0.9 to 0.99999, one to eight periods on [-40, 40)
+CNOIDAL = [(0.9, 1), (0.99, 2), (0.999, 4), (0.99999, 8)]
+
+
+class TestCnoidalOracle:
+    """``conftest.cnoidal_wave``: a closed-form periodic KdV wave whose radius is K' / beta."""
+
+    @pytest.mark.parametrize("k, j", CNOIDAL)
+    def test_solves_the_travelling_wave_equation(self, default_grid, k, j):
+        # -c u' + u''' + u u' by spectral derivatives, relative to its largest term: round-off
+        # of u''' up to |xi| = 80 leaves 6.3e-9 at (0.9, 1) and 4e-10 at most elsewhere; a
+        # speed off by 1e-6 leaves more than the bound
+        u, c, _ = cnoidal_wave(default_grid, k, j, delta=0.3)
+        xi = 2.0 * np.pi * np.fft.fftfreq(default_grid.num_points, default_grid.dx)
+        du, d3u = (np.real(np.fft.ifft((1j * xi) ** p * np.fft.fft(u))) for p in (1, 3))
+        for speed, fits in ((c, True), (c + 1e-6, False)):
+            terms = [-speed * du, d3u, u * du]
+            scale = max(np.max(np.abs(t)) for t in terms)
+            assert (np.max(np.abs(sum(terms))) <= 1e-8 * scale) == fits
+
+    @pytest.mark.parametrize("k, j", CNOIDAL)
+    def test_estimate_radius_reads_kp_over_beta(self, default_grid, k, j):
+        # the double poles' algebraic factor |xi| tilts the exponential fit, so the estimate
+        # reads low: -6.90 / -4.07 / -3.94 / -3.96 % over CNOIDAL
+        u, _, radius = cnoidal_wave(default_grid, k, j)
+        est = estimate_radius(forward_transform(u, default_grid)).sigma_hat
+        assert 0.925 <= est / radius <= 0.965
 
 
 def test_whole_field_diagnostics_refuse_a_stack(default_grid):
