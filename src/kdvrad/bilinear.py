@@ -415,8 +415,8 @@ def _reachable_lam3(band1, band2, xi3, lam3, lam_in):
 
 def _pick(slots, frac):
     """Point at fraction ``frac`` of each row's disjoint intervals, held as (lower, upper,
-    weight) along the last axis of ``slots`` (rows or 1, slots, 3); slots of weight 0 are
-    skipped, and a row without an interval gives its first slot.
+    weight) along the last axis of ``slots``: (rows, slots, 3), or (slots, 3) shared by every
+    row.  Slots of weight 0 are skipped, and a row without an interval gives its first slot.
 
     The total and the walk along a row are sequential (``np.add.accumulate``,
     ``np.subtract.accumulate``), and a walk past the last interval ends in it, so each point has
