@@ -55,7 +55,8 @@ def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np
 def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT) -> float:
     xi = field.grid.xi
     rest = _log_weighted_magnitudes(field, 0.0, s)
-    if not np.all(rest < np.inf):  # an inf or nan coefficient admits no sigma
+    # no sigma for an inf or nan coefficient, nor for a xi = 0 term over budget on its own
+    if not np.all(rest < np.inf) or rest[0] > budget:
         return 0.0
     ok = (xi > 0) & (rest > -np.inf)
     if not np.any(ok):
@@ -177,14 +178,11 @@ def estimate_radius(field: SpectralField) -> RadiusEstimate:
     rms = float(np.sqrt(np.mean((ys - fitted) ** 2)))
 
     # superexponential detector: smoothed local slopes steepening monotonically
+    # (a window holds at least _MIN_BINS bins, so sm holds at least _MIN_BINS - 3 slopes)
     local = np.diff(ys) / np.diff(xs)
-    if local.size >= 3:
-        kernel = np.ones(min(3, local.size)) / min(3, local.size)
-        sm = np.convolve(local, kernel, mode="valid")
-    else:
-        sm = local
+    sm = np.convolve(local, np.ones(3) / 3, mode="valid")
     steepening = False
-    if sm.size >= 2 and sm[0] < 0:
+    if sm[0] < 0:
         span = np.max(np.abs(sm))
         monotone = bool(np.all(np.diff(sm) <= 0.02 * span))
         steepening = monotone and sm[-1] < (1.0 + _STEEPENING) * sm[0]

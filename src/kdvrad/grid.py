@@ -121,8 +121,12 @@ class GridSpec:
 
     def half_to_values(self, half, num_points: int | None = None) -> np.ndarray:
         """Real samples of a k = 0..n/2 half-spectrum (inverse of ``to_half``); a larger
-        ``num_points`` zero-pads to that finer grid, the Nyquist term split over +-n/2."""
+        ``num_points`` zero-pads to that finer grid, the Nyquist term split over +-n/2.  A
+        smaller one, which would drop every mode past its Nyquist, is refused."""
         m = num_points or self.num_points
+        if m < self.num_points:
+            raise ValueError(f"cannot sample a {self.num_points}-point grid's half-spectrum "
+                             f"at {m} points: the modes past {m // 2} would be dropped")
         half = half * self._sign
         if m > self.num_points:
             half[..., -1] *= 0.5

@@ -7,19 +7,19 @@ from ``grid``.  The state is the grid's k = 0..n/2 half-spectrum dx (-1)^k rfft(
 (``GridSpec.to_half``), which is also what a ``SpectralField`` snapshot stores.  Squaring needs
 no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
 which commutes with squaring, so only the 1/dx is left, in the derivative factor.
-Only the 2/3 band k < ``grid.band``, all the nonlinear term reads or writes, runs the RK
-stages; the tail just rotates by the scheme's phase, and ``grid.irfft`` zero-pads: no mask
-multiply.
+The nonlinear term reads and writes only the 2/3 band k < ``grid.band``, so only the band is
+state and runs the RK stages, and ``grid.irfft`` zero-pads: no mask multiply.  The tail
+k >= ``grid.band`` follows the Airy group alone; each record writes it in closed form, the
+datum's tail times ``airy_phase`` at the record's time, the same for both schemes.
 
 A step allocates nothing.  Each ``evolve`` call owns its buffers: the scheme's eight
-band-sized stage arrays, the FFT work arrays, and band and tail copies of the datum, which
-the step and the tail's phase rotation overwrite in place; ``f.half`` is never written.
+band-sized stage arrays, the FFT work arrays and a band copy of the datum, which the step
+overwrites in place; ``f.half`` is never written.
 The loop enters ``np.errstate`` once per record interval, not once per step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The recorded snapshots as one (records x n/2+1) stack, row i at ``times[i]``; the
-    classical invariants, one per record, are computed from ``field`` on first access.  On
+    """The recorded snapshots as one (records x n/2+1) stack, row i at ``times[i]``.  On
     uniform times it is also the space-time layer's field (``spacetime``, ``dyadic``)."""
 
     times: np.ndarray
@@ -59,17 +58,6 @@ class Trajectory:
     @property
     def grid(self) -> GridSpec:
         return self.field.grid
-
-    @cached_property
-    def _invariants(self) -> np.ndarray:
-        # row by row: blocks of rows need (rows x 2n) work arrays, which raise peak RSS
-        invariants = np.array([classical_invariants(s) for s in self.snapshots]).T
-        invariants.setflags(write=False)
-        return invariants
-
-    mass = property(lambda self: self._invariants[0])
-    momentum = property(lambda self: self._invariants[1])
-    hamiltonian = property(lambda self: self._invariants[2])
 
     @property
     def snapshots(self) -> list:
@@ -96,18 +84,17 @@ def classical_invariants(field: SpectralField):
     return mass, g.inner(half), hamiltonian
 
 
-def _ifrk4(xi, dt, m):
-    """Integrating-factor RK4 (exact Airy half steps): the in-place band step, the tail's phase.
+def _ifrk4(xi, dt):
+    """Integrating-factor RK4 (exact Airy half steps): the in-place step of the band ``xi``.
 
     The step's products and sums are those of the expression form, operands in the same order
     (a*b != b*a in the last bit), so it matches that form bitwise.
     """
-    e_half = airy_phase(xi, dt / 2)
-    e_full = e_half * e_half
-    eh, ef, dt_eh, two_eh = e_half[:m], e_full[:m], dt * e_half[:m], 2 * e_half[:m]
+    eh = airy_phase(xi, dt / 2)
+    ef, dt_eh, two_eh = eh * eh, dt * eh, 2 * eh
     # complex 0-d arrays: a float scalar would be cast to complex on every multiply
     half_dt, sixth_dt = np.array(complex(dt / 2)), np.array(complex(dt / 6))
-    n1, n2, n3, n4, a, b, eu, s = np.empty((8, m), dtype=complex)
+    n1, n2, n3, n4, a, b, eu, s = np.empty((8, xi.size), dtype=complex)
     mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
@@ -126,26 +113,24 @@ def _ifrk4(xi, dt, m):
         add(add(mul(ef, n1, s), n2, s), n4, s)
         add(eu, mul(sixth_dt, s, s), uh)
 
-    return step, e_full[m:]
+    return step
 
 
-def _etdrk4(xi, dt, m):
-    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour: in-place band step, tail phase.
+def _etdrk4(xi, dt):
+    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour: in-place step of the band.
 
     As in ``_ifrk4``, the step matches the expression form bitwise.
     """
     lam = 1j * xi ** 3
-    e_full = np.exp(lam * dt)
-    e_half = np.exp(lam * dt / 2)
+    ef, eh = np.exp(lam * dt), np.exp(lam * dt / 2)
     r = np.exp(2j * np.pi * (np.arange(1, 65) - 0.5) / 64)
-    lr = lam[:m, None] * dt + r[None, :]
+    lr = lam[:, None] * dt + r[None, :]
     q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
     f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr ** 2)) / lr ** 3, axis=1)
     two_f2 = 2 * (dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1))
     f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1)
-    eh, ef = e_half[:m], e_full[:m]
     two = np.array(complex(2))  # complex, as half_dt in ``_ifrk4``
-    n1, n2, n3, n4, a, b, ehu, s = np.empty((8, m), dtype=complex)
+    n1, n2, n3, n4, a, b, ehu, s = np.empty((8, xi.size), dtype=complex)
     mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
@@ -163,7 +148,7 @@ def _etdrk4(xi, dt, m):
         add(uh, mul(two_f2, add(n2, n3, n2), n2), uh)
         add(uh, mul(f3, n4, n4), uh)
 
-    return step, e_full[m:]
+    return step
 
 
 def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) -> Trajectory:
@@ -189,10 +174,10 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
         _grid.rfft(u, out=buf)
         np.multiply(dfactor, buf_band, out)
 
-    band, tail = f.half[:m].copy(), f.half[m:].copy()
+    band, tail = f.half[:m].copy(), f.half[m:]
     num_steps = max(1, int(round(T / config.dt)))
     dt = T / num_steps  # land exactly on T
-    step, e_tail = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi, dt, m)
+    step = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi[:m], dt)
 
     records = 1 + -(-num_steps // config.record_every)
     times, stack = np.zeros(records), np.empty((records, xi.size), dtype=complex)
@@ -202,10 +187,10 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(i - (j - 1) * config.record_every):
                 step(band, nonlinear)
-                np.multiply(e_tail, tail, tail)
         t = i * dt
         row = stack[j]
-        row[:m], row[m:] = band, tail
+        row[:m] = band
+        np.multiply(tail, airy_phase(xi[m:], t), row[m:])  # the free flow, exactly
         if not np.all(np.isfinite(row)):
             raise BlowupError(
                 f"non-finite values during stepping; last valid time t = {times[j - 1]:.6g}",
@@ -215,7 +200,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
         if config.check_boundary:
             check_boundary_smallness(snap, time=t)
         times[j] = t
-    times.setflags(write=False)  # the invariants are cached: a trajectory is never rewritten
+    times.setflags(write=False)
     stack.setflags(write=False)
     return Trajectory(times, SpectralField(grid, stack, copy=False))
 

@@ -330,7 +330,7 @@ class TestConservationDefect:
     def test_sigma_zero_recovers_l2_conservation(self, packet_trajectory):
         rep = measure_conservation(packet_trajectory, 0.0)
         assert rep.r_integral < 1e-10
-        mom = packet_trajectory.momentum
+        _, mom, _ = classical_invariants(packet_trajectory.field)
         assert np.max(np.abs(mom - mom[0])) / mom[0] < 1e-8
 
     def test_energy_identity(self, packet_trajectory):

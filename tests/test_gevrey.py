@@ -68,6 +68,19 @@ class TestGevreyNorm:
         assert 0.0 < cert < 40.0
         gevrey_norm(f, GevreyParams(0.95 * cert, 0.0))  # certified value works
 
+    def test_a_zero_mode_over_the_budget_certifies_no_sigma(self):
+        # the xi = 0 term alone overflows the weight at every sigma, even sigma = 0
+        g = GridSpec(64, 10.0)
+        f = forward_transform(1e150 + 1e140 * np.cos(np.pi * g.x / 5.0), g)
+        for sigma in (0.5, 0.0):
+            with pytest.raises(SpectralOverflowError) as exc:
+                gevrey_norm(f, GevreyParams(sigma))
+            assert exc.value.certifiable_sigma == 0.0
+        constant = GridSpec(64, 40.0)
+        with pytest.raises(SpectralOverflowError) as exc:
+            gevrey_norm(forward_transform(np.full(64, 1e160), constant), GevreyParams(0.5))
+        assert exc.value.certifiable_sigma == 0.0
+
     @pytest.mark.parametrize("sigma, s", [(np.inf, 0.0), (np.nan, 0.0), (0.1, np.inf)])
     def test_refuses_non_finite_params(self, sigma, s):
         with pytest.raises(ValueError):
@@ -132,6 +145,15 @@ class TestSmooth:
         with pytest.raises(SpectralOverflowError) as last:
             smooth(rows[2], 70.0)
         assert last.value.certifiable_sigma < alone.value.certifiable_sigma
+
+    def test_a_zero_mode_over_the_budget_certifies_no_sigma(self):
+        # smooth's budget is twice gevrey_norm's: a coefficient past exp(_LOG_LIMIT) at xi = 0
+        g = GridSpec(64, 10.0)
+        for field in (forward_transform(1e299 + 1e289 * np.cos(np.pi * g.x / 5.0), g),
+                      forward_transform(np.full(64, 1e299), GridSpec(64, 40.0))):
+            with pytest.raises(SpectralOverflowError) as exc:
+                smooth(field, 0.5)
+            assert exc.value.certifiable_sigma == 0.0
 
     def test_nan_coefficient_raises(self, small_grid):
         half = soliton(small_grid, 1.0).half.copy()

@@ -104,6 +104,13 @@ class TestGridSpec:
         for h, v in zip(halves, values):
             assert SpectralField(g, h).values().tobytes() == v.tobytes()
 
+    def test_half_to_values_refuses_a_coarser_grid(self):
+        g = GridSpec(64, 10.0)
+        f = forward_transform(np.exp(-g.x ** 2) * np.cos(8 * g.x), g)
+        with pytest.raises(ValueError, match="64-point.* 32 points"):
+            g.half_to_values(f.half, 32)
+        assert g.half_to_values(f.half, 64).tobytes() == f.values().tobytes()
+
     def test_from_half_works_along_last_axis(self, default_grid, rng):
         g = default_grid
         h = g.num_points // 2 + 1

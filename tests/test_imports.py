@@ -118,6 +118,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 ORACLE_EXPORTS = {
     "smoothing_multiplier_bounds": "the theta = 3/4 symbol chain of a worst-case ACL probe",
     "doubling_condition_value": "closed-form oracle of the schedule's doubling check",
+    "classical_invariants": "the solver tests' conservation oracle",
 }
 
 

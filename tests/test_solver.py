@@ -1,4 +1,5 @@
 """Time integration: exact linear flow, soliton benchmark, invariants."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from kdvrad import solver
 from kdvrad.errors import BlowupError, ConfigError, DomainTooSmallError
 from kdvrad.gevrey import estimate_radius
 from kdvrad.grid import GridSpec, SpectralField, airy_phase, forward_transform
-from kdvrad.solver import SolverConfig, classical_invariants, evolve, soliton
+from kdvrad.solver import SolverConfig, Trajectory, classical_invariants, evolve, soliton
 
 from conftest import airy_propagate, fft_order_k, hermitian_defect, random_band_field
 
@@ -146,7 +147,8 @@ def expression_form_trajectory(f, T, dt, record_every, scheme):
     """(times, full-spectrum snapshots) of ``evolve`` rebuilt from the scheme's step written
     as whole-array expressions on the k = 0..n/2 half-spectrum, with the frequencies, the 2/3
     mask and the phases spelled as explicit formulas; a record every record_every steps and
-    at the last step."""
+    at the last step.  A record's tail outside the mask, which the nonlinear term never
+    writes, is the datum's times exp(i t xi^3), as in ``free_tail``."""
     g = f.grid
     n = g.num_points
     h = n // 2 + 1
@@ -200,11 +202,20 @@ def expression_form_trajectory(f, T, dt, record_every, scheme):
     for i in range(1, num_steps + 1):
         uh = step(uh)
         if i % record_every == 0 or i == num_steps:
-            # Hermitian completion, real k = 0 and Nyquist
             times.append(i * dt)
-            snaps.append(np.concatenate(([uh[0].real], uh[1:-1], [uh[-1].real],
-                                         np.conj(uh[-2:0:-1]))))
+            snaps.append(hermitian_completion(free_tail(f.coeffs[:h], uh, mask, xi, i * dt)))
     return np.array(times), snaps
+
+
+def free_tail(uh0, uh, mask, xi, t):
+    """uh inside the 2/3 mask; outside it the datum uh0 under the Airy flow to time t, written
+    in closed form."""
+    return np.where(mask, uh, uh0 * np.exp(1j * np.mod(xi ** 3 * t, 2.0 * np.pi)))
+
+
+def hermitian_completion(uh):
+    """All n coefficients of a k = 0..n/2 half-spectrum, its k = 0 and Nyquist entries real."""
+    return np.concatenate(([uh[0].real], uh[1:-1], [uh[-1].real], np.conj(uh[-2:0:-1])))
 
 
 COLLISION_K, COLLISION_X0 = (1.0, 1.5), (-2.0, -7.0)
@@ -332,10 +343,10 @@ class TestEvolve:
     def test_conservation_over_unit_time(self, default_grid):
         g = default_grid
         traj = evolve(soliton(g, 1.0, 0.0), 1.0, SolverConfig(dt=1e-3, record_every=200))
-        mass_drift = np.max(np.abs(traj.mass - traj.mass[0])) / max(abs(traj.mass[0]), 1.0)
-        mom_drift = np.max(np.abs(traj.momentum - traj.momentum[0])) / traj.momentum[0]
-        ham_drift = np.max(np.abs(traj.hamiltonian - traj.hamiltonian[0])) \
-            / abs(traj.hamiltonian[0])
+        mass, momentum, hamiltonian = classical_invariants(traj.field)
+        mass_drift = np.max(np.abs(mass - mass[0])) / max(abs(mass[0]), 1.0)
+        mom_drift = np.max(np.abs(momentum - momentum[0])) / momentum[0]
+        ham_drift = np.max(np.abs(hamiltonian - hamiltonian[0])) / abs(hamiltonian[0])
         assert mass_drift < 1e-12
         assert mom_drift < 1e-8
         assert ham_drift < 1e-6
@@ -408,12 +419,12 @@ class TestEvolve:
         e_half = np.exp(1j * np.mod(xi ** 3 * (dt / 2), 2.0 * np.pi))
         e_full = e_half * e_half
 
-        def reference(uh, dfactor, record):
+        def reference(uh0, dfactor, record):
             def nonlinear(uh):
                 u = np.fft.irfft(uh * mask)
                 return dfactor * np.fft.rfft(u * u)
 
-            snaps = [f.coeffs]
+            uh, snaps = uh0, [f.coeffs]
             for i in range(1, 61):
                 n1 = nonlinear(uh)
                 a = e_half * (uh + (dt / 2) * n1)
@@ -424,14 +435,12 @@ class TestEvolve:
                 n4 = nonlinear(c)
                 uh = e_full * uh + (dt / 6) * (e_full * n1 + 2 * e_half * (n2 + n3) + n4)
                 if i % 20 == 0:
-                    snaps.append(record(uh))
+                    snaps.append(record(free_tail(uh0, uh, mask, xi, i * dt)))
             return snaps
 
         # the grid's half-spectrum dx (-1)^k rfft: the 1/dx of the normalization
-        # goes into the derivative factor; Hermitian completion, real k = 0 and Nyquist
-        expected = reference(f.coeffs[:h], -0.5j * xi * mask / g.dx,
-                             lambda uh: np.concatenate(([uh[0].real], uh[1:-1], [uh[-1].real],
-                                                        np.conj(uh[-2:0:-1]))))
+        # goes into the derivative factor
+        expected = reference(f.coeffs[:h], -0.5j * xi * mask / g.dx, hermitian_completion)
         assert len(traj.snapshots) == len(expected) == 4
         for snap, ref in zip(traj.snapshots, expected):
             assert snap.coeffs.tobytes() == ref.tobytes()
@@ -469,37 +478,23 @@ class TestEvolve:
         config = SolverConfig(dt=1e-3, scheme=scheme, record_every=7)
         first, second = evolve(f, 0.02, config), evolve(f, 0.02, config)
         assert f.half.tobytes() == datum
-        for a, b in zip((first.times, first.field.half, first.mass, first.momentum,
-                         first.hamiltonian),
-                        (second.times, second.field.half, second.mass, second.momentum,
-                         second.hamiltonian)):
+        for a, b in zip((first.times, first.field.half, *classical_invariants(first.field)),
+                        (second.times, second.field.half, *classical_invariants(second.field))):
             assert a.tobytes() == b.tobytes()
 
-    def test_invariants_are_computed_on_demand(self, default_grid, monkeypatch):
-        def refuse(field):
-            raise AssertionError("classical_invariants called")
-
-        monkeypatch.setattr(solver, "classical_invariants", refuse)
+    def test_trajectory_is_plain_read_only_data(self, default_grid):
         traj = evolve(two_soliton_datum(default_grid), 0.02, SolverConfig(dt=1e-3, record_every=7))
-        monkeypatch.undo()
-        expected = np.array([classical_invariants(traj.field[i]) for i in range(len(traj))]).T
-        got = (traj.mass, traj.momentum, traj.hamiltonian)
-        assert [a.tobytes() for a in got] == [e.tobytes() for e in expected]
-        # cached: a second read computes nothing, and neither an invariant nor the field it
-        # comes from can be set, nor an invariant, a record or a time written
-        monkeypatch.setattr(solver, "classical_invariants", refuse)
+        members = {name for name in vars(Trajectory) if not name.startswith("__")}
+        assert {f.name for f in dataclasses.fields(Trajectory)} == {"times", "field"}
+        assert members == {"grid", "snapshots"}
+        assert traj.grid is default_grid and len(traj) == 4
+        # neither the field nor the times can be set, nor a record or a time written
         with pytest.raises(AttributeError):
             traj.field = traj.field
         with pytest.raises(ValueError, match="read-only"):
             traj.field.half[1, 1] *= 2.0
         with pytest.raises(ValueError, match="read-only"):
             traj.times[1] = 0.0
-        for name, a in zip(("mass", "momentum", "hamiltonian"), got):
-            assert getattr(traj, name).tobytes() == a.tobytes()
-            with pytest.raises(AttributeError):
-                setattr(traj, name, a)
-            with pytest.raises(ValueError):
-                a[0] = 0.0
 
     @pytest.mark.parametrize("record_every, last_valid", [(1, 1.0), (4, 0.0)])
     def test_blowup_inside_a_record_interval_raises_no_float_warning(
@@ -543,8 +538,38 @@ class TestEvolve:
         # k = m..n/2 - 1; the Nyquist entry is read by its real part
         xi, c0 = g.xi[m:n // 2], f.coeffs[m:n // 2]
         for snap, t in zip(traj.snapshots, traj.times):
-            err = np.max(np.abs(snap.coeffs[m:n // 2] - airy_phase(xi, t) * c0))
-            assert err <= 1e-10 * np.max(np.abs(c0))
+            assert np.array_equal(snap.coeffs[m:n // 2], c0 * airy_phase(xi, t))
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_the_band_never_reads_the_tail(self, default_grid, scheme):
+        g, m = default_grid, default_grid.band
+        f = two_soliton_datum(g)
+        rng = np.random.default_rng(3)
+        tail = 1e-3 * np.max(np.abs(f.half)) * (rng.standard_normal(f.half.size - m)
+                                                + 1j * rng.standard_normal(f.half.size - m))
+        loud = SpectralField(g, np.concatenate((f.half[:m], tail)))
+        # the loud tail reaches the domain edge: gate off for both runs
+        config = SolverConfig(dt=1e-3, scheme=scheme, record_every=7, check_boundary=False)
+        quiet, loud_traj = evolve(f, 0.02, config), evolve(loud, 0.02, config)
+        assert quiet.field.half[:, :m].tobytes() == loud_traj.field.half[:, :m].tobytes()
+        assert not np.array_equal(quiet.field.half[:, m:], loud_traj.field.half[:, m:])
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_the_tail_phase_is_evaluated_once_per_record(self, default_grid, scheme,
+                                                         monkeypatch):
+        calls = []
+
+        def counted(xi, t):
+            calls.append((np.size(xi), t))
+            return airy_phase(xi, t)
+
+        monkeypatch.setattr(solver, "airy_phase", counted)
+        g = default_grid
+        traj = evolve(two_soliton_datum(g), 0.02,
+                      SolverConfig(dt=1e-3, scheme=scheme, record_every=7))
+        # IFRK4 builds its band half-step phase once, before the first step
+        setup = [(g.band, 0.02 / 20 / 2)] if scheme == "ifrk4" else []
+        assert calls == setup + [(g.xi.size - g.band, t) for t in traj.times[1:]]
 
     def test_rejects_complex_data(self, small_grid):
         # a non-real field has no half-spectrum: its full array is refused

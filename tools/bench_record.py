@@ -12,10 +12,12 @@ and the change share one file.  ``--root`` names the checkout whose ``src/``, ``
   ``.perfbench/report.json`` it writes (every workload's metrics, correctness and claim tail);
 - ``tier1``: the wall time and summary line of the tier-1 suite;
 - ``layers``: per-call times of ``measure_block_ratio`` (the generic triple (2, N, N, 1, 1, 2 N^2))
-  and ``xnorm_product_ratio`` at N = 8..64, of ``xbar_norm`` on one 256 x 96 field, and of 500
-  ``evolve`` steps at N = 1024.  Each repeat times the reference kernel, then the row; a row
-  reports the median raw time, the median of the per-repeat ratios to the kernel and their
-  quartiles;
+  and ``xnorm_product_ratio`` at N = 8..64, of ``xbar_norm`` on one 256 x 96 field, of 500
+  IFRK4 ``evolve`` steps at N = 512, 1024 and 4096, of ``classical_invariants`` on a 129-record
+  stack, and of ``gevrey_norm``, ``estimate_radius`` and ``commutator_term`` on one field, all
+  at N = 1024.  Each repeat times the reference kernel, then the row; a row reports the median
+  raw time, the median of the per-repeat ratios to the kernel, their quartiles and their
+  minimum, which load arriving between kernel and row can only raise;
 - ``pins``: the pinned probe values of ``tests/test_bilinear.py`` recomputed in the same run.
 
 Exits non-zero if the report, the tier-1 suite or a pin fails.
@@ -66,7 +68,8 @@ def time_row(fn, number):
         ratios.append(raw[-1] / ref)
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     return {"seconds": float(np.median(raw)), "ratio": float(median),
-            "ratio_quartiles": [float(q1), float(q3)], "repeats": REPEATS, "number": number}
+            "ratio_quartiles": [float(q1), float(q3)], "ratio_min": float(min(ratios)),
+            "repeats": REPEATS, "number": number}
 
 
 def layer_rows(kd):
@@ -85,11 +88,21 @@ def layer_rows(kd):
     field = kd.grid.forward_transform(grid.half_to_values(half) * envelope, grid)
     st = kd.spacetime.airy_spacetime(field, -2.0, 2.0, 96)
     rows["dyadic.xbar_norm.n256_nt96"] = time_row(lambda: kd.dyadic.xbar_norm(st, 0.5), 20)
-    grid = kd.grid.GridSpec(1024, 40.0)
-    soliton = kd.solver.soliton(grid, 1.0)
     config = kd.solver.SolverConfig(dt=1e-3, record_every=500)
-    row = time_row(lambda: kd.solver.evolve(soliton, 0.5, config), 1)
-    rows["solver.evolve.n1024_500_steps"] = {**row, "steps_per_s": 500 / row["seconds"]}
+    for n in (512, 1024, 4096):
+        soliton = kd.solver.soliton(kd.grid.GridSpec(n, 40.0), 1.0)
+        row = time_row(lambda: kd.solver.evolve(soliton, 0.5, config), 1)
+        rows[f"solver.evolve.n{n}_500_steps"] = {**row, "steps_per_s": 500 / row["seconds"]}
+    # soliton is the N = 1024 one
+    stack = kd.solver.evolve(soliton, 0.128, kd.solver.SolverConfig(dt=1e-3, record_every=1))
+    rows["solver.classical_invariants.n1024_129_records"] = time_row(
+        lambda: kd.solver.classical_invariants(stack.field), 5)
+    params = kd.gevrey.GevreyParams(0.5, 1.0)
+    rows["gevrey.gevrey_norm.n1024"] = time_row(lambda: kd.gevrey.gevrey_norm(soliton, params), 200)
+    rows["gevrey.estimate_radius.n1024"] = time_row(lambda: kd.gevrey.estimate_radius(soliton), 100)
+    w = kd.gevrey.smooth(soliton, 0.4)
+    rows["almost_conservation.commutator_term.n1024"] = time_row(
+        lambda: kd.almost_conservation.commutator_term(w, 0.4), 50)
     return rows
 
 
@@ -140,7 +153,8 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(root / "src"))
     kd = SimpleNamespace(**{name: importlib.import_module(f"kdvrad.{name}")
-                            for name in ("bilinear", "dyadic", "grid", "solver", "spacetime")})
+                            for name in ("almost_conservation", "bilinear", "dyadic", "gevrey",
+                                         "grid", "solver", "spacetime")})
     if Path(kd.grid.__file__).resolve().parent != root / "src" / "kdvrad":
         raise ImportError(f"kdvrad was imported from {kd.grid.__file__}, not from {root / 'src'}")
     layers = layer_rows(kd)
