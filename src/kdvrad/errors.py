@@ -24,11 +24,12 @@ class DomainTooSmallError(KdvradError):
 class SpectralOverflowError(KdvradError):
     """exp(sigma*|xi|) weighting would overflow for this field.
 
-    ``certifiable_sigma`` is the largest smoothing parameter for which the
-    weighted coefficients stay representable.
+    ``certifiable_sigma`` is the largest smoothing parameter for which the weighted
+    coefficients stay representable, or None when the same call raises at sigma = 0
+    too (a coefficient is inf or nan, or over the budget unweighted): no retry helps.
     """
 
-    def __init__(self, message, certifiable_sigma=0.0):
+    def __init__(self, message, certifiable_sigma=None):
         super().__init__(message)
         self.certifiable_sigma = certifiable_sigma
 

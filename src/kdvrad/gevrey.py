@@ -52,17 +52,22 @@ def _log_weighted_magnitudes(field: SpectralField, sigma: float, s: float) -> np
     return sigma * xi + 0.5 * s * np.log1p(xi * xi) + logmag
 
 
-def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT) -> float:
+def _certifiable_sigma(field: SpectralField, s: float, budget: float = 0.5 * _LOG_LIMIT):
+    """The largest sigma at which no weighted term passes exp(budget), or None when one passes
+    it at sigma = 0 already or a coefficient is inf or nan."""
     xi = field.grid.xi
     rest = _log_weighted_magnitudes(field, 0.0, s)
-    # no sigma for an inf or nan coefficient, nor for a xi = 0 term over budget on its own
-    if not np.all(rest < np.inf) or rest[0] > budget:
-        return 0.0
+    if not np.all(rest <= budget):  # nan compares False
+        return None
     ok = (xi > 0) & (rest > -np.inf)
     if not np.any(ok):
         return np.inf
-    caps = (budget - rest[ok]) / xi[ok]
-    return float(max(0.0, np.min(caps)))
+    return float(np.min((budget - rest[ok]) / xi[ok]))
+
+
+def _overflow(message: str, cert) -> SpectralOverflowError:
+    shown = "none" if cert is None else f"{cert:.6g}"
+    return SpectralOverflowError(f"{message}; certifiable sigma = {shown}", certifiable_sigma=cert)
 
 
 def _refuse_non_finite(field: SpectralField):
@@ -70,27 +75,22 @@ def _refuse_non_finite(field: SpectralField):
     bad = np.argwhere(~np.isfinite(field.half))
     if bad.size:
         k = int(bad[0][-1])
-        raise SpectralOverflowError(f"coefficient k = {k} (xi = {field.grid.xi[k]:.6g}) is not "
-                                    "finite; certifiable sigma = 0", certifiable_sigma=0.0)
+        raise _overflow(f"coefficient k = {k} (xi = {field.grid.xi[k]:.6g}) is not finite", None)
 
 
 def gevrey_norm(field: SpectralField, params: GevreyParams) -> float:
     """Weighted l2 norm of the coefficients with continuous normalization.
 
-    Raises SpectralOverflowError (carrying the largest admissible sigma for
-    this field) when the exponential weight would overflow or a coefficient
-    is not finite; zero coefficients carry no weight at any sigma.
+    Raises SpectralOverflowError when the exponential weight would overflow or a
+    coefficient is not finite.  It carries the largest admissible sigma for this field,
+    or None when the call raises at sigma = 0 too.  Zero coefficients carry no weight.
     """
     require_one_field(field, "gevrey_norm")
     e = _log_weighted_magnitudes(field, params.sigma, params.s)
     nonzero = e != -np.inf
     if not np.all(2.0 * e[nonzero] <= _LOG_LIMIT):
-        cert = _certifiable_sigma(field, params.s)
-        raise SpectralOverflowError(
-            f"exp({params.sigma}*|xi|)-weighted coefficients overflow or are not finite; "
-            f"certifiable sigma = {cert:.6g}",
-            certifiable_sigma=cert,
-        )
+        raise _overflow(f"exp({params.sigma}*|xi|)-weighted coefficients overflow or are not "
+                        "finite", _certifiable_sigma(field, params.s))
     total = np.sum(field.grid.half_weight[nonzero] * np.exp(2.0 * e[nonzero]))
     return float(np.sqrt(total * field.grid.spectral_weight))
 
@@ -103,9 +103,9 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
     """Apply the multiplier exp(sigma*|xi|) (sigma may be negative).
 
     Zero coefficients stay exactly zero at any sigma; for sigma > 0 a nonzero one weighted
-    past exp(_LOG_LIMIT), or by an inf weight, and a nan one raise SpectralOverflowError.
-    For sigma <= 0 an inf or nan coefficient raises it naming its bin, with certifiable
-    sigma 0.  A stack is smoothed row by row.
+    past exp(_LOG_LIMIT), or by an inf weight, raises SpectralOverflowError.  An inf or nan
+    coefficient raises it at any sigma, naming its bin, with certifiable sigma None.  A stack
+    is smoothed row by row.
     """
     if not np.isfinite(sigma):
         raise ValueError("sigma must be finite")
@@ -119,12 +119,12 @@ def smooth(field: SpectralField, sigma: float) -> SpectralField:
         mag = np.abs(field.half)
         over = ~(mag <= _EXP_LIMIT / lift)  # nan compares False: it is over too
         if np.any(over):  # certified on the first row that overflows, as on that row alone
+            _refuse_non_finite(field)
             first = SpectralField(field.grid, field.half[tuple(np.argwhere(over)[0][:-1])])
             cert = _certifiable_sigma(first, 0.0, budget=_LOG_LIMIT)
-            raise SpectralOverflowError(
-                f"exp({sigma}*|xi|) overflows on this field; certifiable sigma = {cert:.6g}",
-                certifiable_sigma=cert,
-            )
+            # a finite field never raises at sigma = 0, where nothing is lifted
+            raise _overflow(f"exp({sigma}*|xi|) overflows on this field",
+                            0.0 if cert is None else cert)
         lift = np.where(mag == 0.0, 0.0, lift)
     return SpectralField(field.grid, field.half * lift)
 

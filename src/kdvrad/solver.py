@@ -1,21 +1,17 @@
 """Pseudospectral time integration of u_t + u_xxx + u u_x = 0.
 
-The linear part is handled exactly through the Airy phase exp(i t xi^3); the
-quadratic nonlinearity -(1/2) d_x(u^2) is evaluated in physical space with
-2/3-rule dealiasing.  The frequencies, the dealias band and the phase come
-from ``grid``.  The state is the grid's k = 0..n/2 half-spectrum dx (-1)^k rfft(u)
-(``GridSpec.to_half``), which is also what a ``SpectralField`` snapshot stores.  Squaring needs
-no (-1)^k multiply: on the half-spectrum (-1)^k shifts u by half the period,
-which commutes with squaring, so only the 1/dx is left, in the derivative factor.
-The nonlinear term reads and writes only the 2/3 band k < ``grid.band``, so only the band is
-state and runs the RK stages, and ``grid.irfft`` zero-pads: no mask multiply.  The tail
-k >= ``grid.band`` follows the Airy group alone; each record writes it in closed form, the
-datum's tail times ``airy_phase`` at the record's time, the same for both schemes.
+The linear part is exact through the Airy phase exp(i t xi^3) (``grid.airy_phase``); the
+nonlinearity -(1/2) d_x(u^2) is squared in physical space under the 2/3 rule.  The state is the
+band k < ``grid.band`` of the half-spectrum dx (-1)^k rfft(u) that a ``SpectralField`` stores:
+the quadratic term reads and writes no other mode, ``grid.irfft`` zero-pads, and squaring needs
+no (-1)^k, a half-period shift that commutes with it.  The derivative factor -i xi / (2 dx) sits
+in each scheme's stage weights, so ``nonlinear`` returns the band of rfft(u^2) as a view of its
+work array, which the next call overwrites.  Each record writes the tail k >= ``grid.band``,
+which follows the Airy group alone, in closed form: the datum's tail times ``airy_phase``.
 
-A step allocates nothing.  Each ``evolve`` call owns its buffers: the scheme's eight
-band-sized stage arrays, the FFT work arrays and a band copy of the datum, which the step
-overwrites in place; ``f.half`` is never written.
-The loop enters ``np.errstate`` once per record interval, not once per step.
+A step allocates nothing: each ``evolve`` call owns its buffers (five or six band-sized stage
+arrays, the FFT work arrays and a band copy of the datum) and never writes ``f.half``.  The loop
+enters ``np.errstate`` once per record interval, not once per step.
 """
 from __future__ import annotations
 
@@ -84,69 +80,70 @@ def classical_invariants(field: SpectralField):
     return mass, g.inner(half), hamiltonian
 
 
-def _ifrk4(xi, dt):
-    """Integrating-factor RK4 (exact Airy half steps): the in-place step of the band ``xi``.
-
-    The step's products and sums are those of the expression form, operands in the same order
-    (a*b != b*a in the last bit), so it matches that form bitwise.
-    """
+def _ifrk4(xi, dt, dfactor):
+    """Integrating-factor RK4 (exact Airy half steps), ``dfactor`` in its weights: the in-place
+    step of the band ``xi``.  Its products and sums are those of the expression form, operands
+    in the same order (a*b != b*a in the last bit), so the two are bitwise equal."""
     eh = airy_phase(xi, dt / 2)
-    ef, dt_eh, two_eh = eh * eh, dt * eh, 2 * eh
-    # complex 0-d arrays: a float scalar would be cast to complex on every multiply
-    half_dt, sixth_dt = np.array(complex(dt / 2)), np.array(complex(dt / 6))
-    n1, n2, n3, n4, a, b, eu, s = np.empty((8, xi.size), dtype=complex)
+    ef = eh * eh
+    c1, c2, c3 = dt / 2 * eh * dfactor, dt / 2 * dfactor, dt * eh * dfactor
+    w1, w23, w4 = dt / 6 * ef * dfactor, dt / 3 * eh * dfactor, dt / 6 * dfactor
+    ehu, eu, a, p23, s = np.empty((5, xi.size), dtype=complex)
     mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
-        # a = eh (uh + dt/2 n1), b = eh uh + dt/2 n2, c = eu + dt_eh n3 with eu = ef uh;
-        # uh <- eu + dt/6 (ef n1 + two_eh (n2 + n3) + n4).  A ufunc's third argument is its out.
-        nonlinear(uh, n1)
-        add(uh, mul(half_dt, n1, s), a)
-        mul(eh, a, a)
-        nonlinear(a, n2)
-        add(mul(eh, uh, b), mul(half_dt, n2, s), b)
-        nonlinear(b, n3)
+        # a = eh uh + c1 p1, b = eh uh + c2 p2, c = eu + c3 p3 (eu = ef uh), each p read before
+        # the next call; uh <- eu + w1 p1 + w23 (p2 + p3) + w4 p4, summed left to right
+        p = nonlinear(uh)
+        mul(eh, uh, ehu)
         mul(ef, uh, eu)
-        add(eu, mul(dt_eh, n3, s), a)  # c
-        nonlinear(a, n4)
-        mul(two_eh, add(n2, n3, n2), n2)
-        add(add(mul(ef, n1, s), n2, s), n4, s)
-        add(eu, mul(sixth_dt, s, s), uh)
+        add(ehu, mul(c1, p, s), a)
+        add(eu, mul(w1, p, s), uh)
+        p = nonlinear(a)
+        add(ehu, mul(c2, p, s), a)  # b
+        p23[:] = p
+        p = nonlinear(a)
+        add(eu, mul(c3, p, s), a)  # c
+        add(p23, p, p23)
+        p = nonlinear(a)
+        add(uh, mul(w23, p23, p23), uh)
+        add(uh, mul(w4, p, s), uh)
 
     return step
 
 
-def _etdrk4(xi, dt):
-    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour: in-place step of the band.
-
-    As in ``_ifrk4``, the step matches the expression form bitwise.
-    """
+def _etdrk4(xi, dt, dfactor):
+    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour, ``dfactor`` in its weights:
+    the in-place step of the band, bitwise equal to the expression form as in ``_ifrk4``."""
     lam = 1j * xi ** 3
     ef, eh = np.exp(lam * dt), np.exp(lam * dt / 2)
     r = np.exp(2j * np.pi * (np.arange(1, 65) - 0.5) / 64)
     lr = lam[:, None] * dt + r[None, :]
-    q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
-    f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr ** 2)) / lr ** 3, axis=1)
-    two_f2 = 2 * (dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1))
-    f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1)
-    two = np.array(complex(2))  # complex, as half_dt in ``_ifrk4``
-    n1, n2, n3, n4, a, b, ehu, s = np.empty((8, xi.size), dtype=complex)
+    q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1) * dfactor
+    f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr ** 2)) / lr ** 3, axis=1) * dfactor
+    two_f2 = 2 * (dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1)) * dfactor
+    f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1) * dfactor
+    two = np.array(complex(2))  # a Python scalar would be cast to complex on every multiply
+    ehu, a, b, p1, p23, s = np.empty((6, xi.size), dtype=complex)
     mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
-        # a = eh uh + q n1, b = eh uh + q n2, c = eh a + q (2 n3 - n1);
-        # uh <- ef uh + f1 n1 + two_f2 (n2 + n3) + f3 n4, summed left to right
-        nonlinear(uh, n1)
-        add(mul(eh, uh, ehu), mul(q, n1, s), a)
-        nonlinear(a, n2)
-        add(ehu, mul(q, n2, s), b)
-        nonlinear(b, n3)
-        mul(q, np.subtract(mul(two, n3, s), n1, s), s)
+        # a = eh uh + q p1, b = eh uh + q p2, c = eh a + q (2 p3 - p1);
+        # uh <- ef uh + f1 p1 + two_f2 (p2 + p3) + f3 p4, summed left to right
+        p = nonlinear(uh)
+        p1[:] = p
+        add(mul(eh, uh, ehu), mul(q, p, s), a)
+        add(mul(ef, uh, uh), mul(f1, p, s), uh)
+        p = nonlinear(a)
+        add(ehu, mul(q, p, s), b)
+        p23[:] = p
+        p = nonlinear(b)
+        add(p23, p, p23)
+        mul(q, np.subtract(mul(two, p, s), p1, s), s)
         add(mul(eh, a, a), s, a)  # c
-        nonlinear(a, n4)
-        add(mul(ef, uh, uh), mul(f1, n1, s), uh)
-        add(uh, mul(two_f2, add(n2, n3, n2), n2), uh)
-        add(uh, mul(f3, n4, n4), uh)
+        p = nonlinear(a)
+        add(uh, mul(two_f2, p23, p23), uh)
+        add(uh, mul(f3, p, s), uh)
 
     return step
 
@@ -159,25 +156,26 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     """
     if not 0.0 < T < np.inf:
         raise ConfigError(f"T must be positive and finite, got {T}")
+    if not T / config.dt < np.inf:
+        raise ConfigError(f"T / dt is not finite: T = {T:.6g}, dt = {config.dt:.6g}")
     grid = f.grid
     if config.check_boundary:
         check_boundary_smallness(f, time=0.0)
 
     xi, m = grid.xi, grid.band
-    dfactor = -0.5j * xi[:m] / grid.dx
     n, u, buf = grid.num_points, np.empty(grid.num_points), np.empty(xi.size, dtype=complex)
-    buf_band = buf[:m]
+    square_band = buf[:m]
 
-    def nonlinear(band, out):
+    def nonlinear(band):
         _grid.irfft(band, n, out=u)
         np.multiply(u, u, u)
         _grid.rfft(u, out=buf)
-        np.multiply(dfactor, buf_band, out)
+        return square_band
 
     band, tail = f.half[:m].copy(), f.half[m:]
     num_steps = max(1, int(round(T / config.dt)))
     dt = T / num_steps  # land exactly on T
-    step = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi[:m], dt)
+    step = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi[:m], dt, -0.5j * xi[:m] / grid.dx)
 
     records = 1 + -(-num_steps // config.record_every)
     times, stack = np.zeros(records), np.empty((records, xi.size), dtype=complex)

@@ -73,13 +73,42 @@ class TestGevreyNorm:
         g = GridSpec(64, 10.0)
         f = forward_transform(1e150 + 1e140 * np.cos(np.pi * g.x / 5.0), g)
         for sigma in (0.5, 0.0):
-            with pytest.raises(SpectralOverflowError) as exc:
+            with pytest.raises(SpectralOverflowError, match="certifiable sigma = none") as exc:
                 gevrey_norm(f, GevreyParams(sigma))
-            assert exc.value.certifiable_sigma == 0.0
+            assert exc.value.certifiable_sigma is None
         constant = GridSpec(64, 40.0)
         with pytest.raises(SpectralOverflowError) as exc:
             gevrey_norm(forward_transform(np.full(64, 1e160), constant), GevreyParams(0.5))
-        assert exc.value.certifiable_sigma == 0.0
+        assert exc.value.certifiable_sigma is None
+
+    def test_a_positive_mode_over_the_budget_certifies_no_sigma(self):
+        # one xi > 0 term past exp(_LOG_LIMIT / 2) with no weight: sigma = 0 raises too
+        g = GridSpec(64, 10.0)
+        half = np.zeros(33, dtype=complex)
+        half[5] = 1e200
+        for sigma in (0.5, 0.0):
+            with pytest.raises(SpectralOverflowError, match="certifiable sigma = none") as exc:
+                gevrey_norm(SpectralField(g, half), GevreyParams(sigma))
+            assert exc.value.certifiable_sigma is None
+
+    def test_no_certifiable_sigma_exactly_when_sigma_zero_raises(self, small_grid):
+        fields = [exponential_tail_field(small_grid, a) for a in (0.05, 0.01)]
+        for k, value in ((0, 1e160), (5, 1e160), (5, 1e100), (5, np.inf), (5, np.nan)):
+            half = soliton(small_grid, 1.0).half.copy()
+            half[k] = value
+            fields.append(SpectralField(small_grid, half))
+        for f in fields:
+            for s in (0.0, 1.0):
+                with pytest.raises(SpectralOverflowError) as exc:
+                    gevrey_norm(f, GevreyParams(60.0, s))
+                cert = exc.value.certifiable_sigma
+                try:
+                    gevrey_norm(f, GevreyParams(0.0, s))
+                except SpectralOverflowError:
+                    assert cert is None
+                else:  # the certified sigma works
+                    assert cert >= 0.0
+                    gevrey_norm(f, GevreyParams(0.95 * cert, s))
 
     @pytest.mark.parametrize("sigma, s", [(np.inf, 0.0), (np.nan, 0.0), (0.1, np.inf)])
     def test_refuses_non_finite_params(self, sigma, s):
@@ -92,7 +121,7 @@ class TestGevreyNorm:
         half[5] = bad
         with pytest.raises(SpectralOverflowError) as exc:
             gevrey_norm(SpectralField(small_grid, half), GevreyParams(0.5))
-        assert exc.value.certifiable_sigma == 0.0
+        assert exc.value.certifiable_sigma is None
 
     def test_free_flow_preserves_every_gevrey_norm(self, small_grid, rng):
         f = random_band_field(small_grid, rng, max_mode=16)
@@ -160,7 +189,7 @@ class TestSmooth:
         half[5] = np.nan
         with pytest.raises(SpectralOverflowError) as exc:
             smooth(SpectralField(small_grid, half), 0.1)
-        assert exc.value.certifiable_sigma == 0.0
+        assert exc.value.certifiable_sigma is None
 
     @pytest.mark.parametrize("sigma", [0.0, -0.1])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -173,7 +202,7 @@ class TestSmooth:
                       SpectralField(small_grid, np.stack([soliton(small_grid, 1.0).half, half]))):
             with pytest.raises(SpectralOverflowError, match=rf"k = 5 \(xi = {xi}\)") as exc:
                 smooth(field, sigma)
-            assert exc.value.certifiable_sigma == 0.0
+            assert exc.value.certifiable_sigma is None
 
     def test_zero_coefficients_stay_zero_where_the_weight_overflows(self, default_grid):
         # the product is zero past the 2/3 band, where exp(20|xi|) is inf
@@ -223,7 +252,7 @@ class TestEstimateRadius:
         xi = f"{small_grid.xi[5]:.6g}"
         with pytest.raises(SpectralOverflowError, match=rf"k = 5 \(xi = {xi}\)") as exc:
             estimate_radius(SpectralField(small_grid, half))
-        assert exc.value.certifiable_sigma == 0.0
+        assert exc.value.certifiable_sigma is None
 
     def test_smoothing_shifts_estimate_exactly(self, default_grid):
         f = exponential_tail_field(default_grid, 0.9)

@@ -13,14 +13,16 @@ and the change share one file.  ``--root`` names the checkout whose ``src/``, ``
 - ``tier1``: the wall time and summary line of the tier-1 suite;
 - ``layers``: per-call times of ``measure_block_ratio`` (the generic triple (2, N, N, 1, 1, 2 N^2))
   and ``xnorm_product_ratio`` at N = 8..64, of ``xbar_norm`` on one 256 x 96 field, of 500
-  IFRK4 ``evolve`` steps at N = 512, 1024 and 4096, of ``classical_invariants`` on a 129-record
-  stack, and of ``gevrey_norm``, ``estimate_radius`` and ``commutator_term`` on one field, all
-  at N = 1024.  Each repeat times the reference kernel, then the row; a row reports the median
-  raw time, the median of the per-repeat ratios to the kernel, their quartiles and their
-  minimum, which load arriving between kernel and row can only raise;
+  IFRK4 ``evolve`` steps at N = 512, 1024 and 4096 and 500 ETDRK4 steps at N = 1024, of
+  ``classical_invariants`` on a 129-record stack, and of ``gevrey_norm``, ``estimate_radius``
+  and ``commutator_term`` on one field, all at N = 1024.  Each repeat times the reference
+  kernel, then the row; a row reports the median raw time, the median of the per-repeat ratios
+  to the kernel, their quartiles and their minimum, which load arriving between kernel and row
+  can only raise.  Each ``evolve`` row also holds ``soliton_error``, its last record against
+  the translated soliton, which must stay within ``SOLITON_BOUND``;
 - ``pins``: the pinned probe values of ``tests/test_bilinear.py`` recomputed in the same run.
 
-Exits non-zero if the report, the tier-1 suite or a pin fails.
+Exits non-zero if the report, the tier-1 suite, a pin or a soliton check fails.
 """
 from __future__ import annotations
 
@@ -39,6 +41,9 @@ from types import SimpleNamespace
 import numpy as np
 
 REPEATS = 11
+#: bound on max|u(T) - 3 sech^2((x - T)/2)| / 3 for the c = 1 soliton after 500 steps of 1e-3;
+#: both schemes read 0.4e-12 to 1.8e-12 at N = 512..4096
+SOLITON_BOUND = 1e-11
 
 
 def reference_kernel(n=1024, rounds=60):
@@ -88,12 +93,18 @@ def layer_rows(kd):
     field = kd.grid.forward_transform(grid.half_to_values(half) * envelope, grid)
     st = kd.spacetime.airy_spacetime(field, -2.0, 2.0, 96)
     rows["dyadic.xbar_norm.n256_nt96"] = time_row(lambda: kd.dyadic.xbar_norm(st, 0.5), 20)
-    config = kd.solver.SolverConfig(dt=1e-3, record_every=500)
-    for n in (512, 1024, 4096):
+    for scheme, n, name in (("ifrk4", 512, "n512"), ("ifrk4", 1024, "n1024"),
+                            ("ifrk4", 4096, "n4096"), ("etdrk4", 1024, "etdrk4.n1024")):
+        config = kd.solver.SolverConfig(dt=1e-3, scheme=scheme, record_every=500)
         soliton = kd.solver.soliton(kd.grid.GridSpec(n, 40.0), 1.0)
         row = time_row(lambda: kd.solver.evolve(soliton, 0.5, config), 1)
-        rows[f"solver.evolve.n{n}_500_steps"] = {**row, "steps_per_s": 500 / row["seconds"]}
-    # soliton is the N = 1024 one
+        # the exact solution: the c = 1 soliton translated by c t
+        last = kd.solver.evolve(soliton, 0.5, config)
+        exact = 3.0 / np.cosh((last.grid.x - last.times[-1]) / 2.0) ** 2
+        error = float(np.max(np.abs(last.snapshots[-1].values() - exact)) / 3.0)
+        rows[f"solver.evolve.{name}_500_steps"] = {**row, "steps_per_s": 500 / row["seconds"],
+                                                   "soliton_error": error}
+    soliton = kd.solver.soliton(kd.grid.GridSpec(1024, 40.0), 1.0)
     stack = kd.solver.evolve(soliton, 0.128, kd.solver.SolverConfig(dt=1e-3, record_every=1))
     rows["solver.classical_invariants.n1024_129_records"] = time_row(
         lambda: kd.solver.classical_invariants(stack.field), 5)
@@ -172,10 +183,13 @@ def main(argv=None) -> int:
     records = json.loads(args.out.read_text()) if args.out.exists() else {}
     records[args.label] = record
     args.out.write_text(json.dumps(records, indent=1) + "\n")
-    ok = report["returncode"] == 0 and tier1["returncode"] == 0 and not pins["mismatches"]
+    errors = [row["soliton_error"] for row in layers.values() if "soliton_error" in row]
+    ok = (report["returncode"] == 0 and tier1["returncode"] == 0 and not pins["mismatches"]
+          and max(errors) <= SOLITON_BOUND)
     print(f"{args.label}: report rc {report['returncode']}, tier-1 {tier1['summary']} in "
           f"{tier1['wall_s']:.1f} s, pins {pins['checked'] - len(pins['mismatches'])}/"
-          f"{pins['checked']}", file=sys.stderr)
+          f"{pins['checked']}, soliton error {max(errors):.2g} (bound {SOLITON_BOUND:g})",
+          file=sys.stderr)
     return 0 if ok else 1
 
 
