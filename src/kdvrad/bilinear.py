@@ -92,8 +92,18 @@ class WavePacketField:
         self.amp = np.asarray(self.amp, dtype=np.complex128)
         self.dxi = np.asarray(self.dxi, dtype=np.float64).reshape(-1)
         self.ends = np.asarray([self.amp.size] if self.ends is None else self.ends, np.int64)
+        cells = self.amp.size
+        if not (self.amp.ndim == 1 and self.xi_index.shape == self.tau.shape == self.amp.shape):
+            raise ValueError("xi_index, tau and amp must be 1-D of one length, got shapes "
+                             f"{self.xi_index.shape}, {self.tau.shape} and {self.amp.shape}")
         lengths = self.ends.copy()
-        lengths[1:] -= self.ends[:-1]
+        if lengths.ndim == 1:
+            lengths[1:] -= self.ends[:-1]
+        if lengths.ndim != 1 or not lengths.size or self.ends[-1] != cells or lengths.min() < 0:
+            raise ValueError(f"ends must never fall and must end at the cell count {cells}, "
+                             f"got {self.ends.tolist()}")
+        if self.dxi.size != self.ends.size:
+            raise ValueError(f"one dxi per row: got {self.dxi.size} for {self.ends.size} rows")
         self._cell_dxi = np.repeat(self.dxi, lengths)
 
     @property

@@ -195,6 +195,8 @@ class SpectralField:
 
 def forward_transform(values, grid: GridSpec) -> SpectralField:
     """Continuous-normalized Fourier coefficients of real samples on the grid."""
+    if np.iscomplexobj(values):
+        raise ValueError("forward_transform takes real samples, got a complex array")
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.num_points,):
         raise ValueError(f"expected {grid.num_points} samples, got {values.shape}")

@@ -46,6 +46,8 @@ def local_existence_time(gamma: float, s: float = 0.0, c: float = C_LWP) -> floa
     """t0 = c * gamma^(-6/(3+2s)); requires 3 + 2s > 0."""
     if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got s = {s}")
     if not 3.0 + 2.0 * s > 0:
         raise ValueError("local time formula requires 3 + 2s > 0")
     return c * gamma ** (-6.0 / (3.0 + 2.0 * s))

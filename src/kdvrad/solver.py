@@ -4,14 +4,14 @@ The linear part is exact through the Airy phase exp(i t xi^3) (``grid.airy_phase
 nonlinearity -(1/2) d_x(u^2) is squared in physical space under the 2/3 rule.  The state is the
 band k < ``grid.band`` of the half-spectrum dx (-1)^k rfft(u) that a ``SpectralField`` stores:
 the quadratic term reads and writes no other mode, ``grid.irfft`` zero-pads, and squaring needs
-no (-1)^k, a half-period shift that commutes with it.  The derivative factor -i xi / (2 dx) sits
-in each scheme's stage weights, so ``nonlinear`` returns the band of rfft(u^2) as a view of its
-work array, which the next call overwrites.  Each record writes the tail k >= ``grid.band``,
-which follows the Airy group alone, in closed form: the datum's tail times ``airy_phase``.
+no (-1)^k, a half-period shift that commutes with it.  Both schemes step through one in-place
+body, whose weights (``SCHEMES``) hold the derivative factor -i xi / (2 dx): ``nonlinear`` returns
+the band of rfft(u^2) as a view.  Each record writes the tail k >= ``grid.band``, which follows
+the Airy group alone, in closed form: the datum's tail times ``airy_phase``.
 
-A step allocates nothing: each ``evolve`` call owns its buffers (five or six band-sized stage
-arrays, the FFT work arrays and a band copy of the datum) and never writes ``f.half``.  The loop
-enters ``np.errstate`` once per record interval, not once per step.
+A step allocates nothing: each ``evolve`` call owns its buffers (five band-sized stage arrays,
+the FFT work arrays and a band copy of the datum) and never writes ``f.half``.  The loop enters
+``np.errstate`` once per record interval, not once per step.
 """
 from __future__ import annotations
 
@@ -22,9 +22,7 @@ import numpy as np
 from . import grid as _grid
 from .errors import BlowupError, ConfigError
 from .grid import (GridSpec, SpectralField, airy_phase, check_boundary_smallness,
-                   forward_transform)
-
-SCHEMES = ("ifrk4", "etdrk4")
+                   forward_transform, require_one_field)
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
-            raise ConfigError(f"record_every must be a positive integer, got {self.record_every!r}")
+        if not isinstance(self.scheme, str) or self.scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {tuple(SCHEMES)}")
+        n = self.record_every
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ConfigError(f"record_every must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -80,41 +79,45 @@ def classical_invariants(field: SpectralField):
     return mass, g.inner(half), hamiltonian
 
 
-def _ifrk4(xi, dt, dfactor):
-    """Integrating-factor RK4 (exact Airy half steps), ``dfactor`` in its weights: the in-place
-    step of the band ``xi``.  Its products and sums are those of the expression form, operands
-    in the same order (a*b != b*a in the last bit), so the two are bitwise equal."""
-    eh = airy_phase(xi, dt / 2)
-    ef = eh * eh
-    c1, c2, c3 = dt / 2 * eh * dfactor, dt / 2 * dfactor, dt * eh * dfactor
-    w1, w23, w4 = dt / 6 * ef * dfactor, dt / 3 * eh * dfactor, dt / 6 * dfactor
-    ehu, eu, a, p23, s = np.empty((5, xi.size), dtype=complex)
+def _erk4(eh, ef, a21, a32, a43, b1, b23, b4, a41=None):
+    """The in-place band step of exponential RK4 (Cox & Matthews 2002): its products and sums
+    are those of the expression form, operands in the same order (a*b != b*a in the last bit)."""
+    ehu, eu, a, p23, s = np.empty((5, eh.size), dtype=complex)
     mul, add = np.multiply, np.add
 
     def step(uh, nonlinear):
-        # a = eh uh + c1 p1, b = eh uh + c2 p2, c = eu + c3 p3 (eu = ef uh), each p read before
-        # the next call; uh <- eu + w1 p1 + w23 (p2 + p3) + w4 p4, summed left to right
+        # a = eh uh + a21 p1, b = eh uh + a32 p2, c = (ef uh [+ a41 p1]) + a43 p3, each p read
+        # before the next call; uh <- ef uh + b1 p1 + b23 (p2 + p3) + b4 p4, left to right
         p = nonlinear(uh)
         mul(eh, uh, ehu)
         mul(ef, uh, eu)
-        add(ehu, mul(c1, p, s), a)
-        add(eu, mul(w1, p, s), uh)
+        add(ehu, mul(a21, p, s), a)
+        add(eu, mul(b1, p, s), uh)
+        if a41 is not None:
+            add(eu, mul(a41, p, s), eu)
         p = nonlinear(a)
-        add(ehu, mul(c2, p, s), a)  # b
+        add(ehu, mul(a32, p, s), a)  # b
         p23[:] = p
         p = nonlinear(a)
-        add(eu, mul(c3, p, s), a)  # c
+        add(eu, mul(a43, p, s), a)  # c
         add(p23, p, p23)
         p = nonlinear(a)
-        add(uh, mul(w23, p23, p23), uh)
-        add(uh, mul(w4, p, s), uh)
+        add(uh, mul(b23, p23, p23), uh)
+        add(uh, mul(b4, p, s), uh)
 
     return step
 
 
+def _ifrk4(xi, dt, dfactor):
+    """Integrating-factor RK4 on the band ``xi``, its Airy half steps exact."""
+    eh = airy_phase(xi, dt / 2)
+    ef = eh * eh
+    return _erk4(eh, ef, dt / 2 * eh * dfactor, dt / 2 * dfactor, dt * eh * dfactor,
+                 dt / 6 * ef * dfactor, dt / 3 * eh * dfactor, dt / 6 * dfactor)
+
+
 def _etdrk4(xi, dt, dfactor):
-    """ETDRK4 (Kassam & Trefethen 2005), phi on a 64-point contour, ``dfactor`` in its weights:
-    the in-place step of the band, bitwise equal to the expression form as in ``_ifrk4``."""
+    """ETDRK4 (Kassam & Trefethen 2005), its stage c eh a + q (2 p3 - p1) regrouped."""
     lam = 1j * xi ** 3
     ef, eh = np.exp(lam * dt), np.exp(lam * dt / 2)
     r = np.exp(2j * np.pi * (np.arange(1, 65) - 0.5) / 64)
@@ -123,29 +126,10 @@ def _etdrk4(xi, dt, dfactor):
     f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr ** 2)) / lr ** 3, axis=1) * dfactor
     two_f2 = 2 * (dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr ** 3, axis=1)) * dfactor
     f3 = dt * np.mean((-4 - 3 * lr - lr ** 2 + np.exp(lr) * (4 - lr)) / lr ** 3, axis=1) * dfactor
-    two = np.array(complex(2))  # a Python scalar would be cast to complex on every multiply
-    ehu, a, b, p1, p23, s = np.empty((6, xi.size), dtype=complex)
-    mul, add = np.multiply, np.add
+    return _erk4(eh, ef, q, q, 2 * q, f1, two_f2, f3, a41=(eh - 1) * q)
 
-    def step(uh, nonlinear):
-        # a = eh uh + q p1, b = eh uh + q p2, c = eh a + q (2 p3 - p1);
-        # uh <- ef uh + f1 p1 + two_f2 (p2 + p3) + f3 p4, summed left to right
-        p = nonlinear(uh)
-        p1[:] = p
-        add(mul(eh, uh, ehu), mul(q, p, s), a)
-        add(mul(ef, uh, uh), mul(f1, p, s), uh)
-        p = nonlinear(a)
-        add(ehu, mul(q, p, s), b)
-        p23[:] = p
-        p = nonlinear(b)
-        add(p23, p, p23)
-        mul(q, np.subtract(mul(two, p, s), p1, s), s)
-        add(mul(eh, a, a), s, a)  # c
-        p = nonlinear(a)
-        add(uh, mul(two_f2, p23, p23), uh)
-        add(uh, mul(f3, p, s), uh)
 
-    return step
+SCHEMES = {"ifrk4": _ifrk4, "etdrk4": _etdrk4}
 
 
 def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) -> Trajectory:
@@ -154,6 +138,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     Each record is a row of one preallocated stack, read-only once returned, as are the times.
     The datum must be negligible at the domain edge; that check is repeated at every record.
     """
+    require_one_field(f, "evolve")
     if not 0.0 < T < np.inf:
         raise ConfigError(f"T must be positive and finite, got {T}")
     if not T / config.dt < np.inf:
@@ -175,7 +160,7 @@ def evolve(f: SpectralField, T: float, config: SolverConfig = SolverConfig()) ->
     band, tail = f.half[:m].copy(), f.half[m:]
     num_steps = max(1, int(round(T / config.dt)))
     dt = T / num_steps  # land exactly on T
-    step = (_ifrk4 if config.scheme == "ifrk4" else _etdrk4)(xi[:m], dt, -0.5j * xi[:m] / grid.dx)
+    step = SCHEMES[config.scheme](xi[:m], dt, -0.5j * xi[:m] / grid.dx)
 
     records = 1 + -(-num_steps // config.record_every)
     times, stack = np.zeros(records), np.empty((records, xi.size), dtype=complex)

@@ -434,6 +434,31 @@ class TestProductBookkeeping:
             assert w.xi_index.size == w.tau.size == w.amp.size == w.xi.size == 0
             assert w.ends.dtype == np.int64 and w.ends.tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("cells, dxi, ends, message", [
+        # l2_norm dropped cell 5, and .xi raised a broadcast error
+        ((6, 6, 6), [0.1, 0.2], [2, 5],
+         r"ends must never fall and must end at the cell count 6, got \[2, 5\]"),
+        ((6, 6, 6), [0.1, 0.2], [4, 2], r"never fall .* got \[4, 2\]"),
+        ((6, 6, 6), [0.1, 0.2], [-1, 6], r"never fall .* got \[-1, 6\]"),
+        ((6, 6, 6), [0.1, 0.2], [2, 7], r"never fall .* got \[2, 7\]"),
+        ((0, 0, 0), [], [], r"never fall .* got \[\]"),
+        # two l2_norm values for one row
+        ((6, 6, 6), [0.1, 0.2], None, "one dxi per row: got 2 for 1 rows"),
+        ((6, 6, 6), [0.1], [2, 6], "one dxi per row: got 1 for 2 rows"),
+        # x_norm failed with a broadcast error
+        ((6, 5, 6), [0.1], None, r"1-D of one length, got shapes \(6,\), \(5,\) and \(6,\)"),
+        ((6, 6, 5), [0.1], None, r"got shapes \(6,\), \(6,\) and \(5,\)"),
+        ((5, 6, 6), [0.1], None, r"got shapes \(5,\), \(6,\) and \(6,\)"),
+    ])
+    def test_a_layout_the_norms_would_misread_is_refused(self, cells, dxi, ends, message):
+        xi_index, tau, amp = (np.ones(c) for c in cells)
+        with pytest.raises(ValueError, match=message):
+            WavePacketField(xi_index, tau, amp, dxi, 0.5, ends)
+
+    def test_a_stacked_amplitude_array_is_refused(self):
+        with pytest.raises(ValueError, match=r"1-D .* got shapes \(2, 3\), \(2, 3\) and \(2, 3\)"):
+            WavePacketField(*np.ones((3, 2, 3)), 0.1, 0.5, [6])
+
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_tau_is_refused(self, bad):

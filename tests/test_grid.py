@@ -6,6 +6,7 @@ integral 2*sech(x)*cos(x*xi) dx (frozen reference values below).
 """
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,14 @@ class TestForwardTransform:
         v[3] = np.nan
         with pytest.raises(KdvradError, match="non-finite"):
             forward_transform(v, small_grid)
+
+    def test_rejects_complex_samples(self):
+        # numpy's cast would drop the imaginary part with only a ComplexWarning
+        g = GridSpec(64, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real samples, got a complex array"):
+                forward_transform(np.exp(-g.x ** 2) + 1j, g)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))

@@ -36,6 +36,14 @@ class TestLocalExistenceTime:
         with pytest.raises(ValueError):
             local_existence_time(0.0, 0.0, 0.01)
 
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    def test_non_finite_regularity_is_refused_by_name(self, s):
+        # s = inf gave t0 = c_lwp, and s = nan failed the 3 + 2s > 0 test
+        with pytest.raises(ValueError, match=f"s must be finite, got s = {s}"):
+            local_existence_time(1.0, s, 0.01)
+        with pytest.raises(ValueError, match=f"s must be finite, got s = {s}"):
+            ScheduleParams(sigma0=1, gamma0=1, s=s)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_schedule_inputs_must_be_finite(params, bad):

@@ -214,7 +214,8 @@ def expression_form_trajectory(f, T, dt, record_every, scheme, folded=True):
             p2 = square(a)
             b = e_half * uh + qd * p2
             p3 = square(b)
-            c = e_half * a + qd * (2 * p3 - p1)
+            # e_half a + qd (2 p3 - p1), with a = e_half uh + qd p1
+            c = (e_full * uh + (e_half - 1) * qd * p1) + 2 * qd * p3
             p4 = square(c)
             return e_full * uh + f1d * p1 + two_f2d * (p2 + p3) + f3d * p4
 
@@ -420,13 +421,53 @@ class TestEvolve:
         with pytest.raises(ConfigError, match=r"T / dt is not finite: T = 1e\+10, dt = 1e-300"):
             evolve(soliton(GridSpec(256, 40.0), 1.0), 1e10, SolverConfig(dt=1e-300))
 
-    @pytest.mark.parametrize("bad", [2.0, 1.5, 0, -3])
+    @pytest.mark.parametrize("bad", ["rk4", "IFRK4", ["ifrk4"], None])
+    def test_an_unknown_scheme_is_a_config_error(self, bad):
+        with pytest.raises(ConfigError, match=r"choose from \('ifrk4', 'etdrk4'\)"):
+            SolverConfig(scheme=bad)
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, 0, -3, True])
     def test_record_every_must_be_a_positive_integer(self, small_grid, bad):
         with pytest.raises(ConfigError, match="record_every must be a positive integer"):
             SolverConfig(record_every=bad)
         # numpy integers are integers
         config = SolverConfig(dt=1e-3, record_every=np.int64(2), check_boundary=False)
         assert len(evolve(soliton(small_grid, 1.0), 4e-3, config)) == 3
+
+    @pytest.mark.parametrize("check_boundary", [True, False])
+    def test_a_stack_is_refused_under_the_name_evolve(self, default_grid, check_boundary):
+        f = two_soliton_datum(default_grid)
+        stack = SpectralField(default_grid, np.stack([f.half, f.half]))
+        config = SolverConfig(dt=1e-3, check_boundary=check_boundary)
+        with pytest.raises(ValueError, match=r"evolve takes one field, not a stack of shape \(2, "):
+            evolve(stack, 0.01, config)
+
+    def test_both_schemes_step_through_the_one_body(self, default_grid, monkeypatch):
+        # SCHEMES builds every step through _erk4, and evolve takes every step with it
+        body, built, steps = solver._erk4, [], []
+
+        def counted(*weights, **named):
+            step = body(*weights, **named)
+            built.append(sorted(named))
+
+            def counted_step(uh, nonlinear):
+                steps.append(uh.size)
+                step(uh, nonlinear)
+
+            return counted_step
+
+        f = two_soliton_datum(default_grid)
+        configs = [SolverConfig(dt=1e-3, scheme=scheme, record_every=7)
+                   for scheme in ("ifrk4", "etdrk4")]
+        plain = [evolve(f, 0.02, config) for config in configs]
+        monkeypatch.setattr(solver, "_erk4", counted)
+        for config, expected in zip(configs, plain):
+            traj = evolve(f, 0.02, config)
+            assert traj.field.half.tobytes() == expected.field.half.tobytes()
+        assert list(solver.SCHEMES) == ["ifrk4", "etdrk4"]
+        # ETDRK4 alone has the a41 entry: its stage c reads p1
+        assert built == [[], ["a41"]]
+        assert steps == [default_grid.band] * 40
 
     def test_blowup_reports_last_valid_time(self, default_grid):
         g = default_grid

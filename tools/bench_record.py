@@ -12,7 +12,8 @@ and the change share one file.  ``--root`` names the checkout whose ``src/``, ``
   ``.perfbench/report.json`` it writes (every workload's metrics, correctness and claim tail);
 - ``tier1``: the wall time and summary line of the tier-1 suite;
 - ``layers``: per-call times of ``measure_block_ratio`` (the generic triple (2, N, N, 1, 1, 2 N^2))
-  and ``xnorm_product_ratio`` at N = 8..64, of ``xbar_norm`` on one 256 x 96 field, of 500
+  and ``xnorm_product_ratio`` at N = 8..64, of ``bilinear.product`` on two 32-row unit tube
+  stacks at the triple (2, 16, 16, 1, 1, 512), of ``xbar_norm`` on one 256 x 96 field, of 500
   IFRK4 ``evolve`` steps at N = 512, 1024 and 4096 and 500 ETDRK4 steps at N = 1024, of
   ``classical_invariants`` on a 129-record stack, and of ``gevrey_norm``, ``estimate_radius``
   and ``commutator_term`` on one field, all at N = 1024.  Each repeat times the reference
@@ -20,9 +21,12 @@ and the change share one file.  ``--root`` names the checkout whose ``src/``, ``
   to the kernel, their quartiles and their minimum, which load arriving between kernel and row
   can only raise.  Each ``evolve`` row also holds ``soliton_error``, its last record against
   the translated soliton, which must stay within ``SOLITON_BOUND``;
-- ``pins``: the pinned probe values of ``tests/test_bilinear.py`` recomputed in the same run.
+- ``pins``: the pinned probe values of ``tests/test_bilinear.py`` recomputed in the same run;
+- ``product_oracle``: the first 4 rows of those tube stacks multiplied by ``bilinear.product``
+  and by the pair-by-pair ``product_oracle`` of ``tests/test_bilinear.py``, compared bitwise.
 
-Exits non-zero if the report, the tier-1 suite, a pin or a soliton check fails.
+Exits non-zero if the report, the tier-1 suite, a pin, a soliton check or the product oracle
+fails.
 """
 from __future__ import annotations
 
@@ -77,6 +81,15 @@ def time_row(fn, number):
             "repeats": REPEATS, "number": number}
 
 
+def tube_stacks(kd, rows):
+    """``rows`` rows of unit tubes at the generic triple (2, 16, 16, 1, 1, 512), drawn as
+    ``test_peak_memory_of_a_tube_stack_product`` draws its 32."""
+    tg = kd.bilinear._tube_targets(kd.bilinear.DyadicTriple(2, 16, 16, 1, 1, 512))
+    draws = np.random.default_rng(2).random((64, 2))
+    lo1, lo2, dxi = kd.bilinear._targeted_tube_pairs(tg, draws)[:rows].T
+    return kd.bilinear._tube(lo1, tg["lam1"], dxi), kd.bilinear._tube(lo2, tg["lam2"], dxi)
+
+
 def layer_rows(kd):
     rows = {}
     for n in (8, 16, 32, 64):
@@ -85,6 +98,8 @@ def layer_rows(kd):
             lambda: kd.bilinear.measure_block_ratio(triple, trials=32, seed=1), 10)
         rows[f"bilinear.xnorm_product_ratio.n{n}"] = time_row(
             lambda: kd.bilinear.xnorm_product_ratio(n, n, n, trials=32, seed=1), 10)
+    u, v = tube_stacks(kd, 32)
+    rows["bilinear.product.n16_32_rows"] = time_row(lambda: kd.bilinear.product(u, v), 20)
     grid = kd.grid.GridSpec(256, 40.0)
     rng = np.random.default_rng(1)
     half = np.zeros(129, dtype=complex)
@@ -137,6 +152,22 @@ def check_pins(kd, tests):
     return {"checked": checked, "mismatches": mismatches}
 
 
+def check_product(kd, tests):
+    """``bilinear.product`` of 4-row tube stacks against the pair-by-pair oracle, bitwise."""
+    sys.path.insert(0, str(tests))
+    import test_bilinear as oracle
+    u, v = tube_stacks(kd, 4)
+    got = kd.bilinear.product(u, v)
+    xi_index, tau, amp, dxi, ends = oracle.product_oracle(u, v)
+    mismatches = [name for name, have, want in (
+        ("xi_index", got.xi_index, xi_index), ("tau", got.tau, tau), ("amp", got.amp, amp),
+        ("xi", got.xi, xi_index * dxi), ("dxi", got.dxi, u.dxi))
+        if have.dtype != want.dtype or have.tobytes() != want.tobytes()]
+    if got.ends.tolist() != ends:
+        mismatches.append("ends")
+    return {"rows": len(ends), "cells": len(amp), "mismatches": mismatches}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", type=Path, required=True)
@@ -170,6 +201,7 @@ def main(argv=None) -> int:
         raise ImportError(f"kdvrad was imported from {kd.grid.__file__}, not from {root / 'src'}")
     layers = layer_rows(kd)
     pins = check_pins(kd, root / "tests")
+    product_check = check_product(kd, root / "tests")
 
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                          text=True).stdout.strip()
@@ -179,16 +211,18 @@ def main(argv=None) -> int:
               "python": platform.python_version(), "numpy": np.__version__,
               "machine": platform.machine(), "cpus": os.cpu_count(),
               "reference_kernel_s": float(np.median([reference_kernel() for _ in range(REPEATS)])),
-              "report": report, "tier1": tier1, "layers": layers, "pins": pins}
+              "report": report, "tier1": tier1, "layers": layers, "pins": pins,
+              "product_oracle": product_check}
     records = json.loads(args.out.read_text()) if args.out.exists() else {}
     records[args.label] = record
     args.out.write_text(json.dumps(records, indent=1) + "\n")
     errors = [row["soliton_error"] for row in layers.values() if "soliton_error" in row]
     ok = (report["returncode"] == 0 and tier1["returncode"] == 0 and not pins["mismatches"]
-          and max(errors) <= SOLITON_BOUND)
+          and max(errors) <= SOLITON_BOUND and not product_check["mismatches"])
     print(f"{args.label}: report rc {report['returncode']}, tier-1 {tier1['summary']} in "
           f"{tier1['wall_s']:.1f} s, pins {pins['checked'] - len(pins['mismatches'])}/"
-          f"{pins['checked']}, soliton error {max(errors):.2g} (bound {SOLITON_BOUND:g})",
+          f"{pins['checked']}, soliton error {max(errors):.2g} (bound {SOLITON_BOUND:g}), "
+          f"product oracle {product_check['mismatches'] or 'bitwise'}",
           file=sys.stderr)
     return 0 if ok else 1
 
